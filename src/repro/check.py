@@ -33,6 +33,8 @@ from typing import Dict, List, Optional
 
 from repro.common.errors import InvariantViolation, ProtocolError
 from repro.common.events import ProtocolEvent
+from repro.svc.directory import scan_cache
+from repro.svc.line import SVCLine
 from repro.telemetry import INVARIANT_VIOLATION
 
 #: Event kinds that trigger a check, per system family.
@@ -138,34 +140,43 @@ class InvariantChecker:
 
     def check_svc(self, line_addr: Optional[int] = None) -> None:
         """Audit the SVC: one line when ``line_addr`` is given (post-bus),
-        every resident line otherwise (post-commit/squash)."""
+        every resident line otherwise (post-commit/squash).
+
+        Each check reads every cache array once. That pass yields each
+        cache's uncommitted lines for the occupancy rules and, on a full
+        scan, the holder map that both the directory audit and the
+        per-line rules read."""
         self.checks += 1
         system = self.system
-        self._svc_task_assignment(system)
-        self._svc_cache_occupancy(system)
+        ranks = self._svc_task_assignment(system)
         if line_addr is not None:
-            self._svc_line(system, line_addr)
+            for cache in system.caches:
+                self._svc_cache_occupancy(
+                    cache,
+                    {addr: line for addr, line in cache.lines() if not line.committed},
+                )
+            entries = system.vcl._entries(line_addr)
+            if entries:
+                self._svc_lines(system, ((line_addr, entries),), ranks)
             return
-        directory = getattr(system, "directory", None)
+        holders: Dict[int, Dict[int, SVCLine]] = {}
+        for cache in system.caches:
+            self._svc_cache_occupancy(cache, scan_cache(cache, holders))
+        directory = system.directory
         if directory is not None:
             # RealityCheck-style differential audit: the fast path (the
             # incremental directory) is re-derived from the slow path
-            # (a full array scan) before any check relies on it.
+            # (the array scan above) before any check relies on it.
             try:
-                directory.audit(system.caches)
+                directory.audit_holders(holders)
             except ProtocolError as exc:
                 self._fail("directory-agreement", str(exc))
-            addresses = directory.addresses()
-        else:
-            addresses = sorted(
-                {addr for cache in system.caches for addr, _line in cache.lines()}
-            )
-        for addr in addresses:
-            self._svc_line(system, addr)
+        self._svc_lines(system, sorted(holders.items()), ranks)
 
-    def _svc_task_assignment(self, system) -> None:
+    def _svc_task_assignment(self, system) -> Dict[int, int]:
         """One task per cache, one cache per rank, ranks after the
-        committed prefix (paper section 2.1's task sequence)."""
+        committed prefix (paper section 2.1's task sequence). Returns the
+        audited ``cache_id -> rank`` map."""
         try:
             system._audit_task_maps()
         except ProtocolError as exc:
@@ -187,155 +198,152 @@ class InvariantChecker:
                     f"{system._committed_through} have committed",
                     subject=rank,
                 )
+        return ranks
 
-    def _svc_cache_occupancy(self, system) -> None:
+    def _svc_cache_occupancy(self, cache, active: Dict[int, SVCLine]) -> None:
         """Controller/array agreement: ``active_lines`` is exactly the set
-        of resident uncommitted lines, each stamped with the running task.
-        Flash commit and flash squash (sections 3.4, 3.5) depend on it."""
-        for cache in system.caches:
-            actual = {
-                addr for addr, line in cache.lines() if not line.committed
-            }
-            if actual != cache.active_lines:
+        of resident uncommitted lines (``active``, read from the array),
+        each stamped with the running task. Flash commit and flash squash
+        (sections 3.4, 3.5) depend on it."""
+        if active.keys() != cache.active_lines:
+            self._fail(
+                "active-set-agreement",
+                f"cache {cache.cache_id} active_lines="
+                f"{sorted(map(hex, cache.active_lines))} but uncommitted "
+                f"resident lines are {sorted(map(hex, active))}",
+                subject=cache.cache_id,
+            )
+        task = cache.current_task
+        if task is None and active:
+            self._fail(
+                "active-implies-task",
+                f"cache {cache.cache_id} has no task but holds active "
+                f"lines {sorted(map(hex, active))}",
+                subject=cache.cache_id,
+            )
+        for addr, line in active.items():
+            if line.task_id != task:
                 self._fail(
-                    "active-set-agreement",
-                    f"cache {cache.cache_id} active_lines="
-                    f"{sorted(map(hex, cache.active_lines))} but uncommitted "
-                    f"resident lines are {sorted(map(hex, actual))}",
-                    subject=cache.cache_id,
+                    "active-task-stamp",
+                    f"cache {cache.cache_id} line {addr:#x} is active for "
+                    f"task {line.task_id} but the cache runs {task}",
+                    subject=addr,
                 )
-            if cache.current_task is None and actual:
-                self._fail(
-                    "active-implies-task",
-                    f"cache {cache.cache_id} has no task but holds active "
-                    f"lines {sorted(map(hex, actual))}",
-                    subject=cache.cache_id,
-                )
-            for addr in actual:
-                line = cache.line_for(addr, touch=False)
-                if line.task_id != cache.current_task:
-                    self._fail(
-                        "active-task-stamp",
-                        f"cache {cache.cache_id} line {addr:#x} is active for "
-                        f"task {line.task_id} but the cache runs "
-                        f"{cache.current_task}",
-                        subject=addr,
-                    )
 
-    def _svc_line(self, system, line_addr: int) -> None:
-        from repro.svc.vol import build_vol, is_fresh, tail_stamps
+    def _svc_lines(self, system, items, ranks: Dict[int, int]) -> None:
+        """The per-line rules, in catalogue order, for each
+        ``(line_addr, entries)`` of ``items``, entries ascending by cache
+        id. A rule builds its diagnostic only when it breaks."""
+        from repro.svc.vol import build_vol
 
-        entries = system.vcl._entries(line_addr)
-        if not entries:
-            return
-        ranks = system.vcl._ranks()
         features = system.features
+        full = system.amap.full_mask
+        memory_stamps = system.vcl._memory_stamps
+        zero_stamps = [0] * system.amap.blocks_per_line
+        for line_addr, entries in items:
+            self._svc_bits(features, full, line_addr, entries)
 
-        for cache_id, line in entries.items():
-            self._svc_bits(features, line_addr, cache_id, line, system)
+            # VOL reconstruction itself enforces "active line implies a
+            # running task"; surface its complaint as a structured
+            # violation.
+            try:
+                vol = build_vol(entries, ranks)
+            except ProtocolError as exc:
+                self._fail("vol-buildable", str(exc), subject=line_addr)
 
-        # VOL reconstruction itself enforces "active line implies a
-        # running task"; surface its complaint as a structured violation.
-        try:
-            vol = build_vol(entries, ranks)
-        except ProtocolError as exc:
-            self._fail("vol-buildable", str(exc), subject=line_addr)
+            self._svc_pointer_chain(line_addr, entries)
+            self._svc_version_order(line_addr, entries, vol)
+            self._svc_exclusivity(line_addr, entries, vol)
+            if features.stale_bit:
+                # Read, not memory_stamps_for(): the audit must not
+                # mutate the VCL it checks.
+                self._svc_stale_bits(
+                    line_addr, entries, vol, memory_stamps.get(line_addr, zero_stamps)
+                )
 
-        self._svc_pointer_chain(line_addr, entries)
-        self._svc_version_order(line_addr, entries, vol)
-        self._svc_exclusivity(line_addr, entries, vol)
-
-        if features.stale_bit:
-            tail = tail_stamps(entries, vol, system.vcl.memory_stamps_for(line_addr))
-            for cache_id in vol:
-                line = entries[cache_id]
-                if not line.stale and not is_fresh(line, tail):
-                    # T may be conservatively *set* between repairs, but a
-                    # *clear* T on genuinely stale data authorizes a wrong
-                    # local reuse (section 3.4.3): always a bug.
-                    self._fail(
-                        "t-clear-implies-fresh",
-                        f"line {line_addr:#x} in cache {cache_id} has T clear "
-                        f"but its valid blocks do not match the tail-of-VOL "
-                        f"composition (stamps {line.block_content} vs tail "
-                        f"{tail})",
-                        subject=line_addr,
-                        cache=cache_id,
-                    )
-
-    def _svc_bits(self, features, line_addr, cache_id, line, system) -> None:
+    def _svc_bits(self, features, full, line_addr, entries) -> None:
         """Per-line bit-state legality for the configured design tier
         (the Figure 6/11/16 state bits exist only from the design level
         that introduces them)."""
-        state = {
-            "cache": cache_id,
-            "state": line.describe(),
-        }
-        if line.committed and not features.lazy_commit:
-            self._fail(
-                "c-requires-ec",
-                f"line {line_addr:#x} has C set but the design has no C bit "
-                "(base design commits write back eagerly, section 3.2.6)",
-                subject=line_addr,
-                **state,
-            )
-        if line.stale and not features.stale_bit:
-            self._fail(
-                "t-requires-ec",
-                f"line {line_addr:#x} has T set but the design has no T bit",
-                subject=line_addr,
-                **state,
-            )
-        if line.architectural and not features.architectural_bit:
-            self._fail(
-                "a-requires-ecs",
-                f"line {line_addr:#x} has A set but the design has no A bit",
-                subject=line_addr,
-                **state,
-            )
-        full = system.amap.full_mask
-        for name, mask in (
-            ("valid", line.valid_mask),
-            ("store", line.store_mask),
-            ("load", line.load_mask),
-        ):
-            if mask & ~full:
+        for cache_id, line in entries.items():
+            if line.committed and not features.lazy_commit:
                 self._fail(
-                    "mask-in-range",
-                    f"line {line_addr:#x} {name}_mask {mask:#x} exceeds the "
-                    f"line's block mask {full:#x}",
+                    "c-requires-ec",
+                    f"line {line_addr:#x} has C set but the design has no C bit "
+                    "(base design commits write back eagerly, section 3.2.6)",
                     subject=line_addr,
-                    **state,
+                    cache=cache_id,
+                    state=line.describe(),
                 )
-        if line.store_mask & ~line.valid_mask:
-            self._fail(
-                "stores-are-valid",
-                f"line {line_addr:#x} in cache {cache_id} owns blocks "
-                f"{line.store_mask:#x} without valid data "
-                f"(valid {line.valid_mask:#x})",
-                subject=line_addr,
-                **state,
-            )
-        if line.written_back and not line.committed:
-            self._fail(
-                "writeback-implies-committed",
-                f"line {line_addr:#x} in cache {cache_id} is marked "
-                "written-back while still active",
-                subject=line_addr,
-                **state,
-            )
+            if line.stale and not features.stale_bit:
+                self._fail(
+                    "t-requires-ec",
+                    f"line {line_addr:#x} has T set but the design has no T bit",
+                    subject=line_addr,
+                    cache=cache_id,
+                    state=line.describe(),
+                )
+            if line.architectural and not features.architectural_bit:
+                self._fail(
+                    "a-requires-ecs",
+                    f"line {line_addr:#x} has A set but the design has no A bit",
+                    subject=line_addr,
+                    cache=cache_id,
+                    state=line.describe(),
+                )
+            if (line.valid_mask | line.store_mask | line.load_mask) & ~full:
+                for name, mask in (
+                    ("valid", line.valid_mask),
+                    ("store", line.store_mask),
+                    ("load", line.load_mask),
+                ):
+                    if mask & ~full:
+                        self._fail(
+                            "mask-in-range",
+                            f"line {line_addr:#x} {name}_mask {mask:#x} exceeds "
+                            f"the line's block mask {full:#x}",
+                            subject=line_addr,
+                            cache=cache_id,
+                            state=line.describe(),
+                        )
+            if line.store_mask & ~line.valid_mask:
+                self._fail(
+                    "stores-are-valid",
+                    f"line {line_addr:#x} in cache {cache_id} owns blocks "
+                    f"{line.store_mask:#x} without valid data "
+                    f"(valid {line.valid_mask:#x})",
+                    subject=line_addr,
+                    cache=cache_id,
+                    state=line.describe(),
+                )
+            if line.written_back and not line.committed:
+                self._fail(
+                    "writeback-implies-committed",
+                    f"line {line_addr:#x} in cache {cache_id} is marked "
+                    "written-back while still active",
+                    subject=line_addr,
+                    cache=cache_id,
+                    state=line.describe(),
+                )
 
     def _svc_pointer_chain(self, line_addr, entries) -> None:
         """VOL pointers may dangle between repairs (Figure 17) but must
-        never cycle and must point at other caches, not at themselves."""
-        for start in entries:
-            visited = {start}
-            current = start
-            while True:
-                nxt = entries[current].pointer
-                if nxt is None or nxt not in entries:
-                    break  # end of chain, or dangling (legal pre-repair)
-                if nxt in visited:
+        never cycle and must point at other caches, not at themselves.
+
+        A walk that stays among the n holders for n steps has revisited
+        one; only then is the chain walked again, to name the revisit."""
+        n_holders = len(entries)
+        for start, line in entries.items():
+            pointer = line.pointer
+            steps = 0
+            while pointer in entries:  # None or a dangling id ends the chain
+                steps += 1
+                if steps == n_holders:
+                    visited = {start}
+                    nxt = entries[start].pointer
+                    while nxt not in visited:
+                        visited.add(nxt)
+                        nxt = entries[nxt].pointer
                     self._fail(
                         "vol-acyclic",
                         f"line {line_addr:#x}: VOL pointer chain from cache "
@@ -343,8 +351,7 @@ class InvariantChecker:
                         f"(chain {sorted(visited)})",
                         subject=line_addr,
                     )
-                visited.add(nxt)
-                current = nxt
+                pointer = entries[pointer].pointer
 
     def _svc_version_order(self, line_addr, entries, vol) -> None:
         """Committed versions stay totally ordered by version stamp even
@@ -352,7 +359,7 @@ class InvariantChecker:
         seen: Dict[int, int] = {}
         for cache_id in vol:
             line = entries[cache_id]
-            if line.committed and line.dirty:
+            if line.committed and line.store_mask:
                 if line.version_seq in seen:
                     self._fail(
                         "version-order-total",
@@ -395,6 +402,44 @@ class InvariantChecker:
                     "would leave that copy's T bit clear on stale data",
                     subject=line_addr,
                 )
+
+    def _svc_stale_bits(self, line_addr, entries, vol, memory_stamps) -> None:
+        """T may be conservatively *set* between repairs, but a *clear* T
+        on genuinely stale data authorizes a wrong local reuse (section
+        3.4.3): always a bug. The tail-of-VOL stamps come from one pass
+        over the VOL: each block takes the newest writer's stamp, else
+        memory's (:func:`repro.svc.vol.tail_stamps`)."""
+        tail = list(memory_stamps)
+        for cache_id in vol:
+            line = entries[cache_id]
+            writes = line.store_mask & line.valid_mask
+            content = line.block_content
+            block = 0
+            while writes:
+                if writes & 1:
+                    tail[block] = content[block]
+                writes >>= 1
+                block += 1
+        for cache_id in vol:
+            line = entries[cache_id]
+            if line.stale:
+                continue
+            valid = line.valid_mask
+            content = line.block_content
+            block = 0
+            while valid:
+                if valid & 1 and content[block] != tail[block]:
+                    self._fail(
+                        "t-clear-implies-fresh",
+                        f"line {line_addr:#x} in cache {cache_id} has T clear "
+                        f"but its valid blocks do not match the tail-of-VOL "
+                        f"composition (stamps {line.block_content} vs tail "
+                        f"{tail})",
+                        subject=line_addr,
+                        cache=cache_id,
+                    )
+                valid >>= 1
+                block += 1
 
     # -- ARB ---------------------------------------------------------------
 

@@ -11,6 +11,7 @@ head task (paper section 3.2.5), which it expresses through the
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import chain
 from typing import Callable, Generic, Iterator, List, Optional, Tuple, TypeVar
 
 from repro.common.config import CacheGeometry
@@ -127,9 +128,10 @@ class SetAssociativeArray(Generic[LineT]):
         return way_set.pop(line_addr)
 
     def lines(self) -> Iterator[Tuple[int, LineT]]:
-        """All resident (line address, payload) pairs."""
-        for way_set in self._sets:
-            yield from way_set.items()
+        """All resident (line address, payload) pairs, set by set, each
+        set in LRU order. A C-level chain over the live set views: no
+        Python frame per pair, and nothing cached on the array."""
+        return chain.from_iterable(map(OrderedDict.items, self._sets))
 
     def resident_count(self) -> int:
         return sum(len(way_set) for way_set in self._sets)

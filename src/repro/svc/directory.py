@@ -24,9 +24,13 @@ VersionControlLogic` falls back to the brute-force scan when
 images) — enforced by :mod:`repro.harness.differential` and the
 property tests. In the spirit of RealityCheck, the fast path is
 verified against the slow path rather than trusted:
-:meth:`VersionDirectory.audit` cross-checks the directory against a
-full array scan, and both :meth:`repro.svc.system.SVCSystem.verify` and
-the runtime :class:`repro.check.InvariantChecker` run it.
+:meth:`VersionDirectory.audit_holders` cross-checks the directory
+against a holder map read from the cache arrays in one pass.
+:meth:`repro.svc.system.SVCSystem.verify` builds that map with
+:func:`scan_holders`; the runtime :class:`repro.check.InvariantChecker`
+builds it with :func:`scan_cache`, in the same pass that collects each
+cache's uncommitted lines. :meth:`VersionDirectory.audit` scans and
+compares in one call.
 """
 
 from __future__ import annotations
@@ -98,10 +102,6 @@ class VersionDirectory:
         holders = self._holders.get(line_addr)
         return sorted(holders) if holders else []
 
-    def addresses(self) -> List[int]:
-        """All line addresses with at least one holder, ascending."""
-        return sorted(self._holders)
-
     def holder_count(self, line_addr: int) -> int:
         holders = self._holders.get(line_addr)
         return len(holders) if holders else 0
@@ -118,26 +118,30 @@ class VersionDirectory:
         """Differential check of the fast path against the slow path.
 
         Rebuilds the holder map by brute-force scan of every cache array
-        and raises :class:`ProtocolError` on the first disagreement —
-        a missing holder would let a snoop skip a cache that holds the
-        line (an undetected violation), a phantom holder would corrupt
-        VOL construction.
+        (:func:`scan_holders`) and compares it with the directory
+        (:meth:`audit_holders`).
         """
-        actual: Dict[int, Dict[int, SVCLine]] = {}
-        for cache in caches:
-            for line_addr, line in cache.lines():
-                actual.setdefault(line_addr, {})[cache.cache_id] = line
-        if set(actual) != set(self._holders):
-            missing = sorted(set(actual) - set(self._holders))
-            phantom = sorted(set(self._holders) - set(actual))
+        self.audit_holders(scan_holders(caches))
+
+    def audit_holders(self, actual: Dict[int, Dict[int, SVCLine]]) -> None:
+        """Compare the directory with ``actual``, a holder map read from
+        the cache arrays, and raise :class:`ProtocolError` on the first
+        disagreement — a missing holder would let a snoop skip a cache
+        that holds the line (an undetected violation), a phantom holder
+        would corrupt VOL construction.
+        """
+        recorded_map = self._holders
+        if actual.keys() != recorded_map.keys():
+            missing = sorted(actual.keys() - recorded_map.keys())
+            phantom = sorted(recorded_map.keys() - actual.keys())
             raise ProtocolError(
                 "version directory address set diverged from the cache "
                 f"arrays (missing={list(map(hex, missing))}, "
                 f"phantom={list(map(hex, phantom))})"
             )
         for line_addr, holders in actual.items():
-            recorded = self._holders[line_addr]
-            if set(holders) != set(recorded):
+            recorded = recorded_map[line_addr]
+            if holders.keys() != recorded.keys():
                 raise ProtocolError(
                     f"version directory holder set for {line_addr:#x} is "
                     f"{sorted(recorded)} but the arrays hold "
@@ -153,3 +157,30 @@ class VersionDirectory:
 
     def clear(self) -> None:
         self._holders.clear()
+
+
+def scan_cache(cache, holders: Dict[int, Dict[int, SVCLine]]) -> Dict[int, SVCLine]:
+    """One pass over ``cache``'s array: record every resident line in
+    ``holders`` (``line_addr -> {cache_id: line}``) and return the
+    cache's uncommitted lines as ``{line_addr: line}``."""
+    cache_id = cache.cache_id
+    active: Dict[int, SVCLine] = {}
+    for line_addr, line in cache.lines():
+        if not line.committed:
+            active[line_addr] = line
+        held = holders.get(line_addr)
+        if held is None:
+            holders[line_addr] = {cache_id: line}
+        else:
+            held[cache_id] = line
+    return active
+
+
+def scan_holders(caches) -> Dict[int, Dict[int, SVCLine]]:
+    """The brute-force holder map: one pass over every cache array.
+    Each holder dict is ascending by cache id when ``caches`` is, as the
+    system's cache list is."""
+    holders: Dict[int, Dict[int, SVCLine]] = {}
+    for cache in caches:
+        scan_cache(cache, holders)
+    return holders

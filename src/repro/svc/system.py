@@ -27,7 +27,7 @@ from repro.common.events import EventLog, ProtocolEvent
 from repro.common.stats import StatsRegistry
 from repro.mem.main_memory import MainMemory
 from repro.svc.cache import ProbeOutcome, SVCCache
-from repro.svc.directory import VersionDirectory
+from repro.svc.directory import VersionDirectory, scan_holders
 from repro.svc.line import LineState, SVCLine
 from repro.svc.vcl import VersionControlLogic
 from repro.telemetry import COMMIT, SQUASH, TASK_BEGIN, WB_DRAIN, wired
@@ -435,21 +435,19 @@ class SVCSystem:
         # (the cache arrays themselves) before anything trusts them: a
         # desynced directory or rank map is itself a protocol violation.
         self._audit_task_maps()
+        # One pass over the arrays feeds both the directory audit and the
+        # per-line checks. Reading holders from the arrays, not the
+        # directory, is on purpose: a line smuggled into an array behind
+        # the directory's back must still be audited.
+        holders = scan_holders(self.caches)
         if self.directory is not None:
-            self.directory.audit(self.caches)
+            self.directory.audit_holders(holders)
         if self.vcl._fast is not None:
             # Persistent columnar engine: every cached (entries, VOL)
             # snapshot must match a fresh reconstruction from the arrays.
             self.vcl._fast.audit()
-        # Address collection stays brute-force on purpose: a line smuggled
-        # into an array behind the directory's back must still be audited.
-        addresses = set()
-        for cache in self.caches:
-            for line_addr, _line in cache.lines():
-                addresses.add(line_addr)
         ranks = self.current_ranks()
-        for line_addr in sorted(addresses):
-            entries = self.vcl._entries(line_addr)
+        for line_addr, entries in sorted(holders.items()):
             vol = build_vol(entries, ranks)
             stamps = self.vcl.memory_stamps_for(line_addr)
             rewrite_pointers(entries, vol)

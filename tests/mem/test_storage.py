@@ -91,3 +91,28 @@ def test_lines_iterates_everything():
     assert array.resident_count() == 2
     array.clear()
     assert array.resident_count() == 0
+
+
+def test_lines_walks_sets_in_order_then_lru_and_tracks_changes():
+    array = SetAssociativeArray(geometry())
+    array.insert(addr_in_set(2, 0), "c")
+    array.insert(addr_in_set(0, 1), "b")
+    array.insert(addr_in_set(0, 0), "a")
+    array.insert(addr_in_set(2, 1), "d")
+    array.lookup(addr_in_set(2, 0))  # "c" becomes set 2's MRU line
+    assert list(array.lines()) == [
+        (addr_in_set(0, 1), "b"),
+        (addr_in_set(0, 0), "a"),
+        (addr_in_set(2, 1), "d"),
+        (addr_in_set(2, 0), "c"),
+    ]
+    array.remove(addr_in_set(0, 1))
+    array.insert(addr_in_set(1, 0), "e")
+    assert list(array.lines()) == [
+        (addr_in_set(0, 0), "a"),
+        (addr_in_set(1, 0), "e"),
+        (addr_in_set(2, 1), "d"),
+        (addr_in_set(2, 0), "c"),
+    ]
+    array.clear()
+    assert list(array.lines()) == []

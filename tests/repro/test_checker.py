@@ -13,6 +13,7 @@ from repro.faults import FaultPlan
 from repro.hier.task import MemOp, TaskProgram
 from repro.replay import Case, FailureCapture, run_case, shrink_case
 from repro.svc.designs import design_config
+from repro.svc.line import SVCLine
 from repro.svc.system import SVCSystem
 
 A = 0x1000
@@ -68,6 +69,177 @@ class TestDetection:
         with pytest.raises(InvariantViolation):
             svc.checker.on_event(event)
         assert svc.checker.last_violation.invariant == "x-unique"
+
+
+def _line_setup(design, holders):
+    """Tasks 0-2 on caches 0-2 (cache 3 idle); line ``A`` held by cache 0
+    alone (a store) or also by cache 1 (a later task's load)."""
+    system = make_svc(design)
+    for cache_id in range(3):
+        system.begin_task(cache_id, cache_id)
+    system.store(0, A, 1)
+    if holders == 2:
+        system.load(1, A)
+    return system
+
+
+def _versions_setup(design, holders):
+    """Two committed versions of ``A``: cache 0's (rank 0) and cache 1's
+    (rank 1), both retained as passive dirty lines."""
+    system = _line_setup(design, 1)
+    system.commit_head(0)
+    system.begin_task(0, 3)
+    system.store(1, A + 4, 2)
+    system.commit_head(1)
+    return system
+
+
+def _victim(system, holders):
+    """The corrupted entry: the newest holder of ``A``."""
+    return system.vcl._entries(A)[holders - 1]
+
+
+def _deactivate(system, cache_id):
+    """Retire ``cache_id``'s task from both rank maps, leaving its lines."""
+    rank = system.caches[cache_id].current_task
+    system.caches[cache_id].current_task = None
+    del system._active_ranks[cache_id]
+    del system._rank_to_cache[rank]
+
+
+def _duplicate_rank(system, holders):
+    system.caches[1].current_task = 0
+    system._active_ranks[1] = 0
+    del system._rank_to_cache[1]
+    system._rank_to_cache[0] = 1
+
+
+def _set_committed(system, holders):
+    line = _victim(system, holders)
+    line.committed = True
+    system.caches[holders - 1].active_lines.discard(A)
+
+
+def _phantom_active_holder(system, holders):
+    system.directory.on_install(3, A, SVCLine(data=bytearray(16)))
+
+
+def _pointer_cycle(system, holders):
+    entries = system.vcl._entries(A)
+    ids = list(entries)
+    for index, cache_id in enumerate(ids):
+        entries[cache_id].pointer = ids[(index + 1) % len(ids)]
+
+
+def _stale_block_with_clear_t(system, holders):
+    line = _victim(system, holders)
+    line.stale = False
+    line.block_content[-1] = 999
+
+
+def _store_without_data(system, holders):
+    line = _victim(system, holders)
+    line.store_mask |= 0x1
+    line.valid_mask &= ~0x1
+
+
+def _both_exclusive(system, holders):
+    for line in system.vcl._entries(A).values():
+        line.exclusive = True
+
+
+def _shared_exclusive(system, holders):
+    system.vcl._entries(A)[0].exclusive = True
+
+
+def _set_attr(name, value):
+    def corrupt(system, holders):
+        setattr(_victim(system, holders), name, value)
+
+    return corrupt
+
+
+#: (invariant, design, setup, corruption, holder counts, scopes). Every
+#: SVC rule of docs/INVARIANTS.md; per-line rules run with one holder
+#: and with several. ``vol-buildable`` is reachable only through a
+#: holder the directory invents — a full scan reports that as
+#: ``directory-agreement`` first — so it has no scan case.
+SVC_RULES = [
+    ("task-map-agreement", "final", _line_setup,
+     lambda s, h: s._active_ranks.__setitem__(2, 9), (1,), ("line", "scan")),
+    ("task-rank-unique", "final", _line_setup, _duplicate_rank,
+     (1,), ("line", "scan")),
+    ("task-after-committed-prefix", "final", _line_setup,
+     lambda s, h: setattr(s, "_committed_through", 5), (1,), ("line", "scan")),
+    ("active-set-agreement", "final", _line_setup,
+     lambda s, h: s.caches[0].active_lines.add(A + 0x40), (1,), ("line", "scan")),
+    ("active-implies-task", "final", _line_setup,
+     lambda s, h: _deactivate(s, 0), (1,), ("line", "scan")),
+    ("active-task-stamp", "final", _line_setup,
+     lambda s, h: setattr(_victim(s, 1), "task_id", 99), (1,), ("line", "scan")),
+    ("directory-agreement", "final", _line_setup,
+     lambda s, h: s.directory._holders[A].pop(h - 1), (1, 2), ("scan",)),
+    ("c-requires-ec", "base", _line_setup, _set_committed, (1, 2), ("line", "scan")),
+    ("t-requires-ec", "base", _line_setup, _set_attr("stale", True),
+     (1, 2), ("line", "scan")),
+    ("a-requires-ecs", "ec", _line_setup, _set_attr("architectural", True),
+     (1, 2), ("line", "scan")),
+    ("mask-in-range", "final", _line_setup, _set_attr("load_mask", 0x10),
+     (1, 2), ("line", "scan")),
+    ("stores-are-valid", "final", _line_setup, _store_without_data,
+     (1, 2), ("line", "scan")),
+    ("writeback-implies-committed", "final", _line_setup,
+     _set_attr("written_back", True), (1, 2), ("line", "scan")),
+    ("vol-buildable", "final", _line_setup, _phantom_active_holder,
+     (1, 2), ("line",)),
+    ("vol-acyclic", "final", _line_setup, _pointer_cycle, (1, 2), ("line", "scan")),
+    ("version-order-total", "final", _versions_setup,
+     lambda s, h: setattr(_victim(s, 2), "version_seq", 1), (2,), ("line", "scan")),
+    ("t-clear-implies-fresh", "final", _line_setup, _stale_block_with_clear_t,
+     (1, 2), ("line", "scan")),
+    ("x-unique", "final", _line_setup, _both_exclusive, (2,), ("line", "scan")),
+    ("x-implies-sole-holder", "final", _line_setup, _shared_exclusive,
+     (2,), ("line", "scan")),
+]
+
+
+def _rule_cases():
+    for invariant, design, setup, corrupt, holder_counts, scopes in SVC_RULES:
+        for holders in holder_counts:
+            for scope in scopes:
+                yield pytest.param(
+                    invariant, design, setup, corrupt, holders, scope,
+                    id=f"{invariant}-{holders}holder-{scope}",
+                )
+
+
+def test_rule_table_covers_every_documented_svc_rule():
+    import os
+    import re
+
+    doc = os.path.join(os.path.dirname(__file__), "..", "..", "docs", "INVARIANTS.md")
+    with open(doc) as handle:
+        text = handle.read()
+    svc_part = text.split("## ARB")[0]
+    documented = set(re.findall(r"^\| `([a-z-]+)` \|", svc_part, re.MULTILINE))
+    assert documented == {rule[0] for rule in SVC_RULES}
+
+
+@pytest.mark.parametrize(
+    "invariant,design,setup,corrupt,holders,scope", list(_rule_cases())
+)
+def test_every_svc_rule_fires(invariant, design, setup, corrupt, holders, scope):
+    system = setup(design, holders)
+    assert len(system.vcl._entries(A)) == holders
+    system.checker.check_svc(line_addr=A)  # healthy before the corruption
+    system.checker.check_svc()
+    corrupt(system, holders)
+    with pytest.raises(InvariantViolation) as excinfo:
+        if scope == "line":
+            system.checker.check_svc(line_addr=A)
+        else:
+            system.checker.check_svc()
+    assert excinfo.value.invariant == invariant
 
 
 class TestTornTransactionScans:

@@ -75,7 +75,7 @@ def test_directory_follows_eager_commit_invalidation():
     svc.store(0, 0x100, 1)
     svc.store(0, 0x200, 2)
     svc.commit_head(0)
-    for line_addr in svc.directory.addresses():
+    for line_addr, _holders in svc.directory:
         assert 0 not in svc.directory.holder_ids(line_addr)
     audit_ok(svc)
 
