@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.bus.requests import BusTransaction
+from repro.bus.requests import BusRequestKind, BusTransaction
 from repro.common.config import BusConfig
 from repro.common.events import EventLog
 from repro.common.stats import StatsRegistry
@@ -33,6 +33,10 @@ class SnoopingBus:
     ) -> None:
         self.config = config
         self.stats = stats if stats is not None else StatsRegistry()
+        #: Hot-path accelerators: the registry's counter dict bound once
+        #: and the per-kind counter names built once.
+        self._counters = self.stats._counters
+        self._kind_keys = {kind: f"bus_{kind}" for kind in BusRequestKind.ALL}
         self.event_log = event_log
         self.keep_history = keep_history
         self.history: List[BusTransaction] = []
@@ -96,12 +100,16 @@ class SnoopingBus:
         end = start + cycles
         self._free_at = end
 
-        self.stats.add("bus_transactions")
-        self.stats.add(f"bus_{kind}")
-        self.stats.add("bus_busy_cycles", cycles)
-        self.stats.add("bus_wait_cycles", start - now)
+        counters = self._counters
+        counters["bus_transactions"] += 1
+        kind_key = self._kind_keys.get(kind)
+        if kind_key is None:
+            kind_key = f"bus_{kind}"
+        counters[kind_key] += 1
+        counters["bus_busy_cycles"] += cycles
+        counters["bus_wait_cycles"] += start - now
         if cache_to_cache:
-            self.stats.add("bus_cache_to_cache")
+            counters["bus_cache_to_cache"] += 1
         batch = self._wait_batch
         if batch is not None:
             wait = start - now
@@ -110,13 +118,7 @@ class SnoopingBus:
             occupancy[cycles] = occupancy.get(cycles, 0) + 1
 
         transaction = BusTransaction(
-            kind=kind,
-            requester=requester,
-            line_addr=line_addr,
-            start_cycle=start,
-            end_cycle=end,
-            store_mask=store_mask,
-            cache_to_cache=cache_to_cache,
+            kind, requester, line_addr, start, end, store_mask, cache_to_cache
         )
         if self.keep_history:
             self.history.append(transaction)

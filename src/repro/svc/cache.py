@@ -52,10 +52,11 @@ class SVCCache:
         #: residency change; None when the system runs brute-force snoops.
         self.directory = None
         #: Persistent columnar engine (repro.svc.fastpath) whose cached
-        #: (entries, VOL) columns must be invalidated whenever this cache
-        #: changes anything VOL reconstruction depends on: residency,
-        #: the C bit, or a committed line's version order. None when the
-        #: system runs the reference object-model path.
+        #: (entries, VOL) columns must follow whenever this cache changes
+        #: anything VOL reconstruction depends on: residency (maintained
+        #: in place by the install/drop hooks), the C bit, or a committed
+        #: line's version order (invalidated). None when the system runs
+        #: the reference object-model path.
         self.engine = None
 
     # -- lookup helpers --------------------------------------------------------
@@ -228,7 +229,7 @@ class SVCCache:
         if self.directory is not None:
             self.directory.on_install(self.cache_id, line_addr, line)
         if self.engine is not None:
-            self.engine.invalidate(line_addr)
+            self.engine.on_install(self.cache_id, line_addr, line)
 
     def drop(self, line_addr: int) -> SVCLine:
         """Remove a line (invalidation, purge or cast-out)."""
@@ -237,7 +238,7 @@ class SVCCache:
         if self.directory is not None:
             self.directory.on_drop(self.cache_id, line_addr)
         if self.engine is not None:
-            self.engine.invalidate(line_addr)
+            self.engine.on_drop(self.cache_id, line_addr)
         return line
 
     # -- task lifecycle -----------------------------------------------------------

@@ -102,10 +102,6 @@ class VersionDirectory:
         holders = self._holders.get(line_addr)
         return sorted(holders) if holders else []
 
-    def holder_count(self, line_addr: int) -> int:
-        holders = self._holders.get(line_addr)
-        return len(holders) if holders else 0
-
     def __len__(self) -> int:
         return len(self._holders)
 
@@ -154,9 +150,6 @@ class VersionDirectory:
                         f"{cache_id} tracks a different line object than "
                         "the array holds"
                     )
-
-    def clear(self) -> None:
-        self._holders.clear()
 
 
 def scan_cache(cache, holders: Dict[int, Dict[int, SVCLine]]) -> Dict[int, SVCLine]:

@@ -1,40 +1,40 @@
 """Persistent columnar protocol engine for the hot VCL bus path.
 
 :class:`FastpathKernel` is the structure-of-arrays fast path behind
-``SVCConfig.use_fastpath``. PR 7 introduced it as a *transaction-scoped*
-accelerator: flat columns (bitmasks, content stamps, VOL order) were
-rebuilt from the :class:`~repro.svc.line.SVCLine` objects on every bus
-transaction. This version promotes it to a **persistent columnar
-engine**: the expensive derived state — the per-line holder snapshot in
-canonical (ascending cache id) order and the reconstructed Version
-Ordering List — now lives across bus transactions in
-:attr:`_snaps` and is *incrementally invalidated* at exactly the points
+``SVCConfig.use_fastpath``. The expensive derived state of a line — its
+holder snapshot in canonical (ascending cache id) order and the
+reconstructed Version Ordering List — lives across bus transactions in
+:attr:`_snaps` and is *maintained incrementally* at exactly the points
 where the object model changes anything the columns depend on:
 
-* install / drop (residency changes),
+* install and drop (residency changes) update the snapshot in place:
+  :meth:`on_install` joins an active line to the holder dict and the
+  VOL, :meth:`on_drop` takes a holder out of both, and the snapshot
+  goes when its last holder leaves;
 * flash commit, flash squash and flash invalidate (C-bit waves and
-  rank retirement),
-* the local reactivation paths in ``probe_load`` / ``probe_store``
-  (a passive line silently turning active).
+  rank retirement) invalidate the snapshot, and so do the local
+  reactivation paths in ``probe_load`` / ``probe_store`` (a passive
+  line silently turning active). These reorder the committed prefix.
 
-:class:`repro.svc.cache.SVCCache` calls :meth:`invalidate` /
-:meth:`invalidate_many` from those points, mirroring how the version
-directory is maintained. Everything *else* the protocol does to a line —
-L/S/valid mask updates, byte writes, content stamps, X/T/A bits, pointer
-repair — leaves VOL membership and order untouched, so the snapshot
-stays valid and the next transaction on the line pays **zero** snoops
-and zero ``build_vol`` calls. The ``SVCLine`` objects remain the source
-of truth for per-line *bits* (the snapshot holds references, not
-copies), which is what makes the narrow invalidation set sufficient:
-only membership, the C bit, committed ``version_seq`` order and the
-rank map can reorder a VOL, and each of those has exactly one mutation
-point, all hooked.
+:class:`repro.svc.cache.SVCCache` calls the hooks from those points,
+mirroring how the version directory is maintained. Everything *else*
+the protocol does to a line — L/S/valid mask updates, byte writes,
+content stamps, X/T/A bits, pointer repair — leaves VOL membership and
+order untouched, so the snapshot stays valid and the next transaction
+on the line pays **zero** snoops and zero ``build_vol`` calls. The
+``SVCLine`` objects remain the source of truth for per-line *bits* (the
+snapshot holds references, not copies), which is what makes the narrow
+hook set sufficient: only membership, the C bit, committed
+``version_seq`` order and the rank map can reorder a VOL, and each of
+those has exactly one mutation point, all hooked.
 
-On top of the persistent columns the kernel keeps PR 7's fused
-kernels — stamp-compare snarfing, one-pass VOL repair, copy-free
-residency checks — now all fed from :meth:`acquire` so a whole bus
-transaction (snoop, committed purge, snarf and final repair) resolves
-against at most one column rebuild instead of three to four.
+On top of the persistent columns the kernel keeps the fused kernels —
+stamp-compare snarfing, one-pass VOL repair, copy-free residency checks
+— all fed from :meth:`acquire`. A bus transaction (snoop, committed
+purge, fill install, snarfs and final repair) therefore resolves
+against the one snapshot its snoop acquired, carried forward by the
+install and drop hooks, with no rebuild unless a flash wave or a
+reactivation invalidated the line in between.
 
 Invariants
 ----------
@@ -52,8 +52,8 @@ Invariants
    produce, at every moment it is served. :meth:`audit` re-derives
    every cached snapshot from the materialized ``SVCLine`` state and
    raises on the first divergence; :meth:`repro.svc.system.SVCSystem.
-   verify` runs it (so ``--verify`` harness runs cross-check the
-   columns the same way they cross-check the directory and rank maps).
+   verify` runs it, and tests/svc/test_fastpath.py runs it at every
+   event the runtime invariant checker audits.
 3. **Stamps name exact data states.** The stamp-compare snarf accept is
    sound because a content stamp is allocated globally (one per store,
    :meth:`repro.svc.system.SVCSystem.next_content_seq`) and written
@@ -62,10 +62,14 @@ Invariants
    match, the kernel falls back to the reference byte composition and
    comparison, so stamp mismatches can only cost time, never
    correctness (tests/svc/test_fastpath.py pins the fallback).
-4. **Canonical snapshot order.** Cached snapshots are always built in
-   ascending cache-id order (the brute-force scan's order), and a
-   snapshot mutated by the snarf install loop is never re-cached —
-   order-sensitive helpers (``clean_supplier``) must see exactly the
+4. **Canonical snapshot order, immutable snapshots.** Cached snapshots
+   are always in ascending cache-id order (the brute-force scan's
+   order). The hooks build a new dict and a new VOL list instead of
+   mutating the cached ones, because transaction code still holds the
+   snapshot its snoop acquired. The snarf loop's own holder dict keeps
+   the reference loop's *insertion* order (each snarfed copy appended
+   last): clean-supplier selection takes the first match in dict order
+   (:func:`repro.svc.vol.clean_supplier`), so it must see exactly the
    iteration order the reference path sees.
 
 docs/PERFORMANCE.md documents the column lifecycle and the measured
@@ -79,18 +83,14 @@ from typing import Dict, List, Optional, Tuple
 from repro.common.errors import ProtocolError
 from repro.svc.line import SVCLine
 from repro.svc.vol import (
+    CACHE,
+    CLEAN,
+    MEMORY,
     build_vol,
     check_invariants,
-    clean_supplier,
-    closest_previous_writer,
+    supply_sources,
 )
 from repro.telemetry import VOL_WALK
-
-# Mirror repro.svc.vcl's supplier source tags (importing vcl here would
-# be circular: vcl imports this module at wiring time).
-MEMORY = "memory"
-CACHE = "cache"
-CLEAN = "clean"
 
 
 class FastpathKernel:
@@ -99,15 +99,22 @@ class FastpathKernel:
     __slots__ = (
         "vcl",
         "system",
+        "_vcl_module",
         "_full_mask",
         "_n_blocks",
         "_blocks_in_mask",
         "_snaps",
-        "snap_hits",
         "snap_builds",
     )
 
     def __init__(self, vcl) -> None:
+        # The pointer rewrite is a deliberate seam: the checker's
+        # seeded-bug drill patches ``repro.svc.vcl.rewrite_pointers``,
+        # and both paths must break identically when it is broken, so
+        # :meth:`finalize` looks it up on the module at every call.
+        import repro.svc.vcl as vcl_module
+
+        self._vcl_module = vcl_module
         self.vcl = vcl
         self.system = vcl.system
         amap = self.system.amap
@@ -117,11 +124,12 @@ class FastpathKernel:
         #: Persistent columns: line_addr -> (entries, vol). ``entries``
         #: is the canonical ascending-cache-id holder snapshot, ``vol``
         #: the reconstructed ordering. Only *valid* snapshots are kept;
-        #: the maintenance hooks below pop on any order-relevant change.
+        #: the maintenance hooks below replace or pop them on any
+        #: order-relevant change.
         self._snaps: Dict[int, Tuple[Dict[int, SVCLine], List[int]]] = {}
-        #: Cheap effectiveness counters (read by the bench tooling and
-        #: the audit tests; never consulted by protocol logic).
-        self.snap_hits = 0
+        #: Snapshot rebuilds so far; never consulted by protocol logic
+        #: (tests/svc/test_fastpath.py reads it to pin that installs and
+        #: drops maintain snapshots instead of forcing rebuilds).
         self.snap_builds = 0
         # Register for incremental maintenance, exactly like the
         # version directory: caches notify on every residency or
@@ -132,8 +140,8 @@ class FastpathKernel:
     # -- persistent column maintenance ---------------------------------------
 
     def invalidate(self, line_addr: int) -> None:
-        """Drop the cached columns of one line (membership / C-bit /
-        rank-relevant change)."""
+        """Drop the cached columns of one line (C-bit or rank-relevant
+        change: a local reactivation)."""
         self._snaps.pop(line_addr, None)
 
     def invalidate_many(self, line_addrs) -> None:
@@ -142,20 +150,61 @@ class FastpathKernel:
         for line_addr in line_addrs:
             pop(line_addr, None)
 
+    def on_install(self, cache_id: int, line_addr: int, line: SVCLine) -> None:
+        """Join a newly installed line to the line's cached snapshot.
+
+        An active line enters the holder dict in ascending cache-id
+        order and the VOL after the committed prefix and after every
+        older task — where a fresh ``build_vol`` would put it. New
+        objects replace the cached ones (invariant 4). Anything else
+        (a committed install, a holder already recorded, a cache with no
+        task) drops the snapshot, so the next :meth:`acquire` rebuilds
+        it and raises exactly where the reference path would.
+        """
+        snaps = self._snaps
+        snap = snaps.get(line_addr)
+        if snap is None:
+            return
+        entries, vol = snap
+        ranks = self.system._active_ranks
+        rank = ranks.get(cache_id)
+        if line.committed or rank is None or cache_id in entries:
+            del snaps[line_addr]
+            return
+        holders = {**entries, cache_id: line}
+        new_vol = list(vol)
+        new_vol.insert(
+            self.vcl._insertion_index(vol, entries, ranks, rank), cache_id
+        )
+        snaps[line_addr] = ({cid: holders[cid] for cid in sorted(holders)}, new_vol)
+
+    def on_drop(self, cache_id: int, line_addr: int) -> None:
+        """Take a dropped holder out of the line's cached snapshot (and
+        the snapshot itself when its last holder leaves)."""
+        snaps = self._snaps
+        snap = snaps.get(line_addr)
+        if snap is None:
+            return
+        entries, vol = snap
+        if len(entries) <= 1 or cache_id not in entries:
+            del snaps[line_addr]
+            return
+        snaps[line_addr] = (
+            {cid: held for cid, held in entries.items() if cid != cache_id},
+            [cid for cid in vol if cid != cache_id],
+        )
+
     def acquire(self, line_addr: int) -> Tuple[Dict[int, SVCLine], List[int]]:
         """The ``(entries, vol)`` columns for one line.
 
-        Serves the persistent snapshot when the incremental-maintenance
-        hooks have not invalidated it; otherwise rebuilds it once — in
-        canonical ascending cache-id order — and re-caches it. The
-        returned dict is shared protocol-wide: readers must not mutate
-        it except through the install hooks (the snarf loop mutates its
-        *local* reference only after an install has already popped the
-        snapshot, so a cached dict is never a mutated one).
+        Serves the persistent snapshot unless a hook has invalidated it;
+        otherwise rebuilds it once — in canonical ascending cache-id
+        order — and re-caches it. The returned dict and list are shared
+        protocol-wide and must never be mutated: the hooks replace them
+        with new objects instead.
         """
         snap = self._snaps.get(line_addr)
         if snap is not None:
-            self.snap_hits += 1
             return snap
         system = self.system
         directory = system.directory
@@ -195,7 +244,7 @@ class FastpathKernel:
             if list(entries) != sorted(actual):
                 raise ProtocolError(
                     f"fastpath column desync for {line_addr:#x}: cached "
-                    f"holders {sorted(entries)} vs arrays {sorted(actual)}"
+                    f"holders {list(entries)} vs arrays {sorted(actual)}"
                 )
             for cache_id, line in actual.items():
                 if entries[cache_id] is not line:
@@ -209,10 +258,6 @@ class FastpathKernel:
                     f"fastpath VOL column for {line_addr:#x} is {vol} but "
                     f"a fresh reconstruction orders {build_vol(actual, ranks)}"
                 )
-
-    def clear(self) -> None:
-        """Drop every cached column (end-of-run teardown)."""
-        self._snaps.clear()
 
     # -- rank columns --------------------------------------------------------
 
@@ -238,20 +283,13 @@ class FastpathKernel:
         ``position`` — the metadata half of :meth:`VersionControlLogic.
         _compose`, with no byte movement and no memory reads."""
         memory_stamps = self.vcl.memory_stamps_for(line_addr)
-        suppliers: Dict[int, Tuple[str, Optional[int]]] = {}
-        stamps = [0] * self._n_blocks
-        for block in range(self._n_blocks):
-            writer = closest_previous_writer(entries, vol, position, block)
-            if writer is not None:
-                suppliers[block] = (CACHE, writer)
-                stamps[block] = entries[writer].block_content[block]
-                continue
-            stamps[block] = memory_stamps[block]
-            clean = clean_supplier(entries, block, memory_stamps)
-            if clean is not None:
-                suppliers[block] = (CLEAN, clean)
-            else:
-                suppliers[block] = (MEMORY, None)
+        suppliers = supply_sources(
+            entries, vol, position, self._full_mask, memory_stamps
+        )
+        stamps = list(memory_stamps)
+        for block, (source, cache_id) in suppliers.items():
+            if source == CACHE:
+                stamps[block] = entries[cache_id].block_content[block]
         return suppliers, stamps
 
     @staticmethod
@@ -294,14 +332,16 @@ class FastpathKernel:
         system = self.system
         vcl = self.vcl
         telemetry = system.telemetry
+        counters = system._counters
         snarfed: List[int] = []
         entries, vol = self.acquire(line_addr)
         plans: Dict[int, Tuple[Dict[int, Tuple[str, Optional[int]]], List[int]]] = {}
         for cache in system.caches:
             cid = cache.cache_id
-            if cid == requestor or cache.current_task is None:
-                continue
-            if cache.line_for(line_addr) is not None:
+            # ``entries`` names exactly the caches holding the line
+            # (invariant 2, plus each copy installed below), so holders
+            # are skipped without probing their arrays.
+            if cid in entries or cache.current_task is None:
                 continue
             if not cache.array.has_free_way(line_addr):
                 continue
@@ -331,20 +371,19 @@ class FastpathKernel:
                     suppliers, entries, ranks
                 ),
                 version_seq=new_line.version_seq,
+                block_content=list(stamps),
                 task_id=ranks[cid],
             )
-            copy.ensure_block_stamps(self._n_blocks)
-            copy.block_content[:] = stamps
-            # install pops the cached snapshot first; the local dict is
-            # then mutated to match, exactly like the reference loop,
-            # and is deliberately NOT re-cached (invariant 4: its
-            # iteration order is insertion order, not canonical).
+            # The install hook carries the cached snapshot forward in
+            # canonical order; the loop's own dict appends the copy last,
+            # exactly like the reference loop (invariant 4), and is a new
+            # object so no snapshot anyone holds is mutated.
             cache.install(line_addr, copy)
-            entries[cid] = copy
-            vol = build_vol(entries, ranks)
+            entries = {**entries, cid: copy}
+            vol = self.acquire(line_addr)[1]
             plans.clear()
             snarfed.append(cid)
-            system.stats.add("snarfs")
+            counters["snarfs"] += 1
         return snarfed
 
     # -- fused VOL repair ----------------------------------------------------
@@ -365,12 +404,8 @@ class FastpathKernel:
         system = self.system
         entries, vol = self.acquire(line_addr)
         ranks = system._active_ranks
-
-        # Late-bound through the vcl module namespace: the pointer
-        # rewrite is a deliberate seam (the checker's seeded-bug drill
-        # patches ``repro.svc.vcl.rewrite_pointers``), and both paths
-        # must break identically when it is broken.
-        import repro.svc.vcl as vcl_module
+        # Late-bound through the vcl module namespace (see __init__).
+        vcl_module = self._vcl_module
 
         if len(vol) == 1:
             # Sole-holder fast path: the pointer is trivially None and
@@ -403,8 +438,8 @@ class FastpathKernel:
         vcl_module.rewrite_pointers(entries, vol)
 
         if system.features.stale_bit:
-            memory_stamps = vcl.memory_stamps_for(line_addr)
-            tail = list(memory_stamps)
+            blocks_in_mask = self._blocks_in_mask
+            tail = list(vcl.memory_stamps_for(line_addr))
             remaining = self._full_mask
             for cid in reversed(vol):
                 if not remaining:
@@ -413,24 +448,17 @@ class FastpathKernel:
                 writes = line.store_mask & line.valid_mask & remaining
                 if writes:
                     content = line.block_content
-                    mask, block = writes, 0
-                    while mask:
-                        if mask & 1:
-                            tail[block] = content[block]
-                        mask >>= 1
-                        block += 1
+                    for block in blocks_in_mask(writes):
+                        tail[block] = content[block]
                     remaining &= ~writes
             for cid in vol:
                 line = entries[cid]
                 content = line.block_content
-                mask, block = line.valid_mask, 0
                 stale = False
-                while mask:
-                    if mask & 1 and content[block] != tail[block]:
+                for block in blocks_in_mask(line.valid_mask):
+                    if content[block] != tail[block]:
                         stale = True
                         break
-                    mask >>= 1
-                    block += 1
                 line.stale = stale
 
         if system.config.check_invariants:

@@ -16,8 +16,8 @@ removes a suffix of the rank order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 from repro.bus.requests import BusRequestKind
 from repro.bus.snooping_bus import SnoopingBus
@@ -35,14 +35,18 @@ from repro.telemetry import COMMIT, SQUASH, TASK_BEGIN, WB_DRAIN, wired
 
 @dataclass(slots=True)
 class AccessResult:
-    """Outcome of one PU load or store."""
+    """Outcome of one PU load or store.
+
+    ``squashed_ranks`` defaults to an empty tuple, so an access that
+    squashes nothing allocates no list.
+    """
 
     value: Optional[int]
     hit: bool
     end_cycle: int
     from_memory: bool = False
     cache_to_cache: bool = False
-    squashed_ranks: List[int] = field(default_factory=list)
+    squashed_ranks: Sequence[int] = ()
 
 
 class SVCSystem:
@@ -300,9 +304,7 @@ class SVCSystem:
             # freshened the LRU position, so no second lookup is needed.
             line.load_mask |= block_mask & ~line.store_mask
             return AccessResult(
-                value=line.read(offset, size),
-                hit=True,
-                end_cycle=now + self._hit_cycles,
+                line.read(offset, size), True, now + self._hit_cycles
             )
         counters["load_misses"] += 1
         self._in_transaction = True
@@ -312,11 +314,11 @@ class SVCSystem:
             self._in_transaction = False
         cache.record_load(line, block_mask)
         return AccessResult(
-            value=line.read(offset, size),
-            hit=False,
-            end_cycle=bus_outcome.end_cycle,
-            from_memory=bus_outcome.from_memory,
-            cache_to_cache=bus_outcome.cache_to_cache,
+            line.read(offset, size),
+            False,
+            bus_outcome.end_cycle,
+            bus_outcome.from_memory,
+            bus_outcome.cache_to_cache,
         )
 
     def store(
@@ -352,9 +354,7 @@ class SVCSystem:
                 line.block_content[block] = stamp
             # probe_store's array lookup already freshened the LRU
             # position; no second lookup is needed.
-            return AccessResult(
-                value=None, hit=True, end_cycle=now + self._hit_cycles
-            )
+            return AccessResult(None, True, now + self._hit_cycles)
         counters["store_misses"] += 1
         self._in_transaction = True
         try:
@@ -364,12 +364,12 @@ class SVCSystem:
         finally:
             self._in_transaction = False
         return AccessResult(
-            value=None,
-            hit=False,
-            end_cycle=bus_outcome.end_cycle,
-            from_memory=bus_outcome.from_memory,
-            cache_to_cache=bus_outcome.cache_to_cache,
-            squashed_ranks=bus_outcome.squashed_ranks,
+            None,
+            False,
+            bus_outcome.end_cycle,
+            bus_outcome.from_memory,
+            bus_outcome.cache_to_cache,
+            bus_outcome.squashed_ranks,
         )
 
     # -- end of run ----------------------------------------------------------------

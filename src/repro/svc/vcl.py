@@ -22,20 +22,22 @@ observable state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bus.requests import BusRequestKind
 from repro.common.config import UpdatePolicy
 from repro.common.errors import ProtocolError, ReplacementStall
 from repro.svc.line import SVCLine
 from repro.svc.vol import (
+    CACHE,
+    CLEAN,
+    MEMORY,
     build_vol,
     check_invariants,
-    clean_supplier,
-    closest_previous_writer,
     refresh_stale_bits,
     rewrite_pointers,
+    supply_sources,
 )
 from repro.telemetry import (
     BUS_TXN,
@@ -46,22 +48,22 @@ from repro.telemetry import (
     WB_DRAIN,
 )
 
-MEMORY = "memory"
-CACHE = "cache"  # a version supplied speculative data
-CLEAN = "clean"  # another cache supplied an architectural copy
-
 
 @dataclass(slots=True)
 class BusOutcome:
-    """What one bus request did, for stats, timing and the driver."""
+    """What one bus request did, for stats, timing and the driver.
+
+    The rank and cache lists default to empty tuples, so a request that
+    squashes or snarfs nothing allocates no list.
+    """
 
     kind: str
     end_cycle: int
     from_memory: bool = False
     cache_to_cache: bool = False
     flushes: int = 0
-    squashed_ranks: List[int] = field(default_factory=list)
-    snarfed_caches: List[int] = field(default_factory=list)
+    squashed_ranks: Sequence[int] = ()
+    snarfed_caches: Sequence[int] = ()
     invalidations: int = 0
     updates: int = 0
 
@@ -228,38 +230,36 @@ class VersionControlLogic:
     ) -> Tuple[bytearray, Dict[int, Tuple[str, Optional[int]]], Dict[int, int]]:
         """Build fill data for the blocks in ``need_mask``: each block
         comes from the closest previous version that wrote it, else from
-        architected memory. Returns (data, per-block supplier, per-block
-        content stamps)."""
-        amap = self.system.amap
+        a clean copy of memory's data, else from architected memory
+        (:func:`repro.svc.vol.supply_sources`). The bytes outside
+        ``need_mask`` are zeros. Returns (data, per-block supplier,
+        per-block content stamps)."""
+        system = self.system
+        amap = system.amap
         vbs = amap.versioning_block_size
         data = bytearray(amap.line_size)
-        suppliers: Dict[int, Tuple[str, Optional[int]]] = {}
         memory_stamps = self.memory_stamps_for(line_addr)
         stamps: Dict[int, int] = {}
-        telemetry = self.system.telemetry
+        telemetry = system.telemetry
         span = (
             telemetry.begin(VOL_WALK, "supply walk", phase="supply", position=position)
             if telemetry is not None
             else None
         )
-        for block in amap.blocks_in_mask(need_mask):
+        suppliers = supply_sources(entries, vol, position, need_mask, memory_stamps)
+        for block, (source, cache_id) in suppliers.items():
             start = block * vbs
-            supplier = closest_previous_writer(entries, vol, position, block)
-            if supplier is not None:
-                data[start : start + vbs] = entries[supplier].data[start : start + vbs]
-                suppliers[block] = (CACHE, supplier)
-                stamps[block] = entries[supplier].block_content[block]
+            end = start + vbs
+            if source == MEMORY:
+                data[start:end] = system.memory.read_bytes(line_addr + start, vbs)
+                stamps[block] = memory_stamps[block]
                 continue
-            stamps[block] = memory_stamps[block]
-            clean = clean_supplier(entries, block, memory_stamps)
-            if clean is not None:
-                data[start : start + vbs] = entries[clean].data[start : start + vbs]
-                suppliers[block] = (CLEAN, clean)
+            supplier = entries[cache_id]
+            data[start:end] = supplier.data[start:end]
+            if source == CACHE:
+                stamps[block] = supplier.block_content[block]
             else:
-                data[start : start + vbs] = self.system.memory.read_bytes(
-                    line_addr + start, vbs
-                )
-                suppliers[block] = (MEMORY, None)
+                stamps[block] = memory_stamps[block]
         if span is not None:
             sources = [src for src, _ in suppliers.values()]
             telemetry.end(
@@ -281,7 +281,7 @@ class VersionControlLogic:
                 line_addr + start, bytes(line.data[start : start + vbs])
             )
             memory_stamps[block] = line.block_content[block]
-        self.system.stats.add("writebacks")
+        self.system._counters["writebacks"] += 1
 
     def _purge_committed(self, line_addr: int, retain_newest: bool) -> int:
         """Write back and drop committed versions of one line.
@@ -355,7 +355,7 @@ class VersionControlLogic:
         if victim is None:
             raise ReplacementStall(requestor, line_addr)
         victim_addr, _victim_line = victim
-        self.system.stats.add("replacements")
+        self.system._counters["replacements"] += 1
         return self.cast_out(requestor, victim_addr, now)
 
     def _finalize(self, line_addr: int) -> None:
@@ -523,17 +523,37 @@ class VersionControlLogic:
         data, suppliers, stamps = self._compose(
             line_addr, entries, vol, position, need_mask
         )
-        from_memory = any(src == MEMORY for src, _ in suppliers.values())
-        cache_to_cache = any(src in (CACHE, CLEAN) for src, _ in suppliers.values())
-        architectural = self._suppliers_architectural(suppliers, entries, ranks)
-        self._clear_supplier_exclusivity(entries, suppliers)
+        # One pass over the suppliers: where the data came from, whether
+        # a committed or an active version supplied any block, and the
+        # newest supplying version (the fill's version stamp). Every
+        # supplying version loses its X bit on the way
+        # (_clear_supplier_exclusivity).
+        from_memory = cache_to_cache = False
+        committed_supplied = active_supplied = False
+        supplier_seq = 0
+        for source, cache_id in suppliers.values():
+            if source == MEMORY:
+                from_memory = True
+                continue
+            cache_to_cache = True
+            if source == CACHE:
+                supplier = entries[cache_id]
+                supplier.exclusive = False
+                if supplier.committed:
+                    committed_supplied = True
+                else:
+                    active_supplied = True
+                if supplier.version_seq > supplier_seq:
+                    supplier_seq = supplier.version_seq
+        # Only an active version can make the fill speculative.
+        if active_supplied:
+            architectural = self._suppliers_architectural(suppliers, entries, ranks)
+        else:
+            architectural = system.features.architectural_bit
         self._revoke_other_exclusivity(entries, requestor)
 
         # EC design: a load supplied by a committed version writes it back
         # and invalidates the committed versions it covers (Figure 12).
-        committed_supplied = any(
-            src == CACHE and entries[cid].committed for src, cid in suppliers.values()
-        )
         own_committed_dirty = own is not None and own.committed and own.dirty
         flushes = 0
         if own_committed_dirty:
@@ -556,11 +576,6 @@ class VersionControlLogic:
                 flushes += 1
             cache.drop(line_addr)
             own_now = None
-
-        supplier_seq = max(
-            (entries[cid].version_seq for src, cid in suppliers.values() if src == CACHE),
-            default=0,
-        )
 
         if own_active:
             line = own
@@ -588,11 +603,10 @@ class VersionControlLogic:
         # reference-spreading problem the HR design targets. Spreading
         # copies of migratory version data would only revoke the
         # writer's exclusivity and bounce the line harder.
-        snarf_ok = system.features.snarfing and all(
-            src != CACHE or entries[cid].committed
-            for src, cid in suppliers.values()
-        )
-        snarfed = self._snarf(requestor, line_addr, line, ranks) if snarf_ok else []
+        if system.features.snarfing and not active_supplied:
+            snarfed = self._snarf(requestor, line_addr, line, ranks)
+        else:
+            snarfed = ()
 
         # Exclusive grant (the E-state analog of the X bit, section
         # 3.1): when the fill leaves the requestor as the only holder of
@@ -610,25 +624,21 @@ class VersionControlLogic:
         self._finalize(line_addr)
         extra = system.bus.config.commit_flush_extra_cycles * flushes
         transaction = system.bus.reserve(
-            now,
-            BusRequestKind.READ,
-            requestor,
-            line_addr,
-            cache_to_cache=cache_to_cache,
-            extra_cycles=extra,
+            now, BusRequestKind.READ, requestor, line_addr, 0, cache_to_cache, extra
         )
         end = transaction.end_cycle
         if from_memory:
             end += system.config.miss_penalty_cycles
-            system.stats.add("memory_supplies")
+            system._counters["memory_supplies"] += 1
 
         outcome = BusOutcome(
-            kind=BusRequestKind.READ,
-            end_cycle=end,
-            from_memory=from_memory,
-            cache_to_cache=cache_to_cache,
-            flushes=flushes,
-            snarfed_caches=snarfed,
+            BusRequestKind.READ,
+            end,
+            from_memory,
+            cache_to_cache,
+            flushes,
+            (),
+            snarfed,
         )
         return line, outcome
 
@@ -677,7 +687,7 @@ class VersionControlLogic:
             entries[cid] = copy
             vol = build_vol(entries, ranks)
             snarfed.append(cid)
-            system.stats.add("snarfs")
+            system._counters["snarfs"] += 1
         return snarfed
 
     # -- BusWrite ------------------------------------------------------------
@@ -747,19 +757,21 @@ class VersionControlLogic:
         full = amap.full_mask
         vbs = amap.versioning_block_size
         cache = system.caches[requestor]
-        block_mask = amap.block_mask(addr, size)
+        # The store's block masks, from the memos SVCSystem.store filled
+        # for this access shape. Blocks the store fully covers need no
+        # fill data.
+        offset = amap.line_offset(addr)
+        memo_key = (offset << 5) | size
+        block_mask = system._block_mask_memo.get(memo_key)
+        if block_mask is None:
+            block_mask = amap.block_mask(addr, size)
+        full_cover = system._full_cover_memo.get(memo_key)
+        if full_cover is None:
+            full_cover = amap.full_cover_mask(addr, size)
 
         entries, ranks, vol = self._snoop(line_addr, telemetry)
         own = entries.get(requestor)
         own_active = own is not None and not own.committed
-
-        # Blocks the store fully covers need no fill data.
-        offset = amap.line_offset(addr)
-        full_cover = 0
-        for block in amap.blocks_in_mask(block_mask):
-            start = block * vbs
-            if offset <= start and offset + size >= start + vbs:
-                full_cover |= 1 << block
 
         if own_active:
             position = vol.index(requestor)
@@ -772,21 +784,16 @@ class VersionControlLogic:
         data, suppliers, stamps = self._compose(
             line_addr, entries, vol, position, need_mask
         )
-        from_memory = any(src == MEMORY for src, _ in suppliers.values())
-        cache_to_cache = any(src in (CACHE, CLEAN) for src, _ in suppliers.values())
-        self._clear_supplier_exclusivity(entries, suppliers)
+        from_memory = cache_to_cache = False
+        for source, cache_id in suppliers.values():
+            if source == MEMORY:
+                from_memory = True
+                continue
+            cache_to_cache = True
+            if source == CACHE:
+                # _clear_supplier_exclusivity, folded into this pass.
+                entries[cache_id].exclusive = False
         self._revoke_other_exclusivity(entries, requestor)
-
-        # Projected content of the new version, used to patch copies
-        # under the write-update policy.
-        projected = bytearray(own.data) if own_active else bytearray(amap.line_size)
-        for block in amap.blocks_in_mask(need_mask):
-            start = block * vbs
-            projected[start : start + vbs] = data[start : start + vbs]
-        write_mask = (1 << (8 * size)) - 1
-        projected[offset : offset + size] = (value & write_mask).to_bytes(
-            size, "little"
-        )
 
         # Invalidation window and violation detection (section 3.2.3,
         # per versioning block as in section 3.7). The walk visits every
@@ -801,27 +808,43 @@ class VersionControlLogic:
         # The content stamp of the version state this store creates;
         # patched copies must carry the same stamp as the version.
         pending_content = system.next_content_seq()
-        # Per-block stamps of the projected line: stored blocks carry
-        # the new stamp, everything else keeps the stamp of the data it
-        # actually holds (own blocks, fill suppliers, or memory). A
-        # window patch must copy these per block — stamping an
-        # unmodified block with the new version's stamp would make the
-        # T machinery treat old bytes as the newest version.
-        projected_stamps = (
-            list(own.block_content)
-            if own_active
-            else [0] * amap.blocks_per_line
-        )
-        for block in amap.blocks_in_mask(need_mask):
-            projected_stamps[block] = stamps[block]
-        for block in amap.blocks_in_mask(block_mask):
-            projected_stamps[block] = pending_content
+        start_index = position + 1 if own_active else position
+        if start_index < len(vol):
+            # Projected content of the new version, used to patch copies
+            # under the write-update policy; only a window with entries
+            # in it can need them. Outside ``need_mask`` the fill data is
+            # zeros, so without an own line it is the projection itself.
+            if own_active:
+                projected = bytearray(own.data)
+                for block in amap.blocks_in_mask(need_mask):
+                    start = block * vbs
+                    projected[start : start + vbs] = data[start : start + vbs]
+            else:
+                projected = bytearray(data)
+            write_mask = (1 << (8 * size)) - 1
+            projected[offset : offset + size] = (value & write_mask).to_bytes(
+                size, "little"
+            )
+            # Per-block stamps of the projected line: stored blocks carry
+            # the new stamp, everything else keeps the stamp of the data
+            # it actually holds (own blocks, fill suppliers, or memory).
+            # A window patch must copy these per block — stamping an
+            # unmodified block with the new version's stamp would make
+            # the T machinery treat old bytes as the newest version.
+            projected_stamps = (
+                list(own.block_content)
+                if own_active
+                else [0] * amap.blocks_per_line
+            )
+            for block in amap.blocks_in_mask(need_mask):
+                projected_stamps[block] = stamps[block]
+            for block in amap.blocks_in_mask(block_mask):
+                projected_stamps[block] = pending_content
         squashed_ranks: List[int] = []
         invalidations = 0
         updates = 0
         visited = 0
         exclusive_ok = True
-        start_index = position + 1 if own_active else position
         blocks_remaining = full
         window_span = (
             telemetry.begin(
@@ -904,16 +927,16 @@ class VersionControlLogic:
                 line.block_content[block] = stamps[block]
             line.valid_mask |= need_mask | full_cover
         else:
+            # The fill data is zeros outside ``need_mask``: it is the new
+            # line's content as it stands.
             line = SVCLine(
-                data=bytearray(amap.line_size),
+                data=data,
                 valid_mask=need_mask | full_cover,
                 task_id=my_rank,
             )
             line.ensure_block_stamps(amap.blocks_per_line)
-            for block in amap.blocks_in_mask(need_mask):
-                start = block * vbs
-                line.data[start : start + vbs] = data[start : start + vbs]
-                line.block_content[block] = stamps[block]
+            for block, stamp in stamps.items():
+                line.block_content[block] = stamp
             cache.install(line_addr, line)
 
         cache.apply_store(line, addr, size, value, block_mask)
@@ -953,24 +976,25 @@ class VersionControlLogic:
             BusRequestKind.WRITE,
             requestor,
             line_addr,
-            store_mask=block_mask,
-            cache_to_cache=cache_to_cache,
-            extra_cycles=extra,
+            block_mask,
+            cache_to_cache,
+            extra,
         )
         end = transaction.end_cycle
         if from_memory:
             end += system.config.miss_penalty_cycles
-            system.stats.add("memory_supplies")
+            system._counters["memory_supplies"] += 1
 
         outcome = BusOutcome(
-            kind=BusRequestKind.WRITE,
-            end_cycle=end,
-            from_memory=from_memory,
-            cache_to_cache=cache_to_cache,
-            flushes=flushes,
-            squashed_ranks=squashed_ranks,
-            invalidations=invalidations,
-            updates=updates,
+            BusRequestKind.WRITE,
+            end,
+            from_memory,
+            cache_to_cache,
+            flushes,
+            squashed_ranks,
+            (),
+            invalidations,
+            updates,
         )
         return line, outcome
 
@@ -1007,10 +1031,10 @@ class VersionControlLogic:
             # The copy now carries speculative data; it must not survive
             # a squash as "architectural".
             line.architectural = False
-            system.stats.add("update_responses")
+            system._counters["update_responses"] += 1
             return 0, 1
         line.valid_mask &= ~patch
-        system.stats.add("invalidation_responses")
+        system._counters["invalidation_responses"] += 1
         if line.valid_mask == 0 and line.store_mask == 0 and line.load_mask == 0:
             system.caches[cache_id].drop(line_addr)
         return 1, 0
@@ -1032,7 +1056,7 @@ class VersionControlLogic:
             return now
         if not line.dirty:
             cache.drop(line_addr)
-            system.stats.add("silent_evictions")
+            system._counters["silent_evictions"] += 1
             self._finalize(line_addr)
             return now
 

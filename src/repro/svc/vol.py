@@ -22,10 +22,15 @@ pointers after squashes (Figure 17).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import ProtocolError
 from repro.svc.line import SVCLine
+
+#: Where a fill block comes from (:func:`supply_sources`).
+MEMORY = "memory"
+CACHE = "cache"  # a version supplied speculative data
+CLEAN = "clean"  # another cache supplied an architectural copy
 
 
 def build_vol(
@@ -73,9 +78,10 @@ def build_vol(
 
 def rewrite_pointers(entries: Dict[int, SVCLine], vol: List[int]) -> None:
     """Make every line's pointer name its VOL successor (repair step)."""
-    for index, cache_id in enumerate(vol):
-        nxt = vol[index + 1] if index + 1 < len(vol) else None
-        entries[cache_id].pointer = nxt
+    successor = None
+    for cache_id in reversed(vol):
+        entries[cache_id].pointer = successor
+        successor = cache_id
 
 
 def last_version_index(entries: Dict[int, SVCLine], vol: List[int]) -> Optional[int]:
@@ -173,6 +179,70 @@ def clean_supplier(
         if line.valid_mask & bit and line.block_content[block] == memory_stamps[block]:
             return cache_id
     return None
+
+
+def supply_sources(
+    entries: Dict[int, SVCLine],
+    vol: List[int],
+    position: int,
+    need_mask: int,
+    memory_stamps: List[int],
+) -> Dict[int, Tuple[str, Optional[int]]]:
+    """The supplier of every block in ``need_mask`` for a fill at VOL
+    index ``position``, in ascending block order: ``(CACHE, writer)``
+    from the closest previous version that wrote the block, else
+    ``(CLEAN, cache)`` from a copy holding memory's data, else
+    ``(MEMORY, None)``.
+
+    Block by block this is :func:`closest_previous_writer`, then
+    :func:`clean_supplier`; here all blocks share one backward VOL walk
+    and at most one pass over ``entries``, each stopping once every
+    block it looks for is found.
+    """
+    writers: Dict[int, int] = {}
+    remaining = need_mask
+    for index in range(position - 1, -1, -1):
+        if not remaining:
+            break
+        cache_id = vol[index]
+        line = entries[cache_id]
+        writes = line.store_mask & line.valid_mask & remaining
+        if writes:
+            remaining &= ~writes
+            block = 0
+            while writes:
+                if writes & 1:
+                    writers[block] = cache_id
+                writes >>= 1
+                block += 1
+    # ``remaining`` now holds the blocks no version supplies; the first
+    # entry (in ``entries`` order) with memory's stamp for one supplies it.
+    cleans: Dict[int, int] = {}
+    for cache_id, line in entries.items():
+        if not remaining:
+            break
+        candidates = line.valid_mask & remaining
+        content = line.block_content
+        block = 0
+        while candidates:
+            if candidates & 1 and content[block] == memory_stamps[block]:
+                cleans[block] = cache_id
+                remaining &= ~(1 << block)
+            candidates >>= 1
+            block += 1
+    sources: Dict[int, Tuple[str, Optional[int]]] = {}
+    mask, block = need_mask, 0
+    while mask:
+        if mask & 1:
+            if block in writers:
+                sources[block] = (CACHE, writers[block])
+            elif block in cleans:
+                sources[block] = (CLEAN, cleans[block])
+            else:
+                sources[block] = (MEMORY, None)
+        mask >>= 1
+        block += 1
+    return sources
 
 
 def check_invariants(

@@ -1,5 +1,7 @@
 """Snooping bus: arbitration, occupancy accounting, utilization."""
 
+import pytest
+
 from repro.bus.requests import BusRequestKind
 from repro.bus.snooping_bus import SnoopingBus
 from repro.common.config import BusConfig
@@ -60,3 +62,11 @@ def test_history_and_store_mask():
     bus.reserve(0, BusRequestKind.WRITE, 2, 0x100, store_mask=0b0110)
     assert bus.history[0].store_mask == 0b0110
     assert bus.history[0].requester == 2
+
+
+def test_transaction_record_is_immutable():
+    bus = make_bus()
+    txn = bus.reserve(0, BusRequestKind.READ, 0, 0x100)
+    with pytest.raises(AttributeError):
+        txn.end_cycle = 99
+    assert txn.end_cycle == 3

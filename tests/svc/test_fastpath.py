@@ -20,6 +20,17 @@ from repro.harness.differential import (
     compare_fastpath_modes,
     differential_workload,
 )
+from repro.hier.driver import SpeculativeExecutionDriver
+from repro.svc.vol import (
+    CACHE,
+    CLEAN,
+    MEMORY,
+    build_vol,
+    clean_supplier,
+    closest_previous_writer,
+)
+from repro.timing.simulator import TimingSimulator
+from repro.workloads.generator import WorkloadSpec, generate_tasks
 
 A = 0x100
 
@@ -116,6 +127,201 @@ def test_supply_plan_stamps_match_composed_bytes():
         assert stamps == [
             stamp_map.get(b, 0) for b in range(system.amap.blocks_per_line)
         ]
+
+
+# -- supply walk vs the per-block rule ---------------------------------------
+
+
+def _per_block_supply(system, line_addr, entries, vol, position, need_mask):
+    """The reference rule, one block at a time: the closest previous
+    writer, else the first clean copy in ``entries`` order, else memory."""
+    amap = system.amap
+    vbs = amap.versioning_block_size
+    memory_stamps = system.vcl.memory_stamps_for(line_addr)
+    data = bytearray(amap.line_size)
+    suppliers, stamps = {}, {}
+    for block in range(amap.blocks_per_line):
+        if not need_mask & (1 << block):
+            continue
+        start, end = block * vbs, (block + 1) * vbs
+        writer = closest_previous_writer(entries, vol, position, block)
+        if writer is not None:
+            suppliers[block] = (CACHE, writer)
+            stamps[block] = entries[writer].block_content[block]
+            data[start:end] = entries[writer].data[start:end]
+            continue
+        stamps[block] = memory_stamps[block]
+        clean = clean_supplier(entries, block, memory_stamps)
+        if clean is not None:
+            suppliers[block] = (CLEAN, clean)
+            data[start:end] = entries[clean].data[start:end]
+        else:
+            suppliers[block] = (MEMORY, None)
+            data[start:end] = system.memory.read_bytes(line_addr + start, vbs)
+    return data, suppliers, stamps
+
+
+def _check_supply_walk(system, line_addr):
+    """Every position and need mask of one line, in canonical and in
+    reversed holder order (``clean_supplier`` takes the first match)."""
+    vcl = system.vcl
+    kernel = vcl.fastpath
+    amap = system.amap
+    canonical = vcl._entries(line_addr)
+    vol = build_vol(canonical, system.current_ranks())
+    for entries in (canonical, dict(reversed(list(canonical.items())))):
+        for position in range(len(vol) + 1):
+            for need_mask in range(amap.full_mask + 1):
+                expected = _per_block_supply(
+                    system, line_addr, entries, vol, position, need_mask
+                )
+                data, suppliers, stamps = vcl._compose(
+                    line_addr, entries, vol, position, need_mask
+                )
+                assert bytes(data) == bytes(expected[0])
+                assert list(suppliers.items()) == list(expected[1].items())
+                assert stamps == expected[2]
+            suppliers, stamps = kernel.supply_plan(line_addr, entries, vol, position)
+            _, ref_suppliers, ref_stamps = _per_block_supply(
+                system, line_addr, entries, vol, position, amap.full_mask
+            )
+            assert list(suppliers.items()) == list(ref_suppliers.items())
+            assert stamps == [ref_stamps[b] for b in range(amap.blocks_per_line)]
+
+
+def _sharing_workload(seed):
+    """Few lines, heavily shared: multi-holder lines on every tier."""
+    return generate_tasks(
+        WorkloadSpec(
+            name=f"sharing-{seed}",
+            n_tasks=12,
+            ops_per_task_mean=8,
+            memory_fraction=0.7,
+            store_fraction=0.4,
+            working_set_bytes=256,
+            shared_bytes=64,
+            read_only_bytes=64,
+            p_shared=0.6,
+            p_private=0.1,
+            p_read_only=0.2,
+            spatial_run=2,
+            seed=seed,
+        )
+    )
+
+
+@pytest.mark.parametrize("tier", TIERS)
+def test_supply_walk_matches_per_block_rule(tier):
+    """``_compose`` and ``supply_plan`` find every block's supplier in
+    one VOL walk; on the live multi-holder line of every bus transaction
+    they must agree, block by block, with ``closest_previous_writer``
+    and ``clean_supplier``."""
+    seed = 7
+    system = make_svc(tier)
+    checked = []
+
+    def observe(event):
+        if event.kind != "bus":
+            return
+        line_addr = event.detail["line_addr"]
+        if len(system.vcl._entries(line_addr)) >= 2:
+            _check_supply_walk(system, line_addr)
+            checked.append(line_addr)
+
+    system.event_log.attach(observe)
+    SpeculativeExecutionDriver(system, _sharing_workload(seed), seed=seed).run()
+    assert len(checked) >= 8
+
+
+# -- snapshot freshness during a run -----------------------------------------
+
+
+def _audit_snapshots_like_the_checker(system):
+    """Run ``FastpathKernel.audit`` at every event the runtime
+    InvariantChecker audits: each bus event, and each commit, squash and
+    begin_task outside a bus transaction. Returns the audited event
+    kinds, one per audit."""
+    kernel = system.vcl.fastpath
+    audits = []
+
+    def observe(event):
+        if event.kind == "bus" or (
+            event.kind in ("commit", "squash", "begin_task")
+            and not system._in_transaction
+        ):
+            kernel.audit()
+            audits.append(event.kind)
+
+    system.event_log.attach(observe)
+    return audits
+
+
+#: Evicting (the differential workload overflows the test caches) and
+#: sharing: drops and multi-holder installs both reach the hooks.
+WORKLOADS = {
+    "evicting": lambda seed: differential_workload(seed, n_tasks=12, ops_per_task=10),
+    "sharing": _sharing_workload,
+}
+
+
+def _fault_plan(tier, seed, tasks):
+    allow_squashes = tier != "ec"
+    plan = random_fault_plan(seed, len(tasks), 10, allow_squashes=allow_squashes)
+    return plan, 0.05 if allow_squashes else 0.0
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+@pytest.mark.parametrize("tier", TIERS)
+def test_snapshots_stay_fresh_through_a_driver_run(tier, workload):
+    seed = 4
+    system = make_svc(tier)
+    audits = _audit_snapshots_like_the_checker(system)
+    tasks = WORKLOADS[workload](seed)
+    plan, squash_probability = _fault_plan(tier, seed, tasks)
+    SpeculativeExecutionDriver(
+        system,
+        tasks,
+        seed=seed,
+        squash_probability=squash_probability,
+        fault_plan=plan,
+    ).run()
+    assert audits.count("bus") > 20
+    system.verify()
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+@pytest.mark.parametrize("tier", TIERS)
+def test_snapshots_stay_fresh_through_a_timing_run(tier, workload):
+    """The timing path adds bus contention, MSHR retries, replacement
+    stalls and misprediction squashes to the interleavings."""
+    seed = 9
+    system = make_svc(tier)
+    audits = _audit_snapshots_like_the_checker(system)
+    tasks = WORKLOADS[workload](seed)
+    plan, _ = _fault_plan(tier, seed, tasks)
+    TimingSimulator(system, tasks, fault_plan=plan).run()
+    assert audits.count("bus") > 20
+    system.verify()
+
+
+def test_warm_snarf_fill_rebuilds_no_snapshot():
+    """On a warm line, a BusRead fill that snarfs, plus its repair,
+    resolves against the snapshot its snoop acquired: the install hooks
+    carry that snapshot forward instead of dropping it."""
+    system = make_svc("hr")
+    kernel = system.vcl.fastpath
+    line_addr = system.amap.line_address(A)
+    system.memory.write_int(A, 4, 0x42)
+    system.begin_task(0, 0)
+    system.load(0, A)  # no other task runs yet: nothing snarfs
+    system.begin_task(1, 1)
+    system.begin_task(2, 2)
+    builds = kernel.snap_builds
+    assert system.load(1, A).value == 0x42  # a clean copy from cache 0
+    assert system.caches[2].line_for(line_addr) is not None  # snarfed
+    assert system.stats.get("snarfs") == 1
+    assert kernel.snap_builds == builds
+    kernel.audit()
 
 
 # -- stamp-mismatch fallback (invariant 3's escape hatch) --------------------
