@@ -15,11 +15,16 @@ backing shared data cache rather than as a literal sixth stage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional
 
-from repro.common.errors import ConfigError, ProtocolError
+from repro.common.errors import ConfigError
 
 WORD_SIZE = 4
+#: Store mask of an access covering the whole word.
+FULL_WORD_MASK = (1 << WORD_SIZE) - 1
+
+_BY_SEQ = attrgetter("seq")
 
 
 @dataclass(slots=True)
@@ -50,21 +55,6 @@ class ARBRow:
     #: which is exactly the buffer dict's insertion order, so per-rank
     #: indexed walks drain stores in the same order a full scan would.
     seq: int = 0
-    #: Owning buffer, when allocated through one; lets entry_for keep
-    #: the buffer's rank -> rows index current. Standalone rows (tests)
-    #: have no owner and need no index.
-    owner: Optional["AddressResolutionBuffer"] = field(
-        default=None, repr=False, compare=False
-    )
-
-    def entry_for(self, rank: int) -> ARBEntry:
-        entry = self.entries.get(rank)
-        if entry is None:
-            entry = ARBEntry()
-            self.entries[rank] = entry
-            if self.owner is not None:
-                self.owner._note_rank_row(rank, self.word_addr)
-        return entry
 
     @property
     def empty(self) -> bool:
@@ -88,13 +78,6 @@ class AddressResolutionBuffer:
         #: instead of scanning the whole buffer.
         self._rank_rows: Dict[int, set] = {}
 
-    def _note_rank_row(self, rank: int, word_addr: int) -> None:
-        rows = self._rank_rows.get(rank)
-        if rows is None:
-            rows = set()
-            self._rank_rows[rank] = rows
-        rows.add(word_addr)
-
     def lookup(self, word_addr: int) -> Optional[ARBRow]:
         return self._rows.get(word_addr)
 
@@ -106,7 +89,7 @@ class AddressResolutionBuffer:
             return row
         if len(self._rows) >= self.n_rows:
             return None
-        row = ARBRow(word_addr=word_addr, seq=self._alloc_seq, owner=self)
+        row = ARBRow(word_addr, {}, self._alloc_seq)
         self._alloc_seq += 1
         self._rows[word_addr] = row
         return row
@@ -122,7 +105,7 @@ class AddressResolutionBuffer:
             row = self._rows.get(word_addr)
             if row is not None and rank in row.entries:
                 rows.append(row)
-        rows.sort(key=lambda row: row.seq)
+        rows.sort(key=_BY_SEQ)
         return rows
 
     def drop_rank_index(self, rank: int) -> None:
@@ -152,13 +135,3 @@ class AddressResolutionBuffer:
             row.entries.pop(rank, None)
             if not row.entries:
                 del self._rows[word_addr]
-
-    def validate_window(self, active_ranks: List[int]) -> None:
-        """Debug check: every entry belongs to an active task."""
-        allowed = set(active_ranks)
-        for row in self._rows.values():
-            for rank in row.entries:
-                if rank not in allowed:
-                    raise ProtocolError(
-                        f"ARB row {row.word_addr:#x} holds stale rank {rank}"
-                    )

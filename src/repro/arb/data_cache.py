@@ -36,6 +36,7 @@ class SharedDataCache:
         self.amap = geometry.address_map
         self.memory = memory
         self.stats = stats if stats is not None else StatsRegistry()
+        self._line_size = geometry.line_size
         self.array: SetAssociativeArray[DataCacheLine] = SetAssociativeArray(geometry)
         # Hot-path address math, precomputed once (read/write are on the
         # ARB's per-access critical path). The direct-mapped fast path
@@ -55,18 +56,32 @@ class SharedDataCache:
         self._counters = self.stats._counters
 
     def _fill(self, line_addr: int) -> DataCacheLine:
-        """Fetch a line from memory, evicting (and writing back) if needed."""
-        if self.array.set_is_full(line_addr):
-            victim = self.array.choose_victim(line_addr)
+        """Fetch a line from memory, evicting (and writing back) if needed.
+
+        A direct-mapped cache indexes the set inline: its one resident
+        line, if any, is the victim.
+        """
+        fast_sets = self._fast_sets
+        array = self.array
+        if fast_sets is not None:
+            way_set = fast_sets[(line_addr >> self._line_shift) & self._set_mask]
+            victim = way_set.popitem(last=False) if way_set else None
+        elif array.set_is_full(line_addr):
+            victim = array.choose_victim(line_addr)
+            array.remove(victim[0])
+        else:
+            victim = None
+        if victim is not None:
             victim_addr, victim_line = victim
-            self.array.remove(victim_addr)
             if victim_line.dirty:
                 self.memory.write_line(victim_addr, bytes(victim_line.data))
-                self.stats.add("dcache_writebacks")
-        line = DataCacheLine(
-            data=self.memory.read_line(line_addr, self.geometry.line_size)
-        )
-        self.array.insert(line_addr, line)
+                self._counters["dcache_writebacks"] += 1
+        line = DataCacheLine(self.memory.read_line(line_addr, self._line_size))
+        if fast_sets is None or way_set:
+            # insert() raises if the line is resident or the set still full.
+            array.insert(line_addr, line)
+        else:
+            way_set[line_addr] = line
         return line
 
     def read(self, addr: int, size: int) -> Tuple[bytes, bool]:

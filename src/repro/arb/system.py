@@ -17,7 +17,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.arb.buffer import WORD_SIZE, AddressResolutionBuffer, ARBEntry, ARBRow
+from repro.arb.buffer import (
+    FULL_WORD_MASK,
+    WORD_SIZE,
+    AddressResolutionBuffer,
+    ARBEntry,
+    ARBRow,
+)
 from repro.arb.data_cache import SharedDataCache
 from repro.common.config import ARBConfig
 from repro.common.errors import ProtocolError, ReplacementStall
@@ -147,7 +153,8 @@ class ARBSystem:
             raise ProtocolError(
                 f"task {rank} is not the head ({self.head_rank()})"
             )
-        self.stats.add("commits")
+        counters = self._counters
+        counters["commits"] += 1
         telemetry = self.telemetry
         span = None
         if telemetry is not None:
@@ -157,40 +164,47 @@ class ARBSystem:
             )
         try:
             drained = 0
+            buffer = self.buffer
+            rows = buffer._rows
+            data_cache = self.data_cache
             # Indexed walk: only the rows this rank touched, in the same
-            # allocation order a full buffer scan would visit them.
-            for row in self.buffer.rows_of_rank(rank):
-                entry = row.entries[rank]
+            # allocation order a full buffer scan would visit them (the
+            # data cache's evictions depend on this order).
+            for row in buffer.rows_of_rank(rank):
+                entries = row.entries
+                entry = entries.pop(rank)
                 store_mask = entry.store_mask
                 if store_mask:
-                    # Drain contiguous byte runs in one write each; the
-                    # per-line hit/miss accounting is unchanged because
-                    # every run of one word lands in the same line.
-                    data = entry.data
-                    offset = 0
-                    while offset < WORD_SIZE:
-                        if not store_mask & (1 << offset):
-                            offset += 1
-                            continue
-                        end = offset + 1
-                        while end < WORD_SIZE and store_mask & (1 << end):
-                            end += 1
-                        self.data_cache.write(
-                            row.word_addr + offset, bytes(data[offset:end])
-                        )
-                        offset = end
+                    if store_mask == FULL_WORD_MASK:
+                        data_cache.write(row.word_addr, bytes(entry.data))
+                    else:
+                        # Drain contiguous byte runs in one write each; the
+                        # per-line hit/miss accounting is unchanged because
+                        # every run of one word lands in the same line.
+                        data = entry.data
+                        offset = 0
+                        while offset < WORD_SIZE:
+                            if not store_mask & (1 << offset):
+                                offset += 1
+                                continue
+                            end = offset + 1
+                            while end < WORD_SIZE and store_mask & (1 << end):
+                                end += 1
+                            data_cache.write(
+                                row.word_addr + offset, bytes(data[offset:end])
+                            )
+                            offset = end
                     drained += 1
-                row.entries.pop(rank, None)
                 # Inline release_if_empty's common outcomes: an entryless
                 # row frees immediately; remaining entries always carry a
                 # mask bit (load/store set one at creation), so the full
                 # emptiness scan only runs as a fallback.
-                if not row.entries:
-                    self.buffer._rows.pop(row.word_addr, None)
+                if not entries:
+                    del rows[row.word_addr]
                 else:
-                    self.buffer.release_if_empty(row.word_addr)
-            self.buffer.drop_rank_index(rank)
-            self.stats.add("commit_stores_drained", drained)
+                    buffer.release_if_empty(row.word_addr)
+            buffer.drop_rank_index(rank)
+            counters["commit_stores_drained"] += drained
             self._task_of_unit[unit] = None
             del self._active_ranks[unit]
             self._committed_through = rank
@@ -294,7 +308,7 @@ class ARBSystem:
         row = rows.get(word_addr)
         if row is None:
             if len(rows) < buffer.n_rows:
-                row = ARBRow(word_addr=word_addr, seq=buffer._alloc_seq, owner=buffer)
+                row = ARBRow(word_addr, {}, buffer._alloc_seq)
                 buffer._alloc_seq += 1
                 rows[word_addr] = row
             else:
@@ -315,7 +329,7 @@ class ARBSystem:
             entries = row.entries
             entry = entries.get(rank)
             if entry is None:
-                entry = ARBEntry()
+                entry = ARBEntry(0, 0, bytearray(WORD_SIZE))
                 entries[rank] = entry
                 rank_rows = buffer._rank_rows.get(rank)
                 if rank_rows is None:
@@ -374,12 +388,7 @@ class ARBSystem:
         end = now + self._hit_cycles
         if from_memory:
             end += self._miss_penalty
-        return AccessResult(
-            value=value,
-            hit=not from_memory,
-            end_cycle=end,
-            from_memory=from_memory,
-        )
+        return AccessResult(value, not from_memory, end, from_memory)
 
     def store(
         self, unit: int, addr: int, value: int, size: int = 4, now: int = 0
@@ -399,7 +408,7 @@ class ARBSystem:
         if row is not None:
             squashed: List[int] = []
         elif len(rows) < buffer.n_rows:
-            row = ARBRow(word_addr=word_addr, seq=buffer._alloc_seq, owner=buffer)
+            row = ARBRow(word_addr, {}, buffer._alloc_seq)
             buffer._alloc_seq += 1
             rows[word_addr] = row
             squashed = []
@@ -423,9 +432,8 @@ class ARBSystem:
         entries = row.entries
         entry = entries.get(rank)
         if entry is None:
-            entry = ARBEntry()
+            entry = ARBEntry(0, 0, bytearray(WORD_SIZE))
             entries[rank] = entry
-            buffer = self.buffer
             rank_rows = buffer._rank_rows.get(rank)
             if rank_rows is None:
                 buffer._rank_rows[rank] = rank_rows = set()
@@ -454,12 +462,7 @@ class ARBSystem:
                     break
                 remaining &= ~later.store_mask
 
-        return AccessResult(
-            value=None,
-            hit=True,
-            end_cycle=now + self._hit_cycles,
-            squashed_ranks=squashed,
-        )
+        return AccessResult(None, True, now + self._hit_cycles, False, False, squashed)
 
     # -- end of run ----------------------------------------------------------------
 

@@ -64,9 +64,7 @@ class MSHRFile:
             return AllocationResult.SECONDARY
         if len(self._entries) >= self.n_entries:
             return AllocationResult.STALL
-        self._entries[line_addr] = MSHR(
-            line_addr=line_addr, ready_cycle=ready_cycle, waiter_ids=[waiter_id]
-        )
+        self._entries[line_addr] = MSHR(line_addr, ready_cycle, [waiter_id])
         return AllocationResult.PRIMARY
 
     def pop_ready(self, now: int) -> List[MSHR]:

@@ -244,12 +244,7 @@ class TimingSimulator:
         start = time + self.processor.timing.task_dispatch_cycles
         self._begin_task_recorded(pu, rank)
         state = PUTaskTiming(
-            pu_id=pu,
-            rank=rank,
-            program=self.tasks[rank],
-            start_time=start,
-            config=self.processor,
-            mshrs=self._mshrs[pu],
+            pu, rank, self.tasks[rank], start, self.processor, self._mshrs[pu]
         )
         self._states[pu] = state
         self._rank_to_pu[rank] = pu
@@ -552,11 +547,11 @@ class TimingSimulator:
                             continue
                     try:
                         if op.kind == LOAD:
-                            result = sys_load(pu, op.addr, op.size, now=now)
+                            result = sys_load(pu, op.addr, op.size, now)
                             end = result.end_cycle
                         else:
                             result = sys_store(
-                                pu, op.addr, op.value, op.size, now=now
+                                pu, op.addr, op.value, op.size, now
                             )
                             end = now + 1
                     except ReplacementStall as stall:

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.arb.buffer import AddressResolutionBuffer, ARBEntry, ARBRow
-from repro.common.errors import ConfigError, ProtocolError
+from repro.arb.buffer import AddressResolutionBuffer, ARBEntry
+from repro.arb.system import ARBSystem
+from repro.common.config import ARBConfig
+from repro.common.errors import ConfigError
 
 
 def test_allocate_and_lookup():
@@ -26,17 +28,10 @@ def test_existing_row_found_even_when_full():
     assert arb.lookup_or_allocate(0x100) is first
 
 
-def test_entry_for_creates_once():
-    row = ARBRow(word_addr=0x100)
-    entry = row.entry_for(3)
-    entry.store_mask = 0b1111
-    assert row.entry_for(3) is entry
-
-
 def test_release_if_empty():
     arb = AddressResolutionBuffer(4)
     row = arb.lookup_or_allocate(0x100)
-    row.entry_for(0).load_mask = 1
+    row.entries[0] = ARBEntry(load_mask=1)
     arb.release_if_empty(0x100)
     assert arb.lookup(0x100) is not None  # not empty: kept
     row.entries[0].load_mask = 0
@@ -45,22 +40,21 @@ def test_release_if_empty():
 
 
 def test_clear_rank_drops_entries_and_empty_rows():
-    arb = AddressResolutionBuffer(4)
-    row = arb.lookup_or_allocate(0x100)
-    row.entry_for(5).store_mask = 1
-    row.entry_for(6).store_mask = 1
+    # Entries come from real stores, which also keep the buffer's
+    # rank -> rows index that clear_rank walks.
+    system = ARBSystem(ARBConfig(n_rows=4))
+    system.begin_task(0, 5)
+    system.begin_task(1, 6)
+    system.store(0, 0x100, 1)
+    system.store(1, 0x100, 2)
+    system.store(1, 0x200, 3)
+    arb = system.buffer
     arb.clear_rank(5)
-    assert 5 not in arb.lookup(0x100).entries
+    assert set(arb.lookup(0x100).entries) == {6}
     arb.clear_rank(6)
     assert arb.lookup(0x100) is None
-
-
-def test_validate_window():
-    arb = AddressResolutionBuffer(4)
-    arb.lookup_or_allocate(0x100).entry_for(5).load_mask = 1
-    arb.validate_window([5, 6])
-    with pytest.raises(ProtocolError):
-        arb.validate_window([6])
+    assert arb.lookup(0x200) is None
+    assert arb.occupancy() == 0
 
 
 def test_zero_rows_rejected():

@@ -6,8 +6,10 @@ it deterministically."""
 import pytest
 
 from conftest import make_svc, small_geometry
+from repro.arb.buffer import WORD_SIZE, ARBEntry
+from repro.arb.system import ARBSystem
 from repro.check import InvariantChecker
-from repro.common.config import CacheGeometry, SVCConfig
+from repro.common.config import ARBConfig, CacheGeometry, SVCConfig
 from repro.common.errors import InvariantViolation, ProtocolError
 from repro.faults import FaultPlan
 from repro.hier.task import MemOp, TaskProgram
@@ -239,6 +241,64 @@ def test_every_svc_rule_fires(invariant, design, setup, corrupt, holders, scope)
             system.checker.check_svc(line_addr=A)
         else:
             system.checker.check_svc()
+    assert excinfo.value.invariant == invariant
+
+
+def _arb_setup():
+    """An audited ARB after real accesses and one commit: tasks 0-3 on
+    units 0-3; task 0 stored ``A`` and committed, task 1 loaded ``A``,
+    task 2 stored one byte of ``A + 4`` and task 3 loaded that word."""
+    geometry = CacheGeometry(size_bytes=512, associativity=1, line_size=16)
+    system = ARBSystem(ARBConfig(cache_geometry=geometry), checker=InvariantChecker())
+    for unit in range(system.n_units):
+        system.begin_task(unit, unit)
+    system.store(0, A, 7)
+    assert system.load(1, A).value == 7
+    system.store(2, A + 4, 0xAB, size=1)
+    system.load(3, A + 4)
+    system.commit_head(0)
+    return system
+
+
+def _committed_stage_left(system):
+    """Task 0 committed, yet a stage of row ``A`` still holds its store."""
+    system.buffer.lookup(A).entries[0] = ARBEntry(0, 0b1111, bytearray(WORD_SIZE))
+
+
+def _mask_bit_outside_word(system):
+    system.buffer.lookup(A + 4).entries[2].store_mask |= 1 << WORD_SIZE
+
+
+#: (invariant, corruption). Every ARB rule of docs/INVARIANTS.md.
+ARB_RULES = [
+    ("arb-rows-released", lambda s: s.buffer.lookup(A).entries.clear()),
+    ("arb-window", _committed_stage_left),
+    ("arb-byte-masks", _mask_bit_outside_word),
+]
+
+
+def test_rule_table_covers_every_documented_arb_rule():
+    import os
+    import re
+
+    doc = os.path.join(os.path.dirname(__file__), "..", "..", "docs", "INVARIANTS.md")
+    with open(doc) as handle:
+        text = handle.read()
+    arb_part = text.split("\n## ARB\n")[1].split("\n## ")[0]
+    documented = set(re.findall(r"^\| `([a-z-]+)` \|", arb_part, re.MULTILINE))
+    assert documented == {rule[0] for rule in ARB_RULES}
+
+
+@pytest.mark.parametrize(
+    "invariant,corrupt", ARB_RULES, ids=[rule[0] for rule in ARB_RULES]
+)
+def test_every_arb_rule_fires(invariant, corrupt):
+    system = _arb_setup()
+    assert system.checker.checks == 1  # the commit was audited
+    system.checker.check_arb()  # healthy before the corruption
+    corrupt(system)
+    with pytest.raises(InvariantViolation) as excinfo:
+        system.checker.check_arb()
     assert excinfo.value.invariant == invariant
 
 
