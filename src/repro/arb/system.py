@@ -37,17 +37,6 @@ from repro.telemetry import COMMIT, OCCUPANCY_EDGES, SQUASH, wired
 class ARBSystem:
     """A complete ARB + shared data cache memory system."""
 
-    #: Stats a ``ReplacementStall``-raising load/store probe bumps before
-    #: the raise (the full-buffer path counts the attempt in
-    #: ``_row_for``). The timing simulator's stall fast-forward
-    #: replicates these when it skips a deterministic retry — keep in
-    #: sync with the pre-raise accounting in :meth:`load` /
-    #: :meth:`store` / :meth:`_row_for`.
-    STALL_PROBE_COUNTERS = {
-        "load": ("loads", "arb_full_stalls"),
-        "store": ("stores", "arb_full_stalls"),
-    }
-
     def __init__(
         self,
         config: Optional[ARBConfig] = None,

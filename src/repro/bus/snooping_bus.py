@@ -139,8 +139,3 @@ class SnoopingBus:
         if total_cycles <= 0:
             return 0.0
         return min(1.0, self.stats.get("bus_busy_cycles") / total_cycles)
-
-    @property
-    def free_at(self) -> int:
-        """First cycle at which a new transaction could start."""
-        return self._free_at

@@ -2,9 +2,9 @@
 
 Named memory-model litmus shapes — SB, MP, LB, IRIW, CoRR, CoWW plus
 SVC-specific shapes — compiled into task programs and checked against
-pinned per-tier allowed-outcome sets by exhaustive schedule exploration
-(:mod:`repro.modelcheck`). ``python -m repro litmus`` is the CLI;
-docs/LITMUS.md is the catalog.
+pinned allowed-outcome sets on every tier by exhaustive schedule
+exploration (:mod:`repro.modelcheck`). ``python -m repro litmus`` is
+the CLI; docs/LITMUS.md is the catalog.
 """
 
 from repro.litmus.runner import (

@@ -152,14 +152,13 @@ def check_shape(
     check.observed = sorted(valuations)
     check.witnesses = valuations
 
-    allowed = shape.allowed_for(tier)
     for valuation in check.observed:
-        if not any(matches(valuation, pattern) for pattern in allowed):
+        if not any(matches(valuation, pattern) for pattern in shape.allowed):
             check.problems.append(
                 f"unexpected outcome {_format_valuation(valuation)} "
                 f"(witness: {_format_schedule(valuations[valuation])})"
             )
-    for pattern in allowed:
+    for pattern in shape.allowed:
         if not any(matches(v, pattern) for v in check.observed):
             check.problems.append(
                 f"allowed outcome {_format_pattern(pattern)} never observed"
@@ -294,7 +293,7 @@ def build_parser():
         prog="python -m repro litmus",
         description="Run the litmus-shape conformance corpus: exhaustive "
         "schedule exploration of every named shape against its pinned "
-        "per-tier allowed-outcome set.",
+        "allowed-outcome set.",
     )
     parser.add_argument(
         "shapes", nargs="*",

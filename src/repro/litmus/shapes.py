@@ -20,16 +20,13 @@ every location its final architected memory word.
 
 ``allowed`` / ``forbidden`` are tuples of (possibly partial) valuation
 patterns: a valuation matches a pattern when every pattern key agrees.
-``tier_allowed`` overrides the allowed set for individual tiers — today
-every tier pins the same sequential set (that *is* the conformance
-claim), but the axis is first-class so a deliberately weakened tier
-could document its own set.
+Every tier is checked against the same ``allowed`` set: the sequential
+outcome, which is the conformance claim.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from types import MappingProxyType
+from dataclasses import dataclass
 from typing import Dict, Mapping, Tuple
 
 from repro.common.errors import ConfigError
@@ -70,13 +67,6 @@ class LitmusShape:
     #: PUs to build (tasks beyond this count exercise PU reuse).
     pus: int = 2
     description: str = ""
-    #: Per-tier allowed-set overrides (tier name -> patterns).
-    tier_allowed: Mapping[str, Tuple[Mapping[str, int], ...]] = field(
-        default_factory=lambda: MappingProxyType({})
-    )
-
-    def allowed_for(self, tier: str) -> Tuple[Mapping[str, int], ...]:
-        return self.tier_allowed.get(tier, self.allowed)
 
     def locations(self) -> Tuple[str, ...]:
         used = []

@@ -52,16 +52,6 @@ class AccessResult:
 class SVCSystem:
     """A complete SVC memory system (Figure 5)."""
 
-    #: Stats a ``ReplacementStall``-raising load/store probe bumps before
-    #: the raise. The timing simulator's stall fast-forward replicates
-    #: these when it skips a retry whose outcome cannot have changed
-    #: (same commit/squash token, same ``bus.free_at``) — keep in sync
-    #: with the pre-raise accounting in :meth:`load` / :meth:`store`.
-    STALL_PROBE_COUNTERS = {
-        "load": ("loads", "load_misses"),
-        "store": ("stores", "store_misses"),
-    }
-
     def __init__(
         self,
         config: Optional[SVCConfig] = None,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.common.config import ProcessorConfig
 from repro.common.errors import ReplacementStall, SimulationError
@@ -30,10 +30,12 @@ from repro.timing.pu import PUTaskTiming
 #: Cycles to wait before retrying a structurally stalled memory op.
 _STALL_RETRY = 8
 
-#: Consecutive ReplacementStall retries on one PU before the watchdog
-#: declares the run livelocked (nothing else is advancing the head, so
-#: the stalled PU will never find an evictable way).
-_WATCHDOG_STALL_STREAK = 200
+#: ReplacementStall retries by the head task since the last commit
+#: before the watchdog declares the run livelocked. The head may replace
+#: any line (section 3.2.5) and the ARB reclaims a row for it, so a
+#: correct run never stalls the head; a later task may legitimately
+#: retry for as long as the head runs.
+_WATCHDOG_HEAD_STALLS = 200
 
 
 @dataclass
@@ -147,31 +149,9 @@ class TimingSimulator:
         self._mshrs = {
             pu: MSHRFile(per_unit, combining) for pu in range(self.processor.n_pus)
         }
-        #: Consecutive ReplacementStall retries per PU (watchdog input).
-        self._stall_streak: Dict[int, int] = {
-            pu: 0 for pu in range(self.processor.n_pus)
-        }
-        #: Stall fast-forward state (plain loop only). A stalled PU polls
-        #: every ``_STALL_RETRY`` cycles, but its probe outcome can only
-        #: change after something frees capacity: a commit or squash
-        #: (counted by ``_progress_token``) or another PU's bus
-        #: transaction (which advances ``SnoopingBus.free_at``). While
-        #: both watermarks are unchanged since the last *real* failed
-        #: probe, retries are skipped without re-entering the protocol —
-        #: the retry accounting (retry count, streak, watchdog, and the
-        #: stat the probe itself would bump) is replicated exactly, so
-        #: reports, stats and event streams are byte-identical.
-        self._bus = getattr(system, "bus", None)
-        self._progress_token = 0
-        self._stall_probe: Dict[int, Tuple[int, int]] = {}
-        self._stall_exc: Dict[int, ReplacementStall] = {}
-        #: Stat keys a deterministically-failing retry probe bumps
-        #: before raising (``{"load": (...), "store": (...)}`` — the SVC
-        #: counts the attempt as a load/store miss, the ARB as a
-        #: load/store plus ``arb_full_stalls``); the skip path mirrors
-        #: them so accounting stays exact. Systems that do not declare
-        #: the contract never fast-forward — every retry re-probes.
-        self._stall_probe_stats = getattr(system, "STALL_PROBE_COUNTERS", None)
+        #: ReplacementStall retries of the head task since the last
+        #: commit (watchdog input).
+        self._head_stalls = 0
         #: Telemetry, resolved once at wiring time from the system (the
         #: system already applied :func:`repro.telemetry.wired`), so the
         #: memory-event hot path pays a single ``is not None`` check.
@@ -216,12 +196,9 @@ class TimingSimulator:
 
     # -- event plumbing ---------------------------------------------------------
 
-    def _push(self, time: int, kind: str, pu: int, epoch: int) -> None:
-        self._seq += 1
-        heapq.heappush(self._events, (time, self._seq, kind, pu, epoch))
-
-    def _schedule_fast(self, pu: int, time: int, state) -> None:
-        """``_schedule`` with the state already in hand (hot path)."""
+    def _schedule(self, pu: int, time: int, state: PUTaskTiming) -> None:
+        """Queue ``state``'s next event: its next memory op, or its
+        completion once no memory op is left; never before ``time``."""
         pending = state.schedule_to_next_mem()
         if pending is None:
             done = state.done_time()
@@ -248,7 +225,7 @@ class TimingSimulator:
         )
         self._states[pu] = state
         self._rank_to_pu[rank] = pu
-        self._schedule(pu, start)
+        self._schedule(pu, start, state)
 
     def _begin_task_recorded(self, pu: int, rank: int) -> None:
         """``system.begin_task`` with telemetry re-attached: task-begin
@@ -265,153 +242,93 @@ class TimingSimulator:
         finally:
             self.system.telemetry = prev
 
-    def _schedule(self, pu: int, time: int) -> None:
-        self._schedule_fast(pu, time, self._states[pu])
-
     # -- squash handling -----------------------------------------------------------
 
     def _restart_squashed(self, squashed_ranks: List[int], now: int) -> None:
         """Re-dispatch squashed (but still assigned) tasks on their PUs."""
         restart = now + self.processor.timing.squash_restart_cycles
-        self._progress_token += 1  # squashes free capacity: re-probe stalls
         for rank in sorted(squashed_ranks):
             pu = self._rank_to_pu[rank]
             state = self._states[pu]
             state.reset(restart)
             self._done_at.pop(rank, None)
-            self._stall_streak[pu] = 0
             self._begin_task_recorded(pu, rank)
-            self._schedule(pu, restart)
+            self._schedule(pu, restart, state)
 
-    def _stall_report(self, stuck_pu: int, stall: ReplacementStall, now: int) -> str:
-        """Per-PU stall diagnostics for a watchdog-detected livelock."""
+    def _stall_report(self, pu: int, stall: ReplacementStall, now: int) -> str:
+        """Per-PU diagnostics for a watchdog-detected livelock."""
         lines = [
-            f"PU {stuck_pu} retried a replacement stall "
-            f"{self._stall_streak[stuck_pu]} times (cache "
-            f"{stall.cache_id}, line {stall.line_addr:#x}) with no "
-            f"intervening progress at cycle {now}; per-PU state:"
+            f"PU {pu} retried a replacement stall {self._head_stalls} times "
+            f"as the head task (rank {self._head_ptr}; cache "
+            f"{stall.cache_id}, line {stall.line_addr:#x}) with no commit "
+            f"at cycle {now}; per-PU state:"
         ]
-        for pu in range(self.processor.n_pus):
-            state = self._states[pu]
+        for unit in range(self.processor.n_pus):
+            state = self._states[unit]
             if state is None:
-                lines.append(f"  pu {pu}: idle")
+                lines.append(f"  pu {unit}: idle")
                 continue
             lines.append(
-                f"  pu {pu}: rank {state.rank} op {state.op_index}/"
-                f"{len(state.program.ops)} stall_streak="
-                f"{self._stall_streak[pu]}"
+                f"  pu {unit}: rank {state.rank} op {state.op_index}/"
+                f"{len(state.program.ops)}"
             )
         return "\n".join(lines)
 
-    # -- memory events ----------------------------------------------------------------
+    # -- memory-op side paths --------------------------------------------------------
 
-    def _handle_mem(self, pu: int, now: int) -> None:
-        state = self._states[pu]
-        op = state.program.ops[state.op_index]
-        mshrs = self._mshrs[pu]
-        if mshrs._entries:
-            mshrs.pop_ready(now)
-            if len(mshrs._entries) >= mshrs.n_entries:
-                retry = max(mshrs.earliest_ready() or now, now + 1)
-                state.defer_mem(retry)
-                self._schedule_fast(pu, retry, state)
-                return
-        if self._fault_injector is not None:
-            plan = self._fault_injector.plan
-            if plan.mshr_saturation and self._mshr_rng.random() < plan.mshr_saturation:
-                # Injected structural hazard: the MSHR file behaves as
-                # full for this attempt; retry like a real saturation.
-                retry = now + _STALL_RETRY
-                state.defer_mem(retry)
-                self._schedule(pu, retry)
-                return
-            if (
-                plan.bus_saturation
-                and hasattr(self.system, "bus")
-                and self._bus_rng.random() < plan.bus_saturation
-            ):
-                # Injected contention: a competing agent occupies the bus
-                # first, so this PU's transaction queues behind it.
-                self.system.bus.reserve(
-                    now, "fault", None, self.system.amap.line_address(op.addr)
-                )
+    def _inject_faults(self, addr: int, now: int) -> bool:
+        """Draw this attempt's injected hazards, the ``mshr`` stream
+        before the ``bus`` stream. True when an injected MSHR saturation
+        defers the op; an injected bus saturation reserves a competing
+        ``"fault"`` transaction first, and the op then queues behind it."""
+        plan = self._fault_injector.plan
+        if plan.mshr_saturation and self._mshr_rng.random() < plan.mshr_saturation:
+            return True
+        if (
+            plan.bus_saturation
+            and hasattr(self.system, "bus")
+            and self._bus_rng.random() < plan.bus_saturation
+        ):
+            self.system.bus.reserve(now, "fault", None, self._line_address(addr))
+        return False
+
+    def _begin_mem_op(self, pu: int, rank: int, op, now: int, mshrs: MSHRFile):
+        """Per-op telemetry before the probe. Counts the MSHR occupancy
+        and runs the root-sampling countdown. ``run()`` keeps the
+        system's telemetry detached, so a sampled-out op pays only the
+        countdown and gets no span; a kept root syncs the batched slot
+        count into the tracer, re-attaches the telemetry for the op's
+        duration, and returns its MEM_OP span."""
+        # len() of the MSHR dict directly: this per-op increment is the
+        # cost of keeping the occupancy metric exact.
+        self._mshr_occ[len(mshrs._entries)] += 1
+        countdown = self._root_countdown
+        if countdown:
+            self._root_countdown = countdown - 1
+            self._suppressed_pending += 1
+            return None
+        pending = self._suppressed_pending
+        if pending:
+            self._suppressed_pending = 0
+            self._tel_tracer.skip_roots(MEM_OP, pending)
+        self._root_countdown = self._sample_window
         telemetry = self._telemetry
-        span = None
-        rewired = False
-        prev = None
-        if telemetry is not None:
-            # len() of the MSHR dict directly: this per-op increment is
-            # the cost of keeping the occupancy metric exact, so it
-            # skips the ``in_flight()`` call wrapper.
-            self._mshr_occ[len(mshrs._entries)] += 1
-            # Cooperative root sampling: ``run()`` detached the
-            # system's telemetry reference for the whole run, so a
-            # sampled-out op pays only this countdown decrement. A kept
-            # root syncs the batched slot count into the tracer,
-            # re-attaches the telemetry for the op's duration, and
-            # every protocol layer below records its subtree as usual.
-            countdown = self._root_countdown
-            if countdown:
-                self._root_countdown = countdown - 1
-                self._suppressed_pending += 1
-            else:
-                pending = self._suppressed_pending
-                if pending:
-                    self._suppressed_pending = 0
-                    self._tel_tracer.skip_roots(MEM_OP, pending)
-                self._root_countdown = self._sample_window
-                rewired = True
-                prev = self.system.telemetry
-                self.system.telemetry = telemetry
-                span = telemetry.begin(
-                    MEM_OP,
-                    f"{'load' if op.kind == OpKind.LOAD else 'store'} "
-                    f"{op.addr:#x}",
-                    pu=pu,
-                    rank=state.rank,
-                    addr=op.addr,
-                    cycle=now,
-                )
-        try:
-            try:
-                if op.kind == OpKind.LOAD:
-                    result = self.system.load(pu, op.addr, op.size, now=now)
-                    end = result.end_cycle
-                else:
-                    result = self.system.store(
-                        pu, op.addr, op.value, op.size, now=now
-                    )
-                    # Stores retire into the store buffer; dependents
-                    # (none, by construction) would see them a cycle
-                    # later.
-                    end = now + 1
-            except ReplacementStall as stall:
-                if span is not None:
-                    telemetry.end(span, stalled=True)
-                self._stall_retries += 1
-                self._stall_streak[pu] += 1
-                if self._stall_streak[pu] > _WATCHDOG_STALL_STREAK:
-                    raise SimulationError(self._stall_report(pu, stall, now))
-                state.defer_mem(now + _STALL_RETRY)
-                self._schedule_fast(pu, now + _STALL_RETRY, state)
-                return
-            if span is not None:
-                telemetry.end(span, hit=result.hit, end_cycle=end)
-            if self._stall_streak[pu]:
-                self._stall_streak[pu] = 0
-            self._executed_memory_ops += 1
-            if not result.hit:
-                line_addr = self.system.amap.line_address(op.addr)
-                mshrs.allocate(line_addr, state.op_index, result.end_cycle)
-            state.complete_mem(now, end)
-            squashed = result.squashed_ranks
-            if squashed:
-                self._violations += 1
-                self._restart_squashed(squashed, now)
-            self._schedule_fast(pu, now, state)
-        finally:
-            if rewired:
-                self.system.telemetry = prev
+        self.system.telemetry = telemetry
+        return telemetry.begin(
+            MEM_OP,
+            f"{'load' if op.kind == OpKind.LOAD else 'store'} {op.addr:#x}",
+            pu=pu,
+            rank=rank,
+            addr=op.addr,
+            cycle=now,
+        )
+
+    def _end_mem_op(self, span, **attrs) -> None:
+        """End a kept root's MEM_OP span and detach the system's
+        telemetry again."""
+        if span is not None:
+            self._telemetry.end(span, **attrs)
+            self.system.telemetry = None
 
     # -- commit machinery -----------------------------------------------------------------
 
@@ -448,14 +365,11 @@ class TimingSimulator:
             end = self.system.commit_head(pu, now=commit_start)
             self._commit_cycles += max(0, end - commit_start)
             self._committed[head] = True
-            self._progress_token += 1  # commits free capacity: re-probe stalls
+            self._head_stalls = 0
             self._last_commit_end = max(self._last_commit_end, end)
             self._states[pu] = None
             del self._rank_to_pu[head]
             self._mshrs[pu].flush()
-            # A commit frees replacement capacity everywhere.
-            for unit in self._stall_streak:
-                self._stall_streak[unit] = 0
 
             # Misprediction detection: committing task ``head`` reveals
             # whether its successor was the right task to dispatch.
@@ -470,28 +384,27 @@ class TimingSimulator:
             self._dispatch(pu, end)
             now = end
 
-    def _run_loop_plain(self, limit: int) -> None:
-        """The event loop fused with :meth:`_handle_mem_plain` for the
-        common configuration (no telemetry, no fault injector): event
-        dispatch, the memory handler, and rescheduling run as one code
-        path with the hot state in locals. Behaviour is identical to
-        the generic loop in :meth:`_run_impl`; the shared event
-        sequence counter stays on ``self`` so pushes from the cold
-        paths (dispatch, squash restart, commit waves) interleave in
-        exactly the same FIFO order."""
+    # -- main loop ----------------------------------------------------------------------------
+
+    def _run_loop(self, limit: int) -> None:
+        """The event loop of every run, with the hot state in locals.
+        Telemetry and fault injection are branches inside it; unwired,
+        they cost a memory op only ``is not None`` tests. The event
+        sequence counter stays on ``self`` so pushes from the cold paths
+        (dispatch, squash restart, commit waves) interleave in FIFO
+        order. The system's ``load``/``store`` are bound here, so a
+        wrapper put on the instance before ``run()`` sees every probe."""
         events = self._events
         states = self._states
         mshr_files = self._mshrs
-        stall_streak = self._stall_streak
-        stall_probe = self._stall_probe
         done_at = self._done_at
-        bus = self._bus
-        stats_add = self.system.stats.add
         heappop = heapq.heappop
         heappush = heapq.heappush
         sys_load = self.system.load
         sys_store = self.system.store
         line_address = self._line_address
+        telemetry = self._telemetry
+        faults = self._fault_injector
         LOAD = OpKind.LOAD
         executed = 0
         guard = 0
@@ -514,37 +427,16 @@ class TimingSimulator:
                         if len(mshrs._entries) >= mshrs.n_entries:
                             retry = max(mshrs.earliest_ready() or now, now + 1)
                             state.defer_mem(retry)
-                            self._schedule_fast(pu, retry, state)
+                            self._schedule(pu, retry, state)
                             continue
-                    if stall_streak[pu]:
-                        # Stall fast-forward: while no commit, squash, or
-                        # bus transaction has happened since the last real
-                        # failed probe, the probe would deterministically
-                        # raise again — skip it and replicate its exact
-                        # accounting instead.
-                        probe = stall_probe.get(pu)
-                        if probe is not None and probe == (
-                            self._progress_token,
-                            bus.free_at if bus is not None else 0,
-                        ):
-                            self._stall_retries += 1
-                            streak = stall_streak[pu] + 1
-                            stall_streak[pu] = streak
-                            if streak > _WATCHDOG_STALL_STREAK:
-                                raise SimulationError(
-                                    self._stall_report(
-                                        pu, self._stall_exc[pu], now
-                                    )
-                                )
-                            for key in self._stall_probe_stats[
-                                "load" if op.kind == LOAD else "store"
-                            ]:
-                                stats_add(key)
-                            state.defer_mem(now + _STALL_RETRY)
-                            self._schedule_fast(
-                                pu, now + _STALL_RETRY, state
-                            )
-                            continue
+                    if faults is not None and self._inject_faults(op.addr, now):
+                        # Injected structural hazard: the MSHR file
+                        # behaves as full for this attempt.
+                        state.defer_mem(now + _STALL_RETRY)
+                        self._schedule(pu, now + _STALL_RETRY, state)
+                        continue
+                    if telemetry is not None:
+                        span = self._begin_mem_op(pu, state.rank, op, now, mshrs)
                     try:
                         if op.kind == LOAD:
                             result = sys_load(pu, op.addr, op.size, now)
@@ -553,29 +445,25 @@ class TimingSimulator:
                             result = sys_store(
                                 pu, op.addr, op.value, op.size, now
                             )
+                            # Stores retire into the store buffer;
+                            # dependents (none, by construction) would
+                            # see them a cycle later.
                             end = now + 1
                     except ReplacementStall as stall:
+                        if telemetry is not None:
+                            self._end_mem_op(span, stalled=True)
                         self._stall_retries += 1
-                        stall_streak[pu] += 1
-                        if stall_streak[pu] > _WATCHDOG_STALL_STREAK:
-                            raise SimulationError(
-                                self._stall_report(pu, stall, now)
-                            )
-                        # Record the capacity watermark this probe failed
-                        # under; retries under the same watermark are
-                        # fast-forwarded without re-probing (only when the
-                        # system declares its probe accounting contract).
-                        if self._stall_probe_stats is not None:
-                            stall_probe[pu] = (
-                                self._progress_token,
-                                bus.free_at if bus is not None else 0,
-                            )
-                            self._stall_exc[pu] = stall
+                        if state.rank == self._head_ptr:
+                            self._head_stalls += 1
+                            if self._head_stalls > _WATCHDOG_HEAD_STALLS:
+                                raise SimulationError(
+                                    self._stall_report(pu, stall, now)
+                                )
                         state.defer_mem(now + _STALL_RETRY)
-                        self._schedule_fast(pu, now + _STALL_RETRY, state)
+                        self._schedule(pu, now + _STALL_RETRY, state)
                         continue
-                    if stall_streak[pu]:
-                        stall_streak[pu] = 0
+                    if telemetry is not None:
+                        self._end_mem_op(span, hit=result.hit, end_cycle=end)
                     executed += 1
                     if not result.hit:
                         mshrs.allocate(
@@ -590,7 +478,7 @@ class TimingSimulator:
                     if squashed:
                         self._violations += 1
                         self._restart_squashed(squashed, now)
-                    # self._schedule_fast(pu, now, state), inlined:
+                    # self._schedule(pu, now, state), inlined:
                     pending = state.schedule_to_next_mem()
                     if pending is None:
                         done = state.done_time()
@@ -610,11 +498,9 @@ class TimingSimulator:
                         )
                 elif kind == "done":
                     done_at[state.rank] = now
-                    self._try_commits_impl(now)
+                    self._try_commits(now)
         finally:
             self._executed_memory_ops += executed
-
-    # -- main loop ----------------------------------------------------------------------------
 
     def run(self) -> TimingReport:
         telemetry = self._telemetry
@@ -664,30 +550,7 @@ class TimingSimulator:
     def _run_impl(self) -> TimingReport:
         for pu in range(self.processor.n_pus):
             self._dispatch(pu, pu)  # sequencer dispatches one task per cycle
-        limit = 200 * (sum(len(t.ops) + 4 for t in self.tasks) + 100)
-        if self._telemetry is None and self._fault_injector is None:
-            self._run_loop_plain(limit)
-        else:
-            guard = 0
-            events = self._events
-            states = self._states
-            heappop = heapq.heappop
-            handle_mem = self._handle_mem
-            while events:
-                guard += 1
-                if guard > limit:
-                    raise SimulationError(
-                        "timing simulation exceeded event budget"
-                    )
-                time, _seq, kind, pu, epoch = heappop(events)
-                state = states[pu]
-                if state is None or state.epoch != epoch:
-                    continue  # stale event from a squashed attempt
-                if kind == "mem":
-                    handle_mem(pu, time)
-                elif kind == "done":
-                    self._done_at[state.rank] = time
-                    self._try_commits(time)
+        self._run_loop(200 * (sum(len(t.ops) + 4 for t in self.tasks) + 100))
         if not all(self._committed):
             raise SimulationError("timing run ended with uncommitted tasks")
         self.system.drain()

@@ -4,8 +4,10 @@ import dataclasses
 
 import pytest
 
+from repro.arb.system import ARBSystem
 from repro.check import InvariantChecker
-from repro.common.config import CacheGeometry, SVCConfig
+from repro.common.config import ARBConfig, CacheGeometry, SVCConfig
+from repro.hier.task import MemOp, TaskProgram
 from repro.svc.designs import design_config
 from repro.svc.system import SVCSystem
 
@@ -41,3 +43,29 @@ def svc():
     for cache_id in range(4):
         system.begin_task(cache_id, cache_id)
     return system
+
+
+def stall_pressure(tier: str, **system_kwargs):
+    """A system and tasks whose per-task working sets overflow it, so
+    non-head tasks stall on replacement until commits free room: three
+    lines of one set per task in 64-byte 2-way SVC caches, or eight
+    words per task in a six-row ARB. ``tier`` names an SVC design or
+    ``"arb"``; ``system_kwargs`` go to the system's constructor."""
+    tasks = []
+    if tier == "arb":
+        system = ARBSystem(ARBConfig(n_rows=6), **system_kwargs)
+        for i in range(6):
+            addrs = [0x1000 + (i * 8 + w) * 64 for w in range(8)]
+            ops = [MemOp.store(addr, i) for addr in addrs]
+            tasks.append(TaskProgram(ops=ops + [MemOp.load(a) for a in addrs]))
+        return system, tasks
+    config = design_config(
+        tier, SVCConfig(geometry=small_geometry(size_bytes=64, associativity=2))
+    )
+    system = SVCSystem(config, **system_kwargs)
+    stride = system.geometry.n_sets * system.geometry.line_size
+    addrs = [0x1000 + w * stride for w in range(3)]
+    for i in range(6):
+        ops = [MemOp.store(addr, i) for addr in addrs]
+        tasks.append(TaskProgram(ops=ops + [MemOp.load(a) for a in addrs]))
+    return system, tasks

@@ -38,20 +38,17 @@ def test_every_shape_has_teeth(name):
 
 @pytest.mark.parametrize("name", sorted(LITMUS_SHAPES))
 def test_allowed_set_is_the_sequential_outcome(name):
-    """The ground truth: each tier's allowed patterns must all match the
-    sequential valuation — the SVC's entire contract is sequential
-    semantics, so any allowed pattern the oracle can't produce is a
-    corpus bug that exhaustive exploration would report as 'never
-    observed'."""
+    """The ground truth: every allowed pattern must match the sequential
+    valuation — the SVC's entire contract is sequential semantics, so
+    any allowed pattern the oracle can't produce is a corpus bug that
+    exhaustive exploration would report as 'never observed'."""
     shape = LITMUS_SHAPES[name]
     sequential = sequential_valuation(shape)
-    tiers = ("base", "ec", "ecs", "hr", "rl", "final")
-    for tier in tiers:
-        for pattern in shape.allowed_for(tier):
-            assert matches(sequential, pattern), (
-                f"{name}/{tier}: allowed {pattern} does not match "
-                f"sequential {sequential}"
-            )
+    for pattern in shape.allowed:
+        assert matches(sequential, pattern), (
+            f"{name}: allowed {pattern} does not match "
+            f"sequential {sequential}"
+        )
 
 
 @pytest.mark.parametrize("name", sorted(LITMUS_SHAPES))
