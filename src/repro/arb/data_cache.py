@@ -40,32 +40,29 @@ class SharedDataCache:
         self.array: SetAssociativeArray[DataCacheLine] = SetAssociativeArray(geometry)
         # Hot-path address math, precomputed once (read/write are on the
         # ARB's per-access critical path). The direct-mapped fast path
-        # additionally indexes the backing array's sets inline.
+        # additionally reads the backing array's flat line map inline.
         line_size = geometry.line_size
         self._offset_mask = line_size - 1 if line_size & (line_size - 1) == 0 else None
-        array = self.array
-        self._fast_sets = None
-        if (
-            self._offset_mask is not None
-            and array._line_shift is not None
-            and geometry.associativity == 1
-        ):
-            self._fast_sets = array._sets
-            self._line_shift = array._line_shift
-            self._set_mask = array._set_mask
+        self._fast_lines = None
+        if self._offset_mask is not None and geometry.associativity == 1:
+            self._fast_lines = self.array._lines
         self._counters = self.stats._counters
 
     def _fill(self, line_addr: int) -> DataCacheLine:
         """Fetch a line from memory, evicting (and writing back) if needed.
 
-        A direct-mapped cache indexes the set inline: its one resident
-        line, if any, is the victim.
+        A direct-mapped cache takes its set's one resident address, if
+        any, as the victim.
         """
-        fast_sets = self._fast_sets
+        fast_lines = self._fast_lines
         array = self.array
-        if fast_sets is not None:
-            way_set = fast_sets[(line_addr >> self._line_shift) & self._set_mask]
-            victim = way_set.popitem(last=False) if way_set else None
+        if fast_lines is not None:
+            addrs = array._addrs_for(line_addr)
+            if addrs:
+                victim_addr = addrs.pop(0)
+                victim = victim_addr, fast_lines.pop(victim_addr)
+            else:
+                victim = None
         elif array.set_is_full(line_addr):
             victim = array.choose_victim(line_addr)
             array.remove(victim[0])
@@ -77,22 +74,21 @@ class SharedDataCache:
                 self.memory.write_line(victim_addr, bytes(victim_line.data))
                 self._counters["dcache_writebacks"] += 1
         line = DataCacheLine(self.memory.read_line(line_addr, self._line_size))
-        if fast_sets is None or way_set:
+        if fast_lines is None or addrs:
             # insert() raises if the line is resident or the set still full.
             array.insert(line_addr, line)
         else:
-            way_set[line_addr] = line
+            addrs.append(line_addr)
+            fast_lines[line_addr] = line
         return line
 
     def read(self, addr: int, size: int) -> Tuple[bytes, bool]:
         """Read bytes; returns (data, hit?)."""
-        fast_sets = self._fast_sets
-        if fast_sets is not None:
+        fast_lines = self._fast_lines
+        if fast_lines is not None:
             offset = addr & self._offset_mask
             line_addr = addr - offset
-            line = fast_sets[(line_addr >> self._line_shift) & self._set_mask].get(
-                line_addr
-            )
+            line = fast_lines.get(line_addr)
         else:
             line_addr = self.amap.line_address(addr)
             offset = self.amap.line_offset(addr)
@@ -109,13 +105,11 @@ class SharedDataCache:
         Same lookup as :meth:`read` without materializing the
         intermediate ``bytes`` — the ARB's load path wants the integer.
         """
-        fast_sets = self._fast_sets
-        if fast_sets is not None:
+        fast_lines = self._fast_lines
+        if fast_lines is not None:
             offset = addr & self._offset_mask
             line_addr = addr - offset
-            line = fast_sets[(line_addr >> self._line_shift) & self._set_mask].get(
-                line_addr
-            )
+            line = fast_lines.get(line_addr)
         else:
             line_addr = self.amap.line_address(addr)
             offset = self.amap.line_offset(addr)
@@ -128,13 +122,11 @@ class SharedDataCache:
 
     def write(self, addr: int, data: bytes) -> bool:
         """Write bytes (fetch-on-write-miss); returns hit?."""
-        fast_sets = self._fast_sets
-        if fast_sets is not None:
+        fast_lines = self._fast_lines
+        if fast_lines is not None:
             offset = addr & self._offset_mask
             line_addr = addr - offset
-            line = fast_sets[(line_addr >> self._line_shift) & self._set_mask].get(
-                line_addr
-            )
+            line = fast_lines.get(line_addr)
         else:
             line_addr = self.amap.line_address(addr)
             offset = self.amap.line_offset(addr)

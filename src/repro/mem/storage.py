@@ -10,9 +10,7 @@ head task (paper section 3.2.5), which it expresses through the
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from itertools import chain
-from typing import Callable, Generic, Iterator, List, Optional, Tuple, TypeVar
+from typing import Callable, Dict, Generic, ItemsView, List, Optional, Tuple, TypeVar
 
 from repro.common.config import CacheGeometry
 from repro.common.errors import ProtocolError
@@ -23,15 +21,16 @@ LineT = TypeVar("LineT")
 class SetAssociativeArray(Generic[LineT]):
     """``n_sets`` sets of ``associativity`` ways, keyed by line address.
 
-    Each set is an :class:`OrderedDict` from line address to payload, kept
-    in LRU order (least recently used first).
+    Every resident payload lives in one flat dict keyed by line address,
+    so a lookup is one dict get and a walk of the resident lines is one
+    dict iteration. Each set keeps only its resident addresses, in LRU
+    order (least recently used first), for replacement.
     """
 
     def __init__(self, geometry: CacheGeometry) -> None:
         self.geometry = geometry
-        self._sets: List["OrderedDict[int, LineT]"] = [
-            OrderedDict() for _ in range(geometry.n_sets)
-        ]
+        self._lines: Dict[int, LineT] = {}
+        self._set_addrs: List[List[int]] = [[] for _ in range(geometry.n_sets)]
         # lookup() is the single hottest call in a timing sweep; when the
         # geometry allows (power-of-two set count and line size — every
         # paper configuration), index with shift+mask instead of div+mod.
@@ -47,27 +46,30 @@ class SetAssociativeArray(Generic[LineT]):
         # most one line, so recency can never influence victim choice.
         self._lru = geometry.associativity > 1
 
-    def _set_for(self, line_addr: int) -> "OrderedDict[int, LineT]":
+    def _addrs_for(self, line_addr: int) -> List[int]:
+        """The resident addresses of ``line_addr``'s set, LRU first."""
         if self._line_shift is not None:
-            return self._sets[(line_addr >> self._line_shift) & self._set_mask]
-        return self._sets[self.geometry.set_index(line_addr)]
+            return self._set_addrs[(line_addr >> self._line_shift) & self._set_mask]
+        return self._set_addrs[self.geometry.set_index(line_addr)]
 
     def lookup(self, line_addr: int, touch: bool = True) -> Optional[LineT]:
         """The resident payload for ``line_addr``, updating LRU by default."""
-        if self._line_shift is not None:
-            way_set = self._sets[(line_addr >> self._line_shift) & self._set_mask]
-        else:
-            way_set = self._sets[self.geometry.set_index(line_addr)]
-        line = way_set.get(line_addr)
+        line = self._lines.get(line_addr)
         if line is not None and touch and self._lru:
-            way_set.move_to_end(line_addr)
+            if self._line_shift is not None:
+                addrs = self._set_addrs[(line_addr >> self._line_shift) & self._set_mask]
+            else:
+                addrs = self._set_addrs[self.geometry.set_index(line_addr)]
+            if addrs[-1] != line_addr:
+                addrs.remove(line_addr)
+                addrs.append(line_addr)
         return line
 
     def __contains__(self, line_addr: int) -> bool:
-        return line_addr in self._set_for(line_addr)
+        return line_addr in self._lines
 
     def set_is_full(self, line_addr: int) -> bool:
-        return len(self._set_for(line_addr)) >= self.geometry.associativity
+        return len(self._addrs_for(line_addr)) >= self.geometry.associativity
 
     def has_free_way(self, line_addr: int) -> bool:
         """True when the set for ``line_addr`` has an empty way (snarfing)."""
@@ -84,10 +86,12 @@ class SetAssociativeArray(Generic[LineT]):
         when every resident line is vetoed by ``can_evict`` — callers that
         need to distinguish should check :meth:`set_is_full` first.
         """
-        way_set = self._set_for(line_addr)
-        if len(way_set) < self.geometry.associativity:
+        addrs = self._addrs_for(line_addr)
+        if len(addrs) < self.geometry.associativity:
             return None
-        for addr, line in way_set.items():  # LRU first
+        lines = self._lines
+        for addr in addrs:  # LRU first
+            line = lines[addr]
             if can_evict is None or can_evict(addr, line):
                 return addr, line
         return None
@@ -101,41 +105,45 @@ class SetAssociativeArray(Generic[LineT]):
         list when no eviction is needed (free way) or none is legal —
         same ambiguity as :meth:`choose_victim`, and callers that biased
         replacement policies (fault injection) pick from this list."""
-        way_set = self._set_for(line_addr)
-        if len(way_set) < self.geometry.associativity:
+        addrs = self._addrs_for(line_addr)
+        if len(addrs) < self.geometry.associativity:
             return []
+        lines = self._lines
         return [
-            (addr, line)
-            for addr, line in way_set.items()
-            if can_evict is None or can_evict(addr, line)
+            (addr, lines[addr])
+            for addr in addrs
+            if can_evict is None or can_evict(addr, lines[addr])
         ]
 
     def insert(self, line_addr: int, line: LineT) -> None:
         """Insert into a set with a free way; caller evicts first if full."""
-        way_set = self._set_for(line_addr)
-        if line_addr in way_set:
+        if line_addr in self._lines:
             raise ProtocolError(f"line {line_addr:#x} already resident")
-        if len(way_set) >= self.geometry.associativity:
+        addrs = self._addrs_for(line_addr)
+        if len(addrs) >= self.geometry.associativity:
             raise ProtocolError(
                 f"set for {line_addr:#x} is full; evict before inserting"
             )
-        way_set[line_addr] = line
+        addrs.append(line_addr)
+        self._lines[line_addr] = line
 
     def remove(self, line_addr: int) -> LineT:
-        way_set = self._set_for(line_addr)
-        if line_addr not in way_set:
+        if line_addr not in self._lines:
             raise ProtocolError(f"line {line_addr:#x} not resident")
-        return way_set.pop(line_addr)
+        self._addrs_for(line_addr).remove(line_addr)
+        return self._lines.pop(line_addr)
 
-    def lines(self) -> Iterator[Tuple[int, LineT]]:
-        """All resident (line address, payload) pairs, set by set, each
-        set in LRU order. A C-level chain over the live set views: no
-        Python frame per pair, and nothing cached on the array."""
-        return chain.from_iterable(map(OrderedDict.items, self._sets))
+    def lines(self) -> ItemsView[int, LineT]:
+        """All resident (line address, payload) pairs: a live view of the
+        flat map. Every pair appears exactly once, in insertion order; an
+        LRU touch does not reorder it. Callers must not insert or remove
+        lines while iterating."""
+        return self._lines.items()
 
     def resident_count(self) -> int:
-        return sum(len(way_set) for way_set in self._sets)
+        return len(self._lines)
 
     def clear(self) -> None:
-        for way_set in self._sets:
-            way_set.clear()
+        self._lines.clear()
+        for addrs in self._set_addrs:
+            addrs.clear()

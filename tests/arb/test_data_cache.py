@@ -70,8 +70,9 @@ def test_associative_fill_evicts_lru_and_writes_back():
 )
 def test_direct_mapped_fill_keeps_the_insert_checks(resident, fill, message):
     cache, _ = make_cache()
-    way_set = cache.array._sets[0]
+    array = cache.array
     for line_addr in resident:  # corrupt: two lines in a one-way set
-        way_set[line_addr] = DataCacheLine(bytearray(16))
+        array._set_addrs[0].append(line_addr)
+        array._lines[line_addr] = DataCacheLine(bytearray(16))
     with pytest.raises(ProtocolError, match=message):
         cache._fill(fill)

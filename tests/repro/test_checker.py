@@ -154,6 +154,19 @@ def _shared_exclusive(system, holders):
     system.vcl._entries(A)[0].exclusive = True
 
 
+def _plant_active_line(system, holders):
+    """An uncommitted line put straight into cache 0's array, behind
+    ``SVCCache.install``: ``active_lines`` and the directory miss it."""
+    line = SVCLine(data=bytearray(16), task_id=system.caches[0].current_task)
+    system.caches[0].array.insert(A + 0x40, line)
+
+
+def _plant_committed_line_in_idle_cache(system, holders):
+    """A committed copy of ``A`` put straight into idle cache 3's array:
+    only the directory misses it."""
+    system.caches[3].array.insert(A, SVCLine(data=bytearray(16), committed=True))
+
+
 def _set_attr(name, value):
     def corrupt(system, holders):
         setattr(_victim(system, holders), name, value)
@@ -165,7 +178,9 @@ def _set_attr(name, value):
 #: SVC rule of docs/INVARIANTS.md; per-line rules run with one holder
 #: and with several. ``vol-buildable`` is reachable only through a
 #: holder the directory invents — a full scan reports that as
-#: ``directory-agreement`` first — so it has no scan case.
+#: ``directory-agreement`` first — so it has no scan case. A rule's
+#: later rows (lines planted on the array side) add their corruption's
+#: name to the case id.
 SVC_RULES = [
     ("task-map-agreement", "final", _line_setup,
      lambda s, h: s._active_ranks.__setitem__(2, 9), (1,), ("line", "scan")),
@@ -175,12 +190,16 @@ SVC_RULES = [
      lambda s, h: setattr(s, "_committed_through", 5), (1,), ("line", "scan")),
     ("active-set-agreement", "final", _line_setup,
      lambda s, h: s.caches[0].active_lines.add(A + 0x40), (1,), ("line", "scan")),
+    ("active-set-agreement", "final", _line_setup, _plant_active_line,
+     (1, 2), ("line", "scan")),
     ("active-implies-task", "final", _line_setup,
      lambda s, h: _deactivate(s, 0), (1,), ("line", "scan")),
     ("active-task-stamp", "final", _line_setup,
      lambda s, h: setattr(_victim(s, 1), "task_id", 99), (1,), ("line", "scan")),
     ("directory-agreement", "final", _line_setup,
      lambda s, h: s.directory._holders[A].pop(h - 1), (1, 2), ("scan",)),
+    ("directory-agreement", "final", _line_setup,
+     _plant_committed_line_in_idle_cache, (1, 2), ("scan",)),
     ("c-requires-ec", "base", _line_setup, _set_committed, (1, 2), ("line", "scan")),
     ("t-requires-ec", "base", _line_setup, _set_attr("stale", True),
      (1, 2), ("line", "scan")),
@@ -206,12 +225,15 @@ SVC_RULES = [
 
 
 def _rule_cases():
+    ruled = set()
     for invariant, design, setup, corrupt, holder_counts, scopes in SVC_RULES:
+        tag = f"-{corrupt.__name__.strip('_')}" if invariant in ruled else ""
+        ruled.add(invariant)
         for holders in holder_counts:
             for scope in scopes:
                 yield pytest.param(
                     invariant, design, setup, corrupt, holders, scope,
-                    id=f"{invariant}-{holders}holder-{scope}",
+                    id=f"{invariant}-{holders}holder-{scope}{tag}",
                 )
 
 
