@@ -79,8 +79,8 @@ class TaskProgram:
     name: Optional[str] = None
     mispredicted: bool = False
     #: Lazily computed filter of ``ops``; the drivers index into it on
-    #: every step, so it must not be rebuilt per access. Invalidated by
-    #: :meth:`replace_ops` — mutate ``ops`` only through that.
+    #: every step, so it must not be rebuilt per access. It is never
+    #: invalidated: build a new TaskProgram rather than change ``ops``.
     _memory_ops: Optional[List[MemOp]] = field(
         default=None, repr=False, compare=False
     )
@@ -92,11 +92,6 @@ class TaskProgram:
                 op for op in self.ops if op.kind != OpKind.COMPUTE
             ]
         return self._memory_ops
-
-    def replace_ops(self, ops: List[MemOp]) -> None:
-        """Swap the op list, dropping the cached memory-op filter."""
-        self.ops = ops
-        self._memory_ops = None
 
     def __len__(self) -> int:
         return len(self.ops)

@@ -22,7 +22,7 @@ paper's latency sweep. All randomness derives from the spec's seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.common.errors import ConfigError
 from repro.common.rng import make_rng
@@ -174,11 +174,21 @@ class _AddressStreams:
 def generate_tasks(
     spec: WorkloadSpec, seed: Optional[int] = None
 ) -> List[TaskProgram]:
-    """Deterministically build the task list for ``spec``."""
+    """Deterministically build the task list for ``spec``.
+
+    Equal loads and equal compute ops in the result are one shared,
+    immutable :class:`MemOp`; two calls share no op.
+    """
     rng = make_rng(spec.seed if seed is None else seed, spec.name)
     streams = _AddressStreams(spec)
     tasks: List[TaskProgram] = []
     store_counter = 1
+    # One frozen MemOp per distinct (kind, addr, latency, depends_on):
+    # building an op costs more than drawing it, and a stream holds few
+    # distinct loads and compute ops. Stores are built each time, since
+    # each carries its own ``store_counter`` value.
+    interned: Dict[tuple, MemOp] = {}
+    intern = interned.get
 
     # Hot-loop constants hoisted out of the per-op path; the RNG draw
     # sequence is untouched, so generated workloads are bit-identical.
@@ -212,6 +222,7 @@ def generate_tasks(
                 depends.append(last_load)
             if ops and random() < ilp_chain:
                 depends.append(len(ops) - 1)
+            deps = tuple(depends)
 
             if random() < memory_fraction:
                 region = random()
@@ -239,10 +250,14 @@ def generate_tasks(
                     if len(recent_addrs) > 16:
                         recent_addrs.pop(0)
                 if is_store:
-                    ops.append(MemOp(STORE, addr, 4, store_counter, 1, tuple(depends)))
+                    ops.append(MemOp(STORE, addr, 4, store_counter, 1, deps))
                     store_counter += 1
                 else:
-                    ops.append(MemOp(LOAD, addr, 4, 0, 1, tuple(depends)))
+                    key = (LOAD, addr, 1, deps)
+                    op = intern(key)
+                    if op is None:
+                        op = interned[key] = MemOp(LOAD, addr, 4, 0, 1, deps)
+                    ops.append(op)
                     last_load = len(ops) - 1
             else:
                 kind_draw = random()
@@ -252,7 +267,11 @@ def generate_tasks(
                     latency = 3
                 else:
                     latency = 1
-                ops.append(MemOp(COMPUTE, 0, 4, 0, latency, tuple(depends)))
+                key = (COMPUTE, 0, latency, deps)
+                op = intern(key)
+                if op is None:
+                    op = interned[key] = MemOp(COMPUTE, 0, 4, 0, latency, deps)
+                ops.append(op)
 
         tasks.append(
             TaskProgram(

@@ -13,8 +13,10 @@ Format (one line per task)::
              ["S", addr, size, value, [value_dep, ...]],
              ["C", latency, [dep, ...]]]}
 
-Loads may also carry a trailing dependence list. Unknown op codes are
-rejected loudly; round-tripping is exact.
+Loads may also carry a trailing dependence list. Every dependence
+names an earlier op of the same task, by its position in ``ops``, and
+every value dependence an earlier load. Unknown op codes and any other
+dependence are rejected loudly; round-tripping is exact.
 """
 
 from __future__ import annotations
@@ -110,6 +112,27 @@ def _decode_op(encoded) -> MemOp:
     raise ConfigError(f"unknown op code {code!r} in trace")
 
 
+def _check_dependences(ops: List[MemOp]) -> None:
+    """Reject a dependence the simulators could not honour: the timing
+    model silently ignores one that is not on an earlier op, and a store
+    finds no loaded value for one that is not on an earlier load."""
+    loads = set()
+    for index, op in enumerate(ops):
+        for dep in op.depends_on:
+            if not 0 <= dep < index:
+                raise ConfigError(
+                    f"op {index} depends on op {dep}, which is not an earlier op"
+                )
+        for dep in op.value_deps:
+            if dep not in loads:
+                raise ConfigError(
+                    f"op {index} takes a value from op {dep}, "
+                    f"which is not an earlier load"
+                )
+        if op.kind == OpKind.LOAD:
+            loads.add(index)
+
+
 def dump_tasks(tasks: Iterable[TaskProgram], path: Union[str, Path]) -> None:
     """Write a task list as a JSON-lines trace file."""
     with open(path, "w") as handle:
@@ -141,6 +164,7 @@ def load_tasks(path: Union[str, Path]) -> List[TaskProgram]:
                 )
             try:
                 ops = [_decode_op(op) for op in record["ops"]]
+                _check_dependences(ops)
             except ConfigError as exc:
                 raise ConfigError(f"trace line {line_no}: {exc}") from exc
             except (KeyError, IndexError, TypeError) as exc:

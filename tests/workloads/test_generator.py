@@ -1,12 +1,14 @@
-"""Synthetic workload generator: determinism and structural properties."""
+"""Synthetic workload generator: determinism, a by-value pin of the SPEC95
+streams, op sharing and structural properties."""
 
-import dataclasses
+import hashlib
 
 import pytest
 
 from repro.common.errors import ConfigError
 from repro.hier.task import OpKind
 from repro.workloads.generator import WorkloadSpec, _AddressStreams, generate_tasks
+from repro.workloads.spec95 import SPEC95_PROFILES
 
 
 def spec(**overrides):
@@ -88,3 +90,62 @@ def test_dependences_reference_earlier_ops():
     for task in tasks:
         for index, op in enumerate(task.ops):
             assert all(0 <= dep < index for dep in op.depends_on)
+
+
+#: sha256 prefix of every SPEC95 model's stream at scale 0.05: each
+#: task's name and ``mispredicted`` flag, then all seven fields of each
+#: of its ops. Any change to the generator's draw sequence or to a field
+#: moves one.
+STREAM_DIGESTS = {
+    "compress": "5725d2b16576e1b6",
+    "gcc": "c6ef2b3e2fe56a38",
+    "vortex": "1d59c6198b51b3f7",
+    "perl": "ffd93961b0132d30",
+    "ijpeg": "062dc8a9a96cac5b",
+    "mgrid": "a170f4d93304b688",
+    "apsi": "00f0c74f968359c1",
+}
+
+
+def _stream_digest(tasks):
+    digest = hashlib.sha256()
+    for task in tasks:
+        digest.update(repr((task.name, task.mispredicted)).encode())
+        for op in task.ops:
+            fields = (
+                op.kind, op.addr, op.size, op.value, op.latency,
+                op.depends_on, op.value_deps,
+            )
+            digest.update(repr(fields).encode())
+    return digest.hexdigest()[:16]
+
+
+def test_stream_digests_cover_every_profile():
+    assert STREAM_DIGESTS.keys() == SPEC95_PROFILES.keys()
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_DIGESTS))
+def test_generated_streams_are_pinned_by_value(name):
+    tasks = generate_tasks(SPEC95_PROFILES[name].scaled(0.05))
+    assert _stream_digest(tasks) == STREAM_DIGESTS[name]
+
+
+def test_equal_loads_and_compute_ops_are_one_object():
+    tasks = generate_tasks(spec(n_tasks=200))
+    ops = [op for task in tasks for op in task.ops]
+    stores = [op for op in ops if op.kind == OpKind.STORE]
+    first = {}
+    for op in ops:
+        if op.kind != OpKind.STORE:
+            assert first.setdefault(op, op) is op
+    # The stream repeats loads and compute ops, but every store is its
+    # own object.
+    assert len(first) < len(ops) - len(stores)
+    assert len({id(op) for op in stores}) == len(stores)
+
+
+def test_calls_share_no_op():
+    a = generate_tasks(spec())
+    b = generate_tasks(spec())
+    ids_a = {id(op) for task in a for op in task.ops}
+    assert all(id(op) not in ids_a for task in b for op in task.ops)

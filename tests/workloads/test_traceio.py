@@ -1,5 +1,7 @@
 """Trace serialization round-trips and rejects malformed input."""
 
+import re
+
 import pytest
 
 from repro.common.errors import ConfigError
@@ -153,3 +155,62 @@ def test_non_object_record_rejected(tmp_path):
     path.write_text("[1, 2, 3]\n")
     with pytest.raises(ConfigError, match="must be an object"):
         load_tasks(path)
+
+
+_NOT_EARLIER = "which is not an earlier op"
+_NOT_A_LOAD = "which is not an earlier load"
+
+
+@pytest.mark.parametrize(
+    "ops_json, message",
+    [
+        pytest.param(
+            '["C", 1, [0]]',
+            f"op 0 depends on op 0, {_NOT_EARLIER}",
+            id="dep-on-itself",
+        ),
+        pytest.param(
+            '["C", 1, []], ["L", 0, 4, [2]]',
+            f"op 1 depends on op 2, {_NOT_EARLIER}",
+            id="dep-on-later-op",
+        ),
+        pytest.param(
+            '["C", 1, []], ["C", 1, [-1]]',
+            f"op 1 depends on op -1, {_NOT_EARLIER}",
+            id="negative-dep",
+        ),
+        pytest.param(
+            '["L", 0, 4], ["S", 4, 4, 1, [], [1]]',
+            f"op 1 depends on op 1, {_NOT_EARLIER}",
+            id="store-dep-on-itself",
+        ),
+        pytest.param(
+            '["S", 0, 4, 1, [0]]',
+            f"op 0 takes a value from op 0, {_NOT_A_LOAD}",
+            id="value-dep-on-itself",
+        ),
+        pytest.param(
+            '["S", 0, 4, 1, [1]], ["L", 0, 4]',
+            f"op 0 takes a value from op 1, {_NOT_A_LOAD}",
+            id="value-dep-on-later-load",
+        ),
+        pytest.param(
+            '["L", 0, 4], ["S", 0, 4, 1, [-1]]',
+            f"op 1 takes a value from op -1, {_NOT_A_LOAD}",
+            id="negative-value-dep",
+        ),
+        pytest.param(
+            '["C", 1, []], ["S", 0, 4, 1, [0]]',
+            f"op 1 takes a value from op 0, {_NOT_A_LOAD}",
+            id="value-dep-on-compute",
+        ),
+        pytest.param(
+            '["S", 0, 4, 1], ["S", 4, 4, 1, [0]]',
+            f"op 1 takes a value from op 0, {_NOT_A_LOAD}",
+            id="value-dep-on-store",
+        ),
+    ],
+)
+def test_dependences_must_name_earlier_ops(tmp_path, ops_json, message):
+    """A dependence the simulators would drop or fail on is a load error."""
+    _reject(tmp_path, ops_json, f"^trace line 1: {re.escape(message)}$")
