@@ -33,7 +33,7 @@ from typing import Dict, List, Optional
 
 from repro.common.errors import InvariantViolation, ProtocolError
 from repro.common.events import ProtocolEvent
-from repro.svc.directory import scan_cache
+from repro.svc.cache import scan_cache
 from repro.svc.line import SVCLine
 from repro.telemetry import INVARIANT_VIOLATION
 
@@ -144,8 +144,11 @@ class InvariantChecker:
 
         Each check reads every cache array once. That pass yields each
         cache's uncommitted lines for the occupancy rules and, on a full
-        scan, the holder map that both the directory audit and the
-        per-line rules read."""
+        scan, the holder map the per-line rules read. A line check reads
+        the transacted line's holders from the arrays too
+        (``VersionControlLogic._entries``), never from an index the
+        protocol maintains, so a line planted behind the protocol's back
+        is still audited."""
         self.checks += 1
         system = self.system
         ranks = self._svc_task_assignment(system)
@@ -162,15 +165,6 @@ class InvariantChecker:
         holders: Dict[int, Dict[int, SVCLine]] = {}
         for cache in system.caches:
             self._svc_cache_occupancy(cache, scan_cache(cache, holders))
-        directory = system.directory
-        if directory is not None:
-            # RealityCheck-style differential audit: the fast path (the
-            # incremental directory) is re-derived from the slow path
-            # (the array scan above) before any check relies on it.
-            try:
-                directory.audit_holders(holders)
-            except ProtocolError as exc:
-                self._fail("directory-agreement", str(exc))
         self._svc_lines(system, sorted(holders.items()), ranks)
 
     def _svc_task_assignment(self, system) -> Dict[int, int]:

@@ -67,7 +67,6 @@ class BusConfig:
 
     transaction_cycles: int = 3
     commit_flush_extra_cycles: int = 1
-    width_words: int = 4
 
 
 class UpdatePolicy:
@@ -169,18 +168,14 @@ class SVCConfig:
     miss_penalty_cycles: int = 10
     n_mshrs: int = 8
     mshr_combining: int = 4
-    writeback_buffer_entries: int = 8
     check_invariants: bool = False
-    #: Maintain the line-granular version directory (repro.svc.directory)
-    #: so snoops resolve in O(holders) instead of scanning every cache.
-    #: Off = the seed's brute-force scans; behaviour must be identical
-    #: either way (enforced by repro.harness.differential).
-    use_directory: bool = True
-    #: Route the hot VCL snoop/supply/snarf/repair path through the
-    #: structure-of-arrays kernel (repro.svc.fastpath). Off = the
-    #: per-line object model alone, kept as the slow reference
-    #: implementation; behaviour must be identical either way
-    #: (enforced by repro.harness.differential, fastpath dimension).
+    #: Serve each line's holders and VOL from the persistent snapshot of
+    #: the structure-of-arrays kernel (repro.svc.fastpath), which also
+    #: runs the snarf and repair loops. Off = every bus request reads
+    #: the cache arrays and rebuilds the VOL, through the per-line
+    #: object model kept as the slow reference implementation;
+    #: behaviour must be identical either way (enforced by
+    #: repro.harness.differential).
     use_fastpath: bool = True
 
     def __post_init__(self) -> None:
@@ -220,7 +215,6 @@ class ARBConfig:
     miss_penalty_cycles: int = 10
     n_mshrs: int = 32
     mshr_combining: int = 8
-    writeback_buffer_entries: int = 32
 
     @classmethod
     def paper_32kb(cls, hit_cycles: int = 1, **overrides) -> "ARBConfig":
@@ -240,12 +234,7 @@ class ARBConfig:
 class TimingConfig:
     """Latencies of the non-memory parts of the machine."""
 
-    ialu_cycles: int = 1
-    imul_cycles: int = 3
-    fpu_cycles: int = 4
-    branch_cycles: int = 1
     agen_cycles: int = 1
-    register_forward_cycles: int = 1
     task_dispatch_cycles: int = 1
     squash_restart_cycles: int = 5
 
@@ -256,7 +245,6 @@ class ProcessorConfig:
 
     n_pus: int = 4
     issue_width: int = 2
-    lsq_entries: int = 16
     timing: TimingConfig = field(default_factory=TimingConfig)
 
     def __post_init__(self) -> None:

@@ -1,13 +1,11 @@
-"""Cache storage substrate: arrays, MSHRs, writeback buffers, main memory."""
+"""Cache storage substrate: arrays, MSHRs, main memory."""
 
 from repro.mem.main_memory import MainMemory
 from repro.mem.mshr import MSHRFile
 from repro.mem.storage import SetAssociativeArray
-from repro.mem.writeback_buffer import WritebackBuffer
 
 __all__ = [
     "MainMemory",
     "MSHRFile",
     "SetAssociativeArray",
-    "WritebackBuffer",
 ]

@@ -10,7 +10,7 @@ Version Control Logic. Anything requiring knowledge of other caches
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.common.config import CacheGeometry, SVCFeatures
 from repro.common.errors import ProtocolError
@@ -48,9 +48,6 @@ class SVCCache:
         #: Fault injection (repro.faults): when set, replacement picks an
         #: adversarial victim from the legal candidates instead of LRU.
         self.victim_bias_rng = None
-        #: Version directory (repro.svc.directory) notified at every
-        #: residency change; None when the system runs brute-force snoops.
-        self.directory = None
         #: Persistent columnar engine (repro.svc.fastpath) whose cached
         #: (entries, VOL) columns must follow whenever this cache changes
         #: anything VOL reconstruction depends on: residency (maintained
@@ -226,8 +223,6 @@ class SVCCache:
         self.array.insert(line_addr, line)
         if not line.committed:
             self.active_lines.add(line_addr)
-        if self.directory is not None:
-            self.directory.on_install(self.cache_id, line_addr, line)
         if self.engine is not None:
             self.engine.on_install(self.cache_id, line_addr, line)
 
@@ -235,8 +230,6 @@ class SVCCache:
         """Remove a line (invalidation, purge or cast-out)."""
         self.active_lines.discard(line_addr)
         line = self.array.remove(line_addr)
-        if self.directory is not None:
-            self.directory.on_drop(self.cache_id, line_addr)
         if self.engine is not None:
             self.engine.on_drop(self.cache_id, line_addr)
         return line
@@ -282,12 +275,8 @@ class SVCCache:
 
     def flash_invalidate_all(self) -> None:
         """Base-design commit/squash epilogue: drop every line."""
-        if self.directory is not None or self.engine is not None:
-            addrs = [addr for addr, _ in self.array.lines()]
-            if self.directory is not None:
-                self.directory.on_clear(self.cache_id, addrs)
-            if self.engine is not None:
-                self.engine.invalidate_many(addrs)
+        if self.engine is not None:
+            self.engine.invalidate_many([addr for addr, _ in self.array.lines()])
         self.array.clear()
         self.active_lines.clear()
 
@@ -316,8 +305,6 @@ class SVCCache:
                 line.exclusive = False
             else:
                 self.array.remove(line_addr)
-                if self.directory is not None:
-                    self.directory.on_drop(self.cache_id, line_addr)
                 dropped.append(line_addr)
         self.active_lines.clear()
         self.current_task = None
@@ -325,3 +312,30 @@ class SVCCache:
 
     def lines(self) -> Iterable[Tuple[int, SVCLine]]:
         return self.array.lines()
+
+
+def scan_cache(cache, holders: Dict[int, Dict[int, SVCLine]]) -> Dict[int, SVCLine]:
+    """One pass over ``cache``'s array: record every resident line in
+    ``holders`` (``line_addr -> {cache_id: line}``) and return the
+    cache's uncommitted lines as ``{line_addr: line}``."""
+    cache_id = cache.cache_id
+    active: Dict[int, SVCLine] = {}
+    for line_addr, line in cache.lines():
+        if not line.committed:
+            active[line_addr] = line
+        held = holders.get(line_addr)
+        if held is None:
+            holders[line_addr] = {cache_id: line}
+        else:
+            held[cache_id] = line
+    return active
+
+
+def scan_holders(caches) -> Dict[int, Dict[int, SVCLine]]:
+    """The holder map of every resident line, read from the arrays in
+    one pass. Each holder dict is ascending by cache id when ``caches``
+    is, as the system's cache list is."""
+    holders: Dict[int, Dict[int, SVCLine]] = {}
+    for cache in caches:
+        scan_cache(cache, holders)
+    return holders

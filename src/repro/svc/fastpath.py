@@ -16,8 +16,10 @@ where the object model changes anything the columns depend on:
   reactivation paths in ``probe_load`` / ``probe_store`` (a passive
   line silently turning active). These reorder the committed prefix.
 
-:class:`repro.svc.cache.SVCCache` calls the hooks from those points,
-mirroring how the version directory is maintained. Everything *else*
+:class:`repro.svc.cache.SVCCache` calls the hooks from those points.
+The snapshot is the only holder index the SVC keeps: a rebuild reads
+the cache arrays through :meth:`repro.svc.vcl.VersionControlLogic.
+_entries`, one ``line_for`` per cache. Everything *else*
 the protocol does to a line — L/S/valid mask updates, byte writes,
 content stamps, X/T/A bits, pointer repair — leaves VOL membership and
 order untouched, so the snapshot stays valid and the next transaction
@@ -29,9 +31,11 @@ hook set sufficient: only membership, the C bit, committed
 those has exactly one mutation point, all hooked.
 
 On top of the persistent columns the kernel keeps the fused kernels —
-stamp-compare snarfing, one-pass VOL repair, copy-free residency checks
-— all fed from :meth:`acquire`. A bus transaction (snoop, committed
-purge, fill install, snarfs and final repair) therefore resolves
+stamp-compare snarfing and one-pass VOL repair — both fed from
+:meth:`acquire`, as are the VCL's snoop, committed purge and X-bit
+grants (through ``VersionControlLogic._snapshot``). A bus transaction
+(snoop, committed purge, fill install, snarfs, X grant and final
+repair) therefore resolves
 against the one snapshot its snoop acquired, carried forward by the
 install and drop hooks, with no rebuild unless a flash wave or a
 reactivation invalidated the line in between.
@@ -44,16 +48,17 @@ Invariants
    reference specification); with it on, every event stream, statistics
    snapshot, committed load value and final memory image must be
    byte-identical. Enforced by :mod:`repro.harness.differential`
-   (fastpath dimension) across all six design tiers with fault plans,
+   across all six design tiers with fault plans,
    and by the conformance corpus pinning default-configuration event
    streams.
 2. **Snapshot freshness.** A cached ``(entries, vol)`` snapshot is
-   bit-equal to what a fresh directory snoop plus ``build_vol`` would
-   produce, at every moment it is served. :meth:`audit` re-derives
-   every cached snapshot from the materialized ``SVCLine`` state and
+   bit-equal to what a fresh read of the cache arrays plus
+   ``build_vol`` would produce, at every moment it is served.
+   :meth:`audit` re-derives every cached snapshot from the arrays and
    raises on the first divergence; :meth:`repro.svc.system.SVCSystem.
    verify` runs it, and tests/svc/test_fastpath.py runs it at every
-   event the runtime invariant checker audits.
+   event the runtime invariant checker audits and plants each kind of
+   desync it must catch.
 3. **Stamps name exact data states.** The stamp-compare snarf accept is
    sound because a content stamp is allocated globally (one per store,
    :meth:`repro.svc.system.SVCSystem.next_content_seq`) and written
@@ -63,14 +68,14 @@ Invariants
    comparison, so stamp mismatches can only cost time, never
    correctness (tests/svc/test_fastpath.py pins the fallback).
 4. **Canonical snapshot order, immutable snapshots.** Cached snapshots
-   are always in ascending cache-id order (the brute-force scan's
-   order). The hooks build a new dict and a new VOL list instead of
-   mutating the cached ones, because transaction code still holds the
-   snapshot its snoop acquired. The snarf loop's own holder dict keeps
-   the reference loop's *insertion* order (each snarfed copy appended
-   last): clean-supplier selection takes the first match in dict order
-   (:func:`repro.svc.vol.clean_supplier`), so it must see exactly the
-   iteration order the reference path sees.
+   are always in ascending cache-id order (the order ``_entries``
+   reads the arrays in). The hooks build a new dict and a new VOL list
+   instead of mutating the cached ones, because transaction code still
+   holds the snapshot its snoop acquired. The snarf loop's own holder
+   dict keeps the reference loop's *insertion* order (each snarfed copy
+   appended last): clean-supplier selection takes the first match in
+   dict order (:func:`repro.svc.vol.clean_supplier`), so it must see
+   exactly the iteration order the reference path sees.
 
 docs/PERFORMANCE.md documents the column lifecycle and the measured
 effect; docs/ARCHITECTURE.md places the engine in the subsystem map.
@@ -131,9 +136,8 @@ class FastpathKernel:
         #: (tests/svc/test_fastpath.py reads it to pin that installs and
         #: drops maintain snapshots instead of forcing rebuilds).
         self.snap_builds = 0
-        # Register for incremental maintenance, exactly like the
-        # version directory: caches notify on every residency or
-        # activation change.
+        # Register for incremental maintenance: caches notify on every
+        # residency or activation change.
         for cache in self.system.caches:
             cache.engine = self
 
@@ -206,18 +210,7 @@ class FastpathKernel:
         snap = self._snaps.get(line_addr)
         if snap is not None:
             return snap
-        system = self.system
-        directory = system.directory
-        if directory is not None:
-            entries = directory.entries(line_addr)
-        else:
-            entries = {}
-            for cache in system.caches:
-                line = cache.line_for(line_addr)
-                if line is not None:
-                    entries[cache.cache_id] = line
-        vol = build_vol(entries, system._active_ranks)
-        snap = (entries, vol)
+        snap = self.vcl._fresh_snapshot(line_addr)
         self._snaps[line_addr] = snap
         self.snap_builds += 1
         return snap
@@ -226,25 +219,21 @@ class FastpathKernel:
         """Cross-check every cached column set against the materialized
         ``SVCLine`` state (the new ``--verify`` invariant).
 
-        Re-derives each snapshot the slow way — a fresh holder scan and
-        a fresh ``build_vol`` — and requires the cached version to hold
-        the *same line objects* under the same cache ids in the same
-        canonical order, with the identical VOL. A stale snapshot would
-        let a snoop resolve against yesterday's ordering, so any
-        divergence is a protocol violation, not a cache miss.
+        Re-derives each snapshot the slow way — a fresh
+        :meth:`~repro.svc.vcl.VersionControlLogic._entries` read of the
+        arrays and a fresh ``build_vol`` — and requires the cached
+        version to hold the *same line objects* under the same cache ids
+        in the same canonical order, with the identical VOL. A stale
+        snapshot would let a snoop resolve against yesterday's ordering,
+        so any divergence is a protocol violation, not a cache miss.
         """
-        system = self.system
-        ranks = system._active_ranks
+        ranks = self.system._active_ranks
         for line_addr, (entries, vol) in self._snaps.items():
-            actual: Dict[int, SVCLine] = {}
-            for cache in system.caches:
-                line = cache.line_for(line_addr)
-                if line is not None:
-                    actual[cache.cache_id] = line
-            if list(entries) != sorted(actual):
+            actual = self.vcl._entries(line_addr)
+            if list(entries) != list(actual):
                 raise ProtocolError(
                     f"fastpath column desync for {line_addr:#x}: cached "
-                    f"holders {list(entries)} vs arrays {sorted(actual)}"
+                    f"holders {list(entries)} vs arrays {list(actual)}"
                 )
             for cache_id, line in actual.items():
                 if entries[cache_id] is not line:
@@ -258,17 +247,6 @@ class FastpathKernel:
                     f"fastpath VOL column for {line_addr:#x} is {vol} but "
                     f"a fresh reconstruction orders {build_vol(actual, ranks)}"
                 )
-
-    # -- rank columns --------------------------------------------------------
-
-    def ranks(self) -> Dict[int, int]:
-        """The live ``cache_id -> rank`` map (never mutated by readers).
-
-        The slow path copies this dict on every snoop so callers could
-        mutate it freely; no VCL code path ever does, so the fast path
-        hands out the incrementally maintained map itself.
-        """
-        return self.system._active_ranks
 
     # -- supply plans --------------------------------------------------------
 
@@ -469,46 +447,6 @@ class FastpathKernel:
                 vcl.memory_stamps_for(line_addr),
                 check_stale=system.features.stale_bit,
             )
-
-    # -- residency checks ----------------------------------------------------
-
-    def is_sole_holder(self, line_addr: int, requestor: int) -> bool:
-        """``set(holders) == {requestor}`` without snapshotting holders."""
-        directory = self.system.directory
-        if directory is not None:
-            holders = directory.holder_map(line_addr)
-            return (
-                holders is not None
-                and len(holders) == 1
-                and requestor in holders
-            )
-        found_self = False
-        for cache in self.system.caches:
-            if cache.line_for(line_addr) is None:
-                continue
-            if cache.cache_id != requestor:
-                return False
-            found_self = True
-        return found_self
-
-    def others_all_invalid(self, line_addr: int, requestor: int) -> bool:
-        """No cache but the requestor holds any valid data for the line."""
-        directory = self.system.directory
-        if directory is not None:
-            holders = directory.holder_map(line_addr)
-            if holders is None:
-                return True
-            for cid, line in holders.items():
-                if cid != requestor and line.valid_mask != 0:
-                    return False
-            return True
-        for cache in self.system.caches:
-            if cache.cache_id == requestor:
-                continue
-            line = cache.line_for(line_addr)
-            if line is not None and line.valid_mask != 0:
-                return False
-        return True
 
 
 __all__ = ["FastpathKernel"]

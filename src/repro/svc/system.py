@@ -26,8 +26,7 @@ from repro.common.errors import ProtocolError
 from repro.common.events import EventLog, ProtocolEvent
 from repro.common.stats import StatsRegistry
 from repro.mem.main_memory import MainMemory
-from repro.svc.cache import ProbeOutcome, SVCCache
-from repro.svc.directory import VersionDirectory, scan_holders
+from repro.svc.cache import ProbeOutcome, SVCCache, scan_holders
 from repro.svc.line import LineState, SVCLine
 from repro.svc.vcl import VersionControlLogic
 from repro.telemetry import COMMIT, SQUASH, TASK_BEGIN, WB_DRAIN, wired
@@ -85,12 +84,6 @@ class SVCSystem:
             SVCCache(i, self.geometry, self.features)
             for i in range(self.config.n_caches)
         ]
-        #: Line-granular residency index consulted by the VCL instead of
-        #: scanning every cache; None runs the seed's brute-force snoops.
-        self.directory = VersionDirectory() if self.config.use_directory else None
-        if self.directory is not None:
-            for cache in self.caches:
-                cache.directory = self.directory
         self.vcl = VersionControlLogic(self)
         self._committed_through = -1
         self._content_counter = 0
@@ -380,11 +373,7 @@ class SVCSystem:
 
     def vol_of(self, addr: int) -> List[int]:
         """Current VOL (cache ids, oldest first) for the line of ``addr``."""
-        from repro.svc.vol import build_vol
-
-        line_addr = self.amap.line_address(addr)
-        entries = self.vcl._entries(line_addr)
-        return build_vol(entries, self.vcl._ranks())
+        return self.vcl._fresh_snapshot(self.amap.line_address(addr))[1]
 
     def describe_line(self, addr: int) -> str:
         """One-line snapshot of every cache's state for ``addr``,
@@ -423,15 +412,9 @@ class SVCSystem:
 
         # The accelerator structures are audited against the ground truth
         # (the cache arrays themselves) before anything trusts them: a
-        # desynced directory or rank map is itself a protocol violation.
+        # desynced rank map or snapshot is itself a protocol violation.
         self._audit_task_maps()
-        # One pass over the arrays feeds both the directory audit and the
-        # per-line checks. Reading holders from the arrays, not the
-        # directory, is on purpose: a line smuggled into an array behind
-        # the directory's back must still be audited.
         holders = scan_holders(self.caches)
-        if self.directory is not None:
-            self.directory.audit_holders(holders)
         if self.vcl._fast is not None:
             # Persistent columnar engine: every cached (entries, VOL)
             # snapshot must match a fresh reconstruction from the arrays.

@@ -78,15 +78,21 @@ class VersionControlLogic:
         #: stamp, so staleness checks can tell copies of the current
         #: architectural image from copies of an older one.
         self._memory_stamps: Dict[int, List[int]] = {}
-        #: Structure-of-arrays kernel for the hot snarf/repair/residency
+        #: Structure-of-arrays kernel for the hot snapshot/snarf/repair
         #: path (repro.svc.fastpath); None runs the reference per-line
         #: object model. Observable behaviour is identical either way
-        #: (repro.harness.differential, fastpath dimension).
+        #: (repro.harness.differential).
         self._fast = None
+        #: The one accessor for a line's ``(entries, vol)``, chosen here:
+        #: the kernel's persistent snapshot (shared protocol-wide, so
+        #: read-only; see repro.svc.fastpath), else
+        #: :meth:`_fresh_snapshot`.
+        self._snapshot = self._fresh_snapshot
         if system.config.use_fastpath:
             from repro.svc.fastpath import FastpathKernel
 
             self._fast = FastpathKernel(self)
+            self._snapshot = self._fast.acquire
         #: Telemetry histogram handles, captured at wiring time like the
         #: bus's: snoop-shape metrics stay *exact* even when the timing
         #: simulator unwires ``system.telemetry`` for sampled-out
@@ -142,13 +148,10 @@ class VersionControlLogic:
     # -- snapshot helpers ---------------------------------------------------
 
     def _entries(self, line_addr: int) -> Dict[int, SVCLine]:
-        """Holder snapshot for one line: O(holders) via the version
-        directory, else the seed's brute-force snoop of every cache.
-        Both paths return a fresh dict in ascending cache-id order, so
-        they are observably interchangeable (callers mutate the result)."""
-        directory = self.system.directory
-        if directory is not None:
-            return directory.entries(line_addr)
+        """Holder snapshot for one line, read from the cache arrays: one
+        ``line_for`` per cache, in ascending cache id — the snoop of
+        every cache that section 3.8.2 describes. A fresh dict (callers
+        may mutate it)."""
         entries = {}
         for cache in self.system.caches:
             line = cache.line_for(line_addr)
@@ -156,49 +159,34 @@ class VersionControlLogic:
                 entries[cache.cache_id] = line
         return entries
 
-    def _ranks(self) -> Dict[int, int]:
-        if self._fast is not None:
-            # Live map; every VCL reader is read-only (fastpath kernel).
-            return self._fast.ranks()
-        return self.system.current_ranks()
+    def _fresh_snapshot(
+        self, line_addr: int
+    ) -> Tuple[Dict[int, SVCLine], List[int]]:
+        """``(entries, vol)`` for one line, read from the arrays:
+        :meth:`_entries` and a ``build_vol`` over the live rank map (the
+        reference path's :attr:`_snapshot`)."""
+        entries = self._entries(line_addr)
+        return entries, build_vol(entries, self.system._active_ranks)
 
     def _snoop(self, line_addr: int, telemetry):
-        """Holder snapshot + rank map + VOL reconstruction for one bus
-        request, traced as a single snoop span with fan-out/VOL-length
-        histograms. ``telemetry=None`` skips the span; the batched
-        histogram counts accumulate whenever the handles were wired
-        (metrics are exact even when spans are being sampled)."""
-        fast = self._fast
-        if telemetry is None:
-            if fast is not None:
-                # Persistent columns: the snapshot survives across bus
-                # transactions and is rebuilt only after an
-                # incremental-maintenance invalidation (see
-                # repro.svc.fastpath). The shared dict is read-only to
-                # every caller on this path.
-                entries, vol = fast.acquire(line_addr)
-                ranks = self.system._active_ranks
-            else:
-                entries = self._entries(line_addr)
-                ranks = self._ranks()
-                vol = build_vol(entries, ranks)
-            if self._fanout_batch is not None:
-                self._fanout_batch[len(entries)] += 1
-                self._vol_batch[len(vol)] += 1
-            return entries, ranks, vol
-        span = telemetry.begin(SNOOP, f"snoop {line_addr:#x}", line_addr=line_addr)
-        if fast is not None:
-            entries, vol = fast.acquire(line_addr)
-            ranks = self.system._active_ranks
-        else:
-            entries = self._entries(line_addr)
-            ranks = self._ranks()
-            vol = build_vol(entries, ranks)
+        """Holder snapshot + rank map + VOL for one bus request, traced
+        as a single snoop span with fan-out/VOL-length histograms. The
+        rank map is the system's live one; no VCL code mutates it.
+        ``telemetry=None`` skips the span; the batched histogram counts
+        accumulate whenever the handles were wired (metrics are exact
+        even when spans are being sampled)."""
+        span = (
+            telemetry.begin(SNOOP, f"snoop {line_addr:#x}", line_addr=line_addr)
+            if telemetry is not None
+            else None
+        )
+        entries, vol = self._snapshot(line_addr)
         if self._fanout_batch is not None:
             self._fanout_batch[len(entries)] += 1
             self._vol_batch[len(vol)] += 1
-        telemetry.end(span, holders=len(entries), vol_length=len(vol))
-        return entries, ranks, vol
+        if span is not None:
+            telemetry.end(span, holders=len(entries), vol_length=len(vol))
+        return entries, self.system._active_ranks, vol
 
     @staticmethod
     def _insertion_index(
@@ -295,11 +283,7 @@ class VersionControlLogic:
         marked written-back, so it can keep supplying loads cheaply.
         Returns the number of versions flushed to memory.
         """
-        if self._fast is not None:
-            entries, vol = self._fast.acquire(line_addr)
-        else:
-            entries = self._entries(line_addr)
-            vol = build_vol(entries, self._ranks())
+        entries, vol = self._snapshot(line_addr)
         versions = [
             cid for cid in vol if entries[cid].committed and entries[cid].dirty
         ]
@@ -380,9 +364,7 @@ class VersionControlLogic:
         if self._fast is not None:
             self._fast.finalize(line_addr)
             return
-        entries = self._entries(line_addr)
-        ranks = self._ranks()
-        vol = build_vol(entries, ranks)
+        entries, vol = self._fresh_snapshot(line_addr)
         rewrite_pointers(entries, vol)
         memory_stamps = self.memory_stamps_for(line_addr)
         # The T bit exists only from the EC design on (Figure 11);
@@ -393,7 +375,7 @@ class VersionControlLogic:
             check_invariants(
                 entries,
                 vol,
-                ranks,
+                self.system._active_ranks,
                 memory_stamps,
                 check_stale=self.system.features.stale_bit,
             )
@@ -613,10 +595,8 @@ class VersionControlLogic:
         # the line, a future store needs no invalidation window — any
         # later install revokes the grant before it could matter.
         if not snarfed and not line.committed:
-            if self._fast is not None:
-                if self._fast.is_sole_holder(line_addr, requestor):
-                    line.exclusive = True
-            elif set(self._entries(line_addr)) == {requestor}:
+            holders = self._snapshot(line_addr)[0]
+            if len(holders) == 1 and requestor in holders:
                 line.exclusive = True
 
         # Repair before the bus event fires: observers of the "bus"
@@ -655,8 +635,7 @@ class VersionControlLogic:
             return self._fast.snarf(requestor, line_addr, new_line, ranks)
         system = self.system
         snarfed = []
-        entries = self._entries(line_addr)
-        vol = build_vol(entries, ranks)
+        entries, vol = self._fresh_snapshot(line_addr)
         for cache in system.caches:
             cid = cache.cache_id
             if cid == requestor or cache.current_task is None:
@@ -957,16 +936,11 @@ class VersionControlLogic:
         # stale-while-clear and its eventual committed copy could be
         # wrongly reused (T-clear local reuse reads the old version).
         # Re-read residency: the window walk may have dropped copies.
-        if self._fast is not None:
-            line.exclusive = exclusive_ok and self._fast.others_all_invalid(
-                line_addr, requestor
-            )
-        else:
-            line.exclusive = exclusive_ok and all(
-                other.valid_mask == 0
-                for cid, other in self._entries(line_addr).items()
-                if cid != requestor
-            )
+        line.exclusive = exclusive_ok and all(
+            other.valid_mask == 0
+            for cid, other in self._snapshot(line_addr)[0].items()
+            if cid != requestor
+        )
 
         # Repair before the bus event fires (see bus_read).
         self._finalize(line_addr)

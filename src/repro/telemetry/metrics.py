@@ -29,7 +29,7 @@ FANOUT_EDGES: Tuple[int, ...] = (0, 1, 2, 3, 4, 8, 16)
 #: Default edges for cycle-valued distributions (bus wait, occupancy).
 CYCLE_EDGES: Tuple[int, ...] = (0, 1, 2, 4, 8, 16, 32, 64)
 
-#: Default edges for queue/buffer occupancy (MSHRs, writeback buffers).
+#: Default edges for queue/buffer occupancy (MSHRs).
 OCCUPANCY_EDGES: Tuple[int, ...] = (0, 1, 2, 4, 8, 16, 32)
 
 

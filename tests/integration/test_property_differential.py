@@ -1,13 +1,12 @@
-"""Property-based proof that the SVC fast paths are invisible.
+"""Property-based proof that the SVC fastpath is invisible.
 
 Hypothesis draws a design tier, a seeded workload, a schedule and a
 fault plan, then :mod:`repro.harness.differential` runs the same case
-twice — fast path on and off — and demands byte-identical event
-streams, stats, committed load values and final memory images. Two
-dimensions are exercised: the version directory (a snoop-filtering
-index only) and the structure-of-arrays fastpath kernel (a pure-speed
-rewrite of supply, snarf acceptance and VOL repair). Any observable
-divergence is a bug in the mechanism, not a legal behaviour change.
+twice — the structure-of-arrays fastpath kernel on and off — and
+demands byte-identical event streams, stats, committed load values and
+final memory images. The kernel is a pure-speed rewrite of snapshot
+maintenance, supply, snarf acceptance and VOL repair, so any
+observable divergence is a bug in it, not a legal behaviour change.
 """
 
 import pytest
@@ -15,9 +14,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.faults import FaultPlan
 from repro.harness.differential import (
-    DIMENSIONS,
     TIERS,
-    _compare_flag_modes,
+    compare_fastpath_modes,
     differential_workload,
 )
 from repro.hier.driver import SpeculativeExecutionDriver
@@ -49,12 +47,11 @@ def fault_plans(draw, n_tasks, allow_squashes=True):
     )
 
 
-@pytest.mark.parametrize("dimension", DIMENSIONS)
 @pytest.mark.parametrize("tier", TIERS)
 class TestFastPathsAreObservationallyInvisible:
     @SETTINGS
     @given(data=st.data())
-    def test_fast_path_on_equals_off(self, tier, dimension, data):
+    def test_fast_path_on_equals_off(self, tier, data):
         workload_seed = data.draw(st.integers(0, 2**10))
         tasks = differential_workload(
             workload_seed,
@@ -67,8 +64,7 @@ class TestFastPathsAreObservationallyInvisible:
         schedule = data.draw(
             st.sampled_from(SpeculativeExecutionDriver.SCHEDULES)
         )
-        mismatches = _compare_flag_modes(
-            dimension,
+        mismatches = compare_fastpath_modes(
             tier,
             tasks,
             seed=data.draw(st.integers(0, 2**16)),

@@ -123,7 +123,11 @@ def _set_committed(system, holders):
 
 
 def _phantom_active_holder(system, holders):
-    system.directory.on_install(3, A, SVCLine(data=bytearray(16)))
+    """The checker's rank map loses cache 0, which holds an active copy
+    of ``A``: the VOL has no rank to order that copy by. The system's
+    own maps stay intact, so the task-map and occupancy rules pass."""
+    ranks = {cid: rank for cid, rank in system._active_ranks.items() if cid}
+    system.current_ranks = lambda: dict(ranks)
 
 
 def _pointer_cycle(system, holders):
@@ -156,15 +160,20 @@ def _shared_exclusive(system, holders):
 
 def _plant_active_line(system, holders):
     """An uncommitted line put straight into cache 0's array, behind
-    ``SVCCache.install``: ``active_lines`` and the directory miss it."""
+    ``SVCCache.install``: ``active_lines`` misses it."""
     line = SVCLine(data=bytearray(16), task_id=system.caches[0].current_task)
     system.caches[0].array.insert(A + 0x40, line)
 
 
 def _plant_committed_line_in_idle_cache(system, holders):
-    """A committed copy of ``A`` put straight into idle cache 3's array:
-    only the directory misses it."""
-    system.caches[3].array.insert(A, SVCLine(data=bytearray(16), committed=True))
+    """A valid committed copy of ``A`` put straight into idle cache 3's
+    array, behind ``SVCCache.install``, while cache 0 holds ``A`` with
+    X. Only a check that reads holders from the arrays sees it."""
+    line = SVCLine(
+        data=bytearray(16), valid_mask=system.amap.full_mask, committed=True
+    )
+    line.ensure_block_stamps(system.amap.blocks_per_line)
+    system.caches[3].array.insert(A, line)
 
 
 def _set_attr(name, value):
@@ -176,11 +185,10 @@ def _set_attr(name, value):
 
 #: (invariant, design, setup, corruption, holder counts, scopes). Every
 #: SVC rule of docs/INVARIANTS.md; per-line rules run with one holder
-#: and with several. ``vol-buildable`` is reachable only through a
-#: holder the directory invents — a full scan reports that as
-#: ``directory-agreement`` first — so it has no scan case. A rule's
-#: later rows (lines planted on the array side) add their corruption's
-#: name to the case id.
+#: and with several. Both scopes read holders from the cache arrays, so
+#: a line planted there behind the protocol's back is audited by each.
+#: A rule's later rows (lines planted on the array side) add their
+#: corruption's name to the case id.
 SVC_RULES = [
     ("task-map-agreement", "final", _line_setup,
      lambda s, h: s._active_ranks.__setitem__(2, 9), (1,), ("line", "scan")),
@@ -196,10 +204,6 @@ SVC_RULES = [
      lambda s, h: _deactivate(s, 0), (1,), ("line", "scan")),
     ("active-task-stamp", "final", _line_setup,
      lambda s, h: setattr(_victim(s, 1), "task_id", 99), (1,), ("line", "scan")),
-    ("directory-agreement", "final", _line_setup,
-     lambda s, h: s.directory._holders[A].pop(h - 1), (1, 2), ("scan",)),
-    ("directory-agreement", "final", _line_setup,
-     _plant_committed_line_in_idle_cache, (1, 2), ("scan",)),
     ("c-requires-ec", "base", _line_setup, _set_committed, (1, 2), ("line", "scan")),
     ("t-requires-ec", "base", _line_setup, _set_attr("stale", True),
      (1, 2), ("line", "scan")),
@@ -212,7 +216,7 @@ SVC_RULES = [
     ("writeback-implies-committed", "final", _line_setup,
      _set_attr("written_back", True), (1, 2), ("line", "scan")),
     ("vol-buildable", "final", _line_setup, _phantom_active_holder,
-     (1, 2), ("line",)),
+     (1, 2), ("line", "scan")),
     ("vol-acyclic", "final", _line_setup, _pointer_cycle, (1, 2), ("line", "scan")),
     ("version-order-total", "final", _versions_setup,
      lambda s, h: setattr(_victim(s, 2), "version_seq", 1), (2,), ("line", "scan")),
@@ -221,6 +225,8 @@ SVC_RULES = [
     ("x-unique", "final", _line_setup, _both_exclusive, (2,), ("line", "scan")),
     ("x-implies-sole-holder", "final", _line_setup, _shared_exclusive,
      (2,), ("line", "scan")),
+    ("x-implies-sole-holder", "final", _line_setup,
+     _plant_committed_line_in_idle_cache, (1,), ("line", "scan")),
 ]
 
 

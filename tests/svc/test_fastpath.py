@@ -1,19 +1,23 @@
 """The structure-of-arrays fastpath kernel is observationally invisible.
 
 :class:`repro.svc.fastpath.FastpathKernel` exists purely for speed —
-supply plans without byte movement, stamp-compare snarf acceptance,
-fused VOL repair, copy-free residency checks. These tests pin the
+persistent holder/VOL snapshots, supply plans without byte movement,
+stamp-compare snarf acceptance, fused VOL repair. These tests pin the
 wiring (``SVCConfig.use_fastpath`` selects the kernel, off selects the
 per-line reference walks), check the kernel's answers against brute
-force on live systems, and replay seeded workloads with fault plans
-both ways demanding byte-identical observables. The broad seed sweep
-lives in ``tests/integration/test_property_differential.py``; these
-are the fast deterministic anchors.
+force on live systems, check that its snapshots follow every
+residency change and that ``SVCSystem.verify()`` catches each kind of
+snapshot desync, and replay seeded workloads with fault plans both
+ways demanding byte-identical observables. The broad seed sweep lives
+in ``tests/integration/test_property_differential.py``; these are the
+fast deterministic anchors.
 """
 
 import pytest
 
 from conftest import make_svc
+from repro.bus.requests import BusRequestKind
+from repro.common.errors import ProtocolError
 from repro.faults import random_fault_plan
 from repro.harness.differential import (
     TIERS,
@@ -21,6 +25,7 @@ from repro.harness.differential import (
     differential_workload,
 )
 from repro.hier.driver import SpeculativeExecutionDriver
+from repro.svc.line import SVCLine
 from repro.svc.vol import (
     CACHE,
     CLEAN,
@@ -58,9 +63,9 @@ def test_fastpath_off_selects_reference_path():
 # -- kernel answers vs brute force -------------------------------------------
 
 
-def _sharing_system():
+def _sharing_system(**overrides):
     """Four tasks, one line with a mid-chain version and mixed holders."""
-    system = begin_all(make_svc("hr"))
+    system = begin_all(make_svc("hr", **overrides))
     system.memory.write_int(A, 4, 0x42)
     system.store(1, A, 11)
     system.load(0, A)
@@ -69,41 +74,65 @@ def _sharing_system():
 
 
 def _brute_holders(system, line_addr):
+    """``{cache_id: line}`` read from every array, ascending."""
     return {
-        cache.cache_id
+        cache.cache_id: cache.line_for(line_addr)
         for cache in system.caches
         if cache.line_for(line_addr) is not None
     }
 
 
-@pytest.mark.parametrize("use_directory", [True, False])
-def test_residency_checks_match_brute_force(use_directory):
-    system = begin_all(make_svc("hr", use_directory=use_directory))
-    system.memory.write_int(A, 4, 0x42)
-    system.store(1, A, 11)
-    system.load(0, A)
-    kernel = system.vcl.fastpath
-    line_addr = system.amap.line_address(A)
-    for requestor in range(4):
+@pytest.mark.parametrize("use_fastpath", [True, False])
+def test_exclusive_grants_match_brute_force(use_fastpath):
+    """Both X grants read the line's holders through
+    ``VersionControlLogic._snapshot``, on either path. After every bus
+    request of a sharing-heavy run, checked against the arrays: a
+    BusRead fill that leaves the requestor the only holder holds X, and
+    a BusWrite's X means no other cache holds valid data."""
+    system = make_svc("hr", use_fastpath=use_fastpath)
+    seen = {"sole read": 0, "shared read": 0, "x write": 0, "plain write": 0}
+
+    def observe(event):
+        request = event.detail.get("request")
+        if event.kind != "bus" or request == BusRequestKind.WBACK:
+            return
+        line_addr = event.detail["line_addr"]
+        requestor = event.detail["requester"]
         holders = _brute_holders(system, line_addr)
-        assert kernel.is_sole_holder(line_addr, requestor) == (
-            holders == {requestor}
+        line = holders[requestor]
+        others_invalid = all(
+            other.valid_mask == 0
+            for cid, other in holders.items()
+            if cid != requestor
         )
-        expected_invalid = all(
-            system.caches[c].line_for(line_addr) is None
-            or system.caches[c].line_for(line_addr).valid_mask == 0
-            for c in holders
-            if c != requestor
-        )
-        assert kernel.others_all_invalid(line_addr, requestor) == expected_invalid
+        if request == BusRequestKind.READ:
+            if list(holders) == [requestor]:
+                assert line.exclusive
+                seen["sole read"] += 1
+            else:
+                seen["shared read"] += 1
+        else:
+            assert others_invalid or not line.exclusive
+            seen["x write" if line.exclusive else "plain write"] += 1
+
+    system.event_log.attach(observe)
+    SpeculativeExecutionDriver(system, _sharing_workload(3), seed=3).run()
+    assert min(seen.values()) > 0, seen
 
 
-def test_ranks_column_is_the_live_map():
-    system = _sharing_system()
-    kernel = system.vcl.fastpath
-    assert kernel.ranks() == system.current_ranks()
-    system.commit_head(0)
-    assert kernel.ranks() == system.current_ranks()
+def test_snoop_reads_the_live_rank_map():
+    """Both paths order a snoop's VOL by the system's live rank map,
+    handed out as is: no VCL code copies or mutates it."""
+    for use_fastpath in (True, False):
+        system = _sharing_system(use_fastpath=use_fastpath)
+        line_addr = system.amap.line_address(A)
+        for _ in range(2):
+            entries, ranks, vol = system.vcl._snoop(line_addr, None)
+            assert ranks is system._active_ranks
+            assert vol == build_vol(
+                _brute_holders(system, line_addr), system.current_ranks()
+            )
+            system.commit_head(system.cache_of_rank(system.head_rank()))
 
 
 def test_supply_plan_stamps_match_composed_bytes():
@@ -322,6 +351,151 @@ def test_warm_snarf_fill_rebuilds_no_snapshot():
     assert system.stats.get("snarfs") == 1
     assert kernel.snap_builds == builds
     kernel.audit()
+
+
+# -- snapshot maintenance at each residency change ---------------------------
+
+
+def _snapshot_of(system, addr):
+    """The cached ``(entries, vol)`` of ``addr``'s line (not rebuilt)."""
+    return system.vcl.fastpath._snaps[system.amap.line_address(addr)]
+
+
+def test_snapshot_tracks_installs(svc):
+    svc.store(0, 0x100, 1)
+    svc.store(1, 0x100, 2)
+    svc.store(2, 0x200, 3)
+    assert _snapshot_of(svc, 0x100) == ({0: svc.line_in(0, 0x100),
+                                         1: svc.line_in(1, 0x100)}, [0, 1])
+    assert _snapshot_of(svc, 0x200) == ({2: svc.line_in(2, 0x200)}, [2])
+    svc.vcl.fastpath.audit()
+
+
+def test_snapshots_are_identity_mapped_ascending_and_replaced(svc):
+    """Entries are the arrays' own line objects in ascending cache id;
+    an install replaces the cached dict and VOL instead of mutating
+    them, because transaction code may still hold the old ones."""
+    svc.store(3, 0x100, 1)
+    svc.store(0, 0x100, 2)
+    entries, vol = _snapshot_of(svc, 0x100)
+    assert list(entries) == [0, 3] and vol == [0, 3]
+    for cache_id, line in entries.items():
+        assert svc.line_in(cache_id, 0x100) is line
+    svc.load(1, 0x100)
+    assert list(entries) == [0, 3] and vol == [0, 3]
+    new_entries, new_vol = _snapshot_of(svc, 0x100)
+    assert list(new_entries) == [0, 1, 3] and new_vol == [0, 1, 3]
+    svc.vcl.fastpath.audit()
+
+
+def test_snapshot_follows_squash_flash_clear(svc):
+    for cache_id in range(4):
+        svc.store(cache_id, 0x100, cache_id + 1)
+    svc.squash_from_rank(2)
+    holders = svc.vcl._snapshot(svc.amap.line_address(0x100))[0]
+    assert 0 in holders and 1 in holders
+    svc.vcl.fastpath.audit()
+    # Re-dispatch and keep going: the snapshot stays exact.
+    svc.begin_task(2, 2)
+    svc.begin_task(3, 3)
+    svc.store(2, 0x100, 7)
+    assert list(_snapshot_of(svc, 0x100)[0]) == [0, 1, 2]
+    svc.vcl.fastpath.audit()
+    svc.verify()
+
+
+def test_snapshot_follows_commits(svc):
+    svc.store(0, 0x100, 1)
+    svc.store(1, 0x100, 2)
+    svc.commit_head(0)
+    svc.vcl.fastpath.audit()
+    svc.load(2, 0x100)
+    svc.commit_head(1)
+    svc.vcl.fastpath.audit()
+    svc.verify()
+
+
+def test_snapshot_follows_eager_commit_invalidation():
+    # The base design commits eagerly: flash-invalidating every line in
+    # the committing cache must take it out of every cached snapshot.
+    svc = make_svc("base")
+    begin_all(svc)
+    svc.store(0, 0x100, 1)
+    svc.store(0, 0x200, 2)
+    svc.load(1, 0x100)
+    svc.commit_head(0)
+    for entries, vol in svc.vcl.fastpath._snaps.values():
+        assert 0 not in entries and 0 not in vol
+    svc.vcl.fastpath.audit()
+    svc.verify()
+
+
+def test_snapshot_follows_vol_repair(svc):
+    svc.store(0, 0x100, 1)
+    svc.store(2, 0x100, 2)
+    svc.squash_from_rank(2)  # leaves a dangling VOL pointer in cache 0
+    svc.begin_task(2, 2)
+    svc.begin_task(3, 3)
+    svc.verify()  # repairs the pointer; must leave the snapshots exact
+    svc.vcl.fastpath.audit()
+    svc.load(3, 0x100)
+    svc.vcl.fastpath.audit()
+
+
+# -- snapshot audit: every desync verify() must report -----------------------
+
+
+def _audited_line(system, holders=1):
+    """Cache 0 stores ``A`` (and cache 1 loads it when ``holders`` is 2);
+    the line's snapshot is cached, so ``FastpathKernel.audit`` checks it."""
+    system.store(0, A, 1)
+    if holders == 2:
+        system.load(1, A)
+    line_addr = system.amap.line_address(A)
+    assert len(system.vcl.fastpath._snaps[line_addr][0]) == holders
+    return line_addr
+
+
+def _planted_line(system):
+    line = SVCLine(data=bytearray(16), valid_mask=system.amap.full_mask)
+    line.ensure_block_stamps(system.amap.blocks_per_line)
+    return line
+
+
+def test_verify_reports_a_line_removed_behind_the_kernel(svc):
+    line_addr = _audited_line(svc)
+    svc.caches[0].array.remove(line_addr)
+    with pytest.raises(ProtocolError, match=f"column desync for {line_addr:#x}"):
+        svc.verify()
+
+
+def test_verify_reports_a_line_smuggled_into_another_array(svc):
+    line_addr = _audited_line(svc)
+    svc.caches[1].array.insert(line_addr, _planted_line(svc))
+    with pytest.raises(ProtocolError, match=f"column desync for {line_addr:#x}"):
+        svc.verify()
+
+
+def test_verify_reports_a_different_line_object_in_the_slot(svc):
+    line_addr = _audited_line(svc)
+    svc.caches[0].array.remove(line_addr)
+    svc.caches[0].array.insert(line_addr, _planted_line(svc))
+    with pytest.raises(
+        ProtocolError, match=f"column for {line_addr:#x} cache 0 tracks"
+    ):
+        svc.verify()
+
+
+def test_verify_reports_a_cached_vol_in_the_wrong_order(svc):
+    line_addr = _audited_line(svc, holders=2)
+    kernel = svc.vcl.fastpath
+    entries, vol = kernel._snaps[line_addr]
+    assert vol == [0, 1]
+    kernel._snaps[line_addr] = (entries, [1, 0])
+    with pytest.raises(
+        ProtocolError, match=f"VOL column for {line_addr:#x} is \\[1, 0\\]"
+    ):
+        svc.verify()
 
 
 # -- stamp-mismatch fallback (invariant 3's escape hatch) --------------------
