@@ -462,7 +462,15 @@ def _planted_line(system):
     return line
 
 
+def test_kernel_audit_reports_a_line_removed_behind_it(svc):
+    line_addr = _audited_line(svc)
+    svc.caches[0].array.remove(line_addr)
+    with pytest.raises(ProtocolError, match=f"column desync for {line_addr:#x}"):
+        svc.vcl.fastpath.audit()
+
+
 def test_verify_reports_a_line_removed_behind_the_kernel(svc):
+    """``verify()`` must surface the kernel audit's report, not mask it."""
     line_addr = _audited_line(svc)
     svc.caches[0].array.remove(line_addr)
     with pytest.raises(ProtocolError, match=f"column desync for {line_addr:#x}"):
