@@ -2,7 +2,7 @@
 
 A thin front end over ``tools/bench_perf.py`` — the wall-clock
 benchmark with the regression gates (per-tier events/sec floors,
-fastpath A/B, telemetry and supervisor overhead budgets) documented in
+telemetry and supervisor overhead budgets) documented in
 docs/PERFORMANCE.md. The subcommand defaults to the CI smoke settings
 (``--quick``) so a bare invocation finishes in seconds::
 
@@ -47,8 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro bench",
         description="Benchmark the experiment harness (wraps "
-        "tools/bench_perf.py): wall time, events/sec, per-tier floors, "
-        "fastpath A/B, and overhead budgets.",
+        "tools/bench_perf.py): wall time, events/sec, per-tier floors "
+        "and overhead budgets.",
     )
     parser.add_argument(
         "--scale",

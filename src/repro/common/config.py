@@ -169,14 +169,6 @@ class SVCConfig:
     n_mshrs: int = 8
     mshr_combining: int = 4
     check_invariants: bool = False
-    #: Serve each line's holders and VOL from the persistent snapshot of
-    #: the structure-of-arrays kernel (repro.svc.fastpath), which also
-    #: runs the snarf and repair loops. Off = every bus request reads
-    #: the cache arrays and rebuilds the VOL, through the per-line
-    #: object model kept as the slow reference implementation;
-    #: behaviour must be identical either way (enforced by
-    #: repro.harness.differential).
-    use_fastpath: bool = True
 
     def __post_init__(self) -> None:
         if self.n_caches < 2:

@@ -1,37 +1,30 @@
-"""Differential oracle for the SVC's performance fast path.
+"""Observe a functional run, and compare two runs of one seeded case.
 
-The structure-of-arrays :class:`repro.svc.fastpath.FastpathKernel`
-(``SVCConfig.use_fastpath``) keeps each line's holders and VOL in a
-persistent snapshot and runs stamp-compare snarf acceptance and fused
-VOL repair. It is a pure-speed mechanism on the hot VCL path and must
-never change *observable* behaviour.
+:func:`observe_run` runs one seeded workload through the functional
+driver on a fresh SVC and captures every observable:
 
-This module enforces that the hard way: run the same seeded workload
-twice on the same design tier — fastpath on (the default) and off
-(the per-line object walks, which read the cache arrays and rebuild
-the VOL on every request) — and demand byte-identical
-
-* protocol event streams (every bus transaction, squash, commit, VOL
+* the protocol event stream (every bus transaction, squash, commit, VOL
   repair, in order, with identical payloads),
-* statistics snapshots,
-* committed load values per task, and
-* final drained main-memory images.
+* the statistics snapshot,
+* the committed load values per task,
+* the final drained main-memory image, and
+* the violation and injected squash counts.
 
-Workloads, schedules and fault plans are all seeded, so both runs make
-exactly the same decisions; the only degree of freedom left is the
-mechanism under test. Any divergence is a fast-path bug by
-construction.
-
-Used by the hypothesis property test
-(``tests/integration/test_property_differential.py``) across all six
-design tiers with fault injection on, and runnable standalone::
-
-    PYTHONPATH=src python -m repro.harness.differential --seeds 10 --faults
+Workloads, schedules and fault plans are all seeded, so two runs of the
+same case make exactly the same decisions. :func:`diff_observations`
+names where two observations diverge, and
+:func:`compare_telemetry_modes` uses it to prove that telemetry is a
+pure observer: the same case with spans recorded and fully unwired
+must be byte-identical (``tests/telemetry/test_differential.py``).
+:func:`differential_workload` is the small sharing-heavy workload those
+tests, the oracle property test
+(``tests/integration/test_property_differential.py``) and the tier
+bench in ``tools/bench_perf.py`` drive.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.config import SVCConfig
@@ -46,10 +39,6 @@ from repro.workloads.generator import WorkloadSpec, generate_tasks
 
 #: Every design tier of the paper's section-3 progression.
 TIERS: Tuple[str, ...] = tuple(DESIGNS)
-
-
-class DifferentialMismatch(AssertionError):
-    """Fastpath-on and fastpath-off runs diverged."""
 
 
 @dataclass
@@ -142,37 +131,6 @@ def diff_observations(
     return mismatches
 
 
-def compare_fastpath_modes(
-    tier: str,
-    tasks: List[TaskProgram],
-    seed: int = 0,
-    schedule: str = "random",
-    squash_probability: float = 0.0,
-    fault_plan: Optional[FaultPlan] = None,
-    base_config: Optional[SVCConfig] = None,
-) -> List[str]:
-    """Run one tier with the structure-of-arrays fastpath kernel on and
-    off; return human-readable mismatches (empty = ok).
-
-    The off run exercises the per-line object walks (array reads and a
-    VOL rebuild per request, byte composition, per-line VOL repair);
-    the on run exercises :class:`repro.svc.fastpath.FastpathKernel`'s
-    persistent snapshots, supply plans, stamp-compare snarf acceptance
-    and fused repair. Identical observables across all tiers, faults
-    and chaos schedules is the kernel's correctness proof.
-    """
-    config = design_config(tier, base_config or SVCConfig.paper_32kb())
-    kwargs = dict(
-        seed=seed,
-        schedule=schedule,
-        squash_probability=squash_probability,
-        fault_plan=fault_plan,
-    )
-    on = observe_run(replace(config, use_fastpath=True), tasks, **kwargs)
-    off = observe_run(replace(config, use_fastpath=False), tasks, **kwargs)
-    return diff_observations(on, off, what="fastpath")
-
-
 def compare_telemetry_modes(
     tier: str,
     tasks: List[TaskProgram],
@@ -231,62 +189,3 @@ def differential_workload(
         seed=seed,
     )
     return generate_tasks(spec)
-
-
-def check_tier(
-    tier: str,
-    seed: int,
-    with_faults: bool = False,
-    schedule: str = "random",
-) -> None:
-    """Raise :class:`DifferentialMismatch` if the fastpath changes any
-    observable behaviour on one tier."""
-    tasks = differential_workload(seed)
-    # The EC design assumes no squashes (paper section 3.4).
-    allow_squashes = tier != "ec"
-    fault_plan = None
-    if with_faults:
-        from repro.faults import random_fault_plan
-
-        fault_plan = random_fault_plan(
-            seed, len(tasks), 12, allow_squashes=allow_squashes
-        )
-    mismatches = compare_fastpath_modes(
-        tier,
-        tasks,
-        seed=seed,
-        squash_probability=0.02 if allow_squashes else 0.0,
-        fault_plan=fault_plan,
-        schedule=schedule,
-    )
-    if mismatches:
-        raise DifferentialMismatch(
-            f"tier {tier!r}, seed {seed}: the fastpath changed "
-            "observable behaviour:\n  " + "\n  ".join(mismatches)
-        )
-
-
-def main(argv=None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="Differential check: SVC fastpath on vs off."
-    )
-    parser.add_argument("--seeds", type=int, default=5, help="seeds per tier")
-    parser.add_argument(
-        "--faults", action="store_true", help="attach random fault plans"
-    )
-    parser.add_argument(
-        "--tiers", default=",".join(TIERS), help="comma-separated tier subset"
-    )
-    args = parser.parse_args(argv)
-    tiers = tuple(t for t in args.tiers.split(",") if t)
-    for tier in tiers:
-        for seed in range(args.seeds):
-            check_tier(tier, seed, with_faults=args.faults)
-        print(f"fastpath/{tier}: {args.seeds} seeds identical")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -48,12 +48,12 @@ class SVCCache:
         #: Fault injection (repro.faults): when set, replacement picks an
         #: adversarial victim from the legal candidates instead of LRU.
         self.victim_bias_rng = None
-        #: Persistent columnar engine (repro.svc.fastpath) whose cached
+        #: The VCL's snapshot store (repro.svc.fastpath) whose cached
         #: (entries, VOL) columns must follow whenever this cache changes
         #: anything VOL reconstruction depends on: residency (maintained
         #: in place by the install/drop hooks), the C bit, or a committed
-        #: line's version order (invalidated). None when the system runs
-        #: the reference object-model path.
+        #: line's version order (invalidated). Every SVCSystem wires it;
+        #: None only on a cache built outside one.
         self.engine = None
 
     # -- lookup helpers --------------------------------------------------------

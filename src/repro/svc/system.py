@@ -415,10 +415,9 @@ class SVCSystem:
         # desynced rank map or snapshot is itself a protocol violation.
         self._audit_task_maps()
         holders = scan_holders(self.caches)
-        if self.vcl._fast is not None:
-            # Persistent columnar engine: every cached (entries, VOL)
-            # snapshot must match a fresh reconstruction from the arrays.
-            self.vcl._fast.audit()
+        # Every cached (entries, VOL) snapshot must match a fresh
+        # reconstruction from the arrays.
+        self.vcl.fastpath.audit()
         ranks = self.current_ranks()
         for line_addr, entries in sorted(holders.items()):
             vol = build_vol(entries, ranks)

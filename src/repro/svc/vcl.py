@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.bus.requests import BusRequestKind
 from repro.common.config import UpdatePolicy
 from repro.common.errors import ProtocolError, ReplacementStall
+from repro.svc.fastpath import FastpathKernel
 from repro.svc.line import SVCLine
 from repro.svc.vol import (
     CACHE,
@@ -35,7 +36,6 @@ from repro.svc.vol import (
     MEMORY,
     build_vol,
     check_invariants,
-    refresh_stale_bits,
     rewrite_pointers,
     supply_sources,
 )
@@ -78,21 +78,14 @@ class VersionControlLogic:
         #: stamp, so staleness checks can tell copies of the current
         #: architectural image from copies of an older one.
         self._memory_stamps: Dict[int, List[int]] = {}
-        #: Structure-of-arrays kernel for the hot snapshot/snarf/repair
-        #: path (repro.svc.fastpath); None runs the reference per-line
-        #: object model. Observable behaviour is identical either way
-        #: (repro.harness.differential).
-        self._fast = None
-        #: The one accessor for a line's ``(entries, vol)``, chosen here:
-        #: the kernel's persistent snapshot (shared protocol-wide, so
-        #: read-only; see repro.svc.fastpath), else
-        #: :meth:`_fresh_snapshot`.
-        self._snapshot = self._fresh_snapshot
-        if system.config.use_fastpath:
-            from repro.svc.fastpath import FastpathKernel
-
-            self._fast = FastpathKernel(self)
-            self._snapshot = self._fast.acquire
+        #: Read once: ``AddressMap.full_mask`` is a property, and the
+        #: snarf, supply-plan and repair loops need it on every request.
+        self._full_mask = system.amap.full_mask
+        #: The persistent holder/VOL snapshot store (repro.svc.fastpath).
+        self.fastpath = FastpathKernel(self)
+        #: The one accessor for a line's ``(entries, vol)``: the store's
+        #: snapshot, shared protocol-wide and so read-only.
+        self._snapshot = self.fastpath.acquire
         #: Telemetry histogram handles, captured at wiring time like the
         #: bus's: snoop-shape metrics stay *exact* even when the timing
         #: simulator unwires ``system.telemetry`` for sampled-out
@@ -131,13 +124,6 @@ class VersionControlLogic:
                     hist.observe_many(value, count)
                     batch[value] = 0
 
-    @property
-    def fastpath(self):
-        """The :class:`repro.svc.fastpath.FastpathKernel` in use, or
-        ``None`` when ``SVCConfig.use_fastpath`` selected the reference
-        per-line object model."""
-        return self._fast
-
     def memory_stamps_for(self, line_addr: int) -> List[int]:
         stamps = self._memory_stamps.get(line_addr)
         if stamps is None:
@@ -163,8 +149,8 @@ class VersionControlLogic:
         self, line_addr: int
     ) -> Tuple[Dict[int, SVCLine], List[int]]:
         """``(entries, vol)`` for one line, read from the arrays:
-        :meth:`_entries` and a ``build_vol`` over the live rank map (the
-        reference path's :attr:`_snapshot`)."""
+        :meth:`_entries` and a ``build_vol`` over the live rank map (what
+        a snapshot rebuild reads)."""
         entries = self._entries(line_addr)
         return entries, build_vol(entries, self.system._active_ranks)
 
@@ -228,12 +214,6 @@ class VersionControlLogic:
         data = bytearray(amap.line_size)
         memory_stamps = self.memory_stamps_for(line_addr)
         stamps: Dict[int, int] = {}
-        telemetry = system.telemetry
-        span = (
-            telemetry.begin(VOL_WALK, "supply walk", phase="supply", position=position)
-            if telemetry is not None
-            else None
-        )
         suppliers = supply_sources(entries, vol, position, need_mask, memory_stamps)
         for block, (source, cache_id) in suppliers.items():
             start = block * vbs
@@ -248,16 +228,45 @@ class VersionControlLogic:
                 stamps[block] = supplier.block_content[block]
             else:
                 stamps[block] = memory_stamps[block]
-        if span is not None:
-            sources = [src for src, _ in suppliers.values()]
-            telemetry.end(
-                span,
-                blocks=len(suppliers),
-                from_versions=sources.count(CACHE),
-                from_clean=sources.count(CLEAN),
-                from_memory=sources.count(MEMORY),
-            )
+        if system.telemetry is not None:
+            self._emit_supply_span(system.telemetry, position, suppliers)
         return data, suppliers, stamps
+
+    def _supply_plan(
+        self,
+        line_addr: int,
+        entries: Dict[int, SVCLine],
+        vol: List[int],
+        position: int,
+    ) -> Tuple[Dict[int, Tuple[str, Optional[int]]], List[int]]:
+        """Per-block (supplier, stamp) columns for a full-line fill at
+        ``position``: the metadata half of :meth:`_compose`, with no byte
+        movement and no memory reads."""
+        memory_stamps = self.memory_stamps_for(line_addr)
+        suppliers = supply_sources(
+            entries, vol, position, self._full_mask, memory_stamps
+        )
+        stamps = list(memory_stamps)
+        for block, (source, cache_id) in suppliers.items():
+            if source == CACHE:
+                stamps[block] = entries[cache_id].block_content[block]
+        return suppliers, stamps
+
+    @staticmethod
+    def _emit_supply_span(telemetry, position, suppliers) -> None:
+        """The VOL_WALK span of one supply walk, with its per-source
+        block counts."""
+        span = telemetry.begin(
+            VOL_WALK, "supply walk", phase="supply", position=position
+        )
+        sources = [src for src, _ in suppliers.values()]
+        telemetry.end(
+            span,
+            blocks=len(suppliers),
+            from_versions=sources.count(CACHE),
+            from_clean=sources.count(CLEAN),
+            from_memory=sources.count(MEMORY),
+        )
 
     def _write_blocks(self, line_addr: int, line: SVCLine, mask: int) -> None:
         amap = self.system.amap
@@ -361,23 +370,65 @@ class VersionControlLogic:
             telemetry.end(span)
 
     def _finalize_impl(self, line_addr: int) -> None:
-        if self._fast is not None:
-            self._fast.finalize(line_addr)
-            return
-        entries, vol = self._fresh_snapshot(line_addr)
+        """Pointer rewrite + T-bit refresh in one backward VOL pass over
+        the line's snapshot: pointers mirror the VOL, the tail stamp of
+        each block is its newest ``store_mask & valid_mask`` writer's
+        (else memory's), and a line is stale iff any valid block's stamp
+        differs from the tail stamp (``refresh_stale_bits``' rule, which
+        ``SVCSystem.verify`` and ``check_invariants`` apply on their
+        own)."""
+        system = self.system
+        entries, vol = self._snapshot(line_addr)
+        # Read from the module namespace at every call: the checker's
+        # seeded-bug drill patches ``repro.svc.vcl.rewrite_pointers``.
         rewrite_pointers(entries, vol)
-        memory_stamps = self.memory_stamps_for(line_addr)
         # The T bit exists only from the EC design on (Figure 11);
         # earlier tiers have no stale bookkeeping to maintain.
-        if self.system.features.stale_bit:
-            refresh_stale_bits(entries, vol, memory_stamps)
-        if self.system.config.check_invariants:
+        stale_bit = system.features.stale_bit
+        if stale_bit:
+            memory_stamps = self.memory_stamps_for(line_addr)
+            blocks_in_mask = system.amap.blocks_in_mask
+            if len(vol) == 1:
+                # Sole holder: the tail stamps are its own written blocks
+                # over the memory image, so it is stale iff a valid,
+                # unwritten block's stamp differs from memory's.
+                only = entries[vol[0]]
+                content = only.block_content
+                stale = False
+                for block in blocks_in_mask(only.valid_mask & ~only.store_mask):
+                    if content[block] != memory_stamps[block]:
+                        stale = True
+                        break
+                only.stale = stale
+            else:
+                tail = list(memory_stamps)
+                remaining = self._full_mask
+                for cid in reversed(vol):
+                    if not remaining:
+                        break
+                    line = entries[cid]
+                    writes = line.store_mask & line.valid_mask & remaining
+                    if writes:
+                        content = line.block_content
+                        for block in blocks_in_mask(writes):
+                            tail[block] = content[block]
+                        remaining &= ~writes
+                for cid in vol:
+                    line = entries[cid]
+                    content = line.block_content
+                    stale = False
+                    for block in blocks_in_mask(line.valid_mask):
+                        if content[block] != tail[block]:
+                            stale = True
+                            break
+                    line.stale = stale
+        if system.config.check_invariants:
             check_invariants(
                 entries,
                 vol,
-                self.system._active_ranks,
-                memory_stamps,
-                check_stale=self.system.features.stale_bit,
+                system._active_ranks,
+                self.memory_stamps_for(line_addr),
+                check_stale=stale_bit,
             )
 
     @staticmethod
@@ -630,41 +681,72 @@ class VersionControlLogic:
         ranks: Dict[int, int],
     ) -> List[int]:
         """HR design: other caches copy the bus data when they could use
-        this same version and have a free way (section 3.6)."""
-        if self._fast is not None:
-            return self._fast.snarf(requestor, line_addr, new_line, ranks)
+        this same version and have a free way (section 3.6).
+
+        A candidate whose supply-plan stamps equal the bus line's is
+        accepted without composing a byte buffer. That is sound because
+        a content stamp is allocated globally, one per store
+        (:meth:`repro.svc.system.SVCSystem.next_content_seq`), and
+        written back with the bytes it stamps: equal stamps at the same
+        (line, block) mean equal bytes. On a stamp mismatch the fill is
+        composed and compared byte for byte, so a mismatch costs time,
+        never correctness. Plans are memoized per insertion position
+        until an install changes the VOL.
+        """
         system = self.system
-        snarfed = []
-        entries, vol = self._fresh_snapshot(line_addr)
+        telemetry = system.telemetry
+        full = self._full_mask
+        snarfed: List[int] = []
+        entries, vol = self._snapshot(line_addr)
+        plans: Dict[int, Tuple[Dict[int, Tuple[str, Optional[int]]], List[int]]] = {}
         for cache in system.caches:
             cid = cache.cache_id
-            if cid == requestor or cache.current_task is None:
-                continue
-            if cache.line_for(line_addr) is not None:
+            # ``entries`` names exactly the caches holding the line (the
+            # snapshot, plus each copy installed below), so holders are
+            # skipped without probing their arrays.
+            if cid in entries or cache.current_task is None:
                 continue
             if not cache.array.has_free_way(line_addr):
                 continue
             position = self._insertion_index(vol, entries, ranks, ranks[cid])
-            data, suppliers, stamps = self._compose(
-                line_addr, entries, vol, position, system.amap.full_mask
-            )
-            if bytes(data) != bytes(new_line.data):
-                continue
+            plan = plans.get(position)
+            if plan is None:
+                plan = self._supply_plan(line_addr, entries, vol, position)
+                plans[position] = plan
+            suppliers, stamps = plan
+            if stamps == new_line.block_content:
+                data = new_line.data
+                if telemetry is not None:
+                    self._emit_supply_span(telemetry, position, suppliers)
+            else:
+                data, suppliers, stamp_map = self._compose(
+                    line_addr, entries, vol, position, full
+                )
+                if bytes(data) != bytes(new_line.data):
+                    continue
+                stamps = [
+                    stamp_map.get(b, 0) for b in range(system.amap.blocks_per_line)
+                ]
             self._clear_supplier_exclusivity(entries, suppliers)
             self._revoke_other_exclusivity(entries, cid)
             copy = SVCLine(
                 data=bytearray(data),
-                valid_mask=system.amap.full_mask,
+                valid_mask=full,
                 architectural=self._suppliers_architectural(suppliers, entries, ranks),
                 version_seq=new_line.version_seq,
+                block_content=list(stamps),
                 task_id=ranks[cid],
             )
-            copy.ensure_block_stamps(system.amap.blocks_per_line)
-            for block, stamp in stamps.items():
-                copy.block_content[block] = stamp
+            # The install hook carries the snapshot forward in canonical
+            # order. This loop's own holder dict appends each copy last
+            # instead, and the later candidates' clean-supplier choice
+            # (the first match in dict order, ``clean_supplier``) reads
+            # that order. It is a new dict, so no snapshot anyone holds
+            # is mutated.
             cache.install(line_addr, copy)
-            entries[cid] = copy
-            vol = build_vol(entries, ranks)
+            entries = {**entries, cid: copy}
+            vol = self._snapshot(line_addr)[1]
+            plans.clear()
             snarfed.append(cid)
             system._counters["snarfs"] += 1
         return snarfed

@@ -1,24 +1,33 @@
-"""Property-based proof that the SVC fastpath is invisible.
+"""Property-based proof that every design tier keeps sequential semantics.
 
-Hypothesis draws a design tier, a seeded workload, a schedule and a
-fault plan, then :mod:`repro.harness.differential` runs the same case
-twice — the structure-of-arrays fastpath kernel on and off — and
-demands byte-identical event streams, stats, committed load values and
-final memory images. The kernel is a pure-speed rewrite of snapshot
-maintenance, supply, snarf acceptance and VOL repair, so any
-observable divergence is a bug in it, not a legal behaviour change.
+Hypothesis draws a design tier, a seeded sharing-heavy workload
+(:func:`repro.harness.differential.differential_workload`), a driver
+schedule and a fault plan, then runs the case once. Three independent
+checks judge the run:
+
+* the runtime :class:`repro.check.InvariantChecker`, attached for the
+  whole run, audits the protocol state after every event;
+* :func:`repro.oracle.verify_run` demands the committed load values and
+  the drained memory image of the :class:`repro.oracle.SequentialOracle`;
+* ``FastpathKernel.audit`` re-derives every cached VOL snapshot from the
+  cache arrays after each bus transaction, and ``SVCSystem.verify()``
+  runs it and the structural checks once more at the end. The driver
+  drains every cache before it returns, so the final ``verify()`` alone
+  would find nothing left to audit.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.check import InvariantChecker
+from repro.common.config import SVCConfig
 from repro.faults import FaultPlan
-from repro.harness.differential import (
-    TIERS,
-    compare_fastpath_modes,
-    differential_workload,
-)
+from repro.harness.differential import TIERS, differential_workload
 from repro.hier.driver import SpeculativeExecutionDriver
+from repro.mem.main_memory import MainMemory
+from repro.oracle import SequentialOracle, verify_run
+from repro.svc.designs import design_config
+from repro.svc.system import SVCSystem
 
 SETTINGS = settings(
     max_examples=15,
@@ -48,28 +57,36 @@ def fault_plans(draw, n_tasks, allow_squashes=True):
 
 
 @pytest.mark.parametrize("tier", TIERS)
-class TestFastPathsAreObservationallyInvisible:
-    @SETTINGS
-    @given(data=st.data())
-    def test_fast_path_on_equals_off(self, tier, data):
-        workload_seed = data.draw(st.integers(0, 2**10))
-        tasks = differential_workload(
-            workload_seed,
-            n_tasks=data.draw(st.integers(4, 12)),
-            ops_per_task=data.draw(st.integers(4, 12)),
-        )
-        # The EC design assumes no squashes (paper section 3.4).
-        allow_squashes = tier != "ec"
-        plan = data.draw(fault_plans(len(tasks), allow_squashes))
-        schedule = data.draw(
-            st.sampled_from(SpeculativeExecutionDriver.SCHEDULES)
-        )
-        mismatches = compare_fastpath_modes(
-            tier,
-            tasks,
-            seed=data.draw(st.integers(0, 2**16)),
-            schedule=schedule,
-            squash_probability=0.05 if allow_squashes else 0.0,
-            fault_plan=plan,
-        )
-        assert not mismatches, "\n".join(mismatches)
+@SETTINGS
+@given(data=st.data())
+def test_run_matches_the_oracle(tier, data):
+    workload_seed = data.draw(st.integers(0, 2**10))
+    tasks = differential_workload(
+        workload_seed,
+        n_tasks=data.draw(st.integers(4, 12)),
+        ops_per_task=data.draw(st.integers(4, 12)),
+    )
+    # The EC design assumes no squashes (paper section 3.4).
+    allow_squashes = tier != "ec"
+    plan = data.draw(fault_plans(len(tasks), allow_squashes))
+    schedule = data.draw(st.sampled_from(SpeculativeExecutionDriver.SCHEDULES))
+    config = design_config(tier, SVCConfig.paper_32kb())
+    memory = MainMemory(config.miss_penalty_cycles)
+    system = SVCSystem(config, memory=memory, checker=InvariantChecker())
+
+    def audit_snapshots(event):
+        if event.kind == "bus":
+            system.vcl.fastpath.audit()
+
+    system.event_log.attach(audit_snapshots)
+    report = SpeculativeExecutionDriver(
+        system,
+        tasks,
+        seed=data.draw(st.integers(0, 2**16)),
+        schedule=schedule,
+        squash_probability=0.05 if allow_squashes else 0.0,
+        fault_plan=plan,
+    ).run()
+    problems = verify_run(report, SequentialOracle().run(tasks), memory)
+    assert not problems, "\n".join(problems)
+    system.verify()

@@ -1,30 +1,32 @@
-"""The structure-of-arrays fastpath kernel is observationally invisible.
+"""The VCL's snapshot store, supply plans, snarfing and VOL repair.
 
-:class:`repro.svc.fastpath.FastpathKernel` exists purely for speed —
-persistent holder/VOL snapshots, supply plans without byte movement,
-stamp-compare snarf acceptance, fused VOL repair. These tests pin the
-wiring (``SVCConfig.use_fastpath`` selects the kernel, off selects the
-per-line reference walks), check the kernel's answers against brute
-force on live systems, check that its snapshots follow every
+:class:`repro.svc.fastpath.FastpathKernel` keeps each warm line's
+holder/VOL snapshot; the VCL resolves every bus request against it,
+accepts snarfs on equal supply-plan stamps and repairs the VOL in one
+pass. These tests pin the wiring, check the VCL's answers against
+brute force on live systems, check that the snapshots follow every
 residency change and that ``SVCSystem.verify()`` catches each kind of
-snapshot desync, and replay seeded workloads with fault plans both
-ways demanding byte-identical observables. The broad seed sweep lives
-in ``tests/integration/test_property_differential.py``; these are the
-fast deterministic anchors.
+snapshot desync, and pin the observables of seeded workloads with fault
+plans as digests. The pinned digests were recorded when the per-line
+reference implementation still ran beside this one and agreed with it
+on every anchor, so each is also that implementation's output. The
+broad seed sweep against the sequential oracle lives in
+``tests/integration/test_property_differential.py``.
 """
+
+import hashlib
 
 import pytest
 
 from conftest import make_svc
 from repro.bus.requests import BusRequestKind
+from repro.common.config import SVCConfig
 from repro.common.errors import ProtocolError
 from repro.faults import random_fault_plan
-from repro.harness.differential import (
-    TIERS,
-    compare_fastpath_modes,
-    differential_workload,
-)
+from repro.harness.differential import TIERS, differential_workload, observe_run
 from repro.hier.driver import SpeculativeExecutionDriver
+from repro.svc.designs import design_config
+from repro.svc.fastpath import FastpathKernel
 from repro.svc.line import SVCLine
 from repro.svc.vol import (
     CACHE,
@@ -50,22 +52,21 @@ def begin_all(system, n=4):
 
 
 def test_fastpath_on_by_default():
+    """Every system serves snapshots from one store, wired to every
+    cache's hooks."""
     system = make_svc("final")
-    assert system.config.use_fastpath
-    assert system.vcl.fastpath is not None
+    kernel = system.vcl.fastpath
+    assert isinstance(kernel, FastpathKernel)
+    assert system.vcl._snapshot == kernel.acquire
+    assert all(cache.engine is kernel for cache in system.caches)
 
 
-def test_fastpath_off_selects_reference_path():
-    system = make_svc("final", use_fastpath=False)
-    assert system.vcl.fastpath is None
+# -- VCL answers vs brute force ----------------------------------------------
 
 
-# -- kernel answers vs brute force -------------------------------------------
-
-
-def _sharing_system(**overrides):
+def _sharing_system():
     """Four tasks, one line with a mid-chain version and mixed holders."""
-    system = begin_all(make_svc("hr", **overrides))
+    system = begin_all(make_svc("hr"))
     system.memory.write_int(A, 4, 0x42)
     system.store(1, A, 11)
     system.load(0, A)
@@ -82,14 +83,13 @@ def _brute_holders(system, line_addr):
     }
 
 
-@pytest.mark.parametrize("use_fastpath", [True, False])
-def test_exclusive_grants_match_brute_force(use_fastpath):
+def test_exclusive_grants_match_brute_force():
     """Both X grants read the line's holders through
-    ``VersionControlLogic._snapshot``, on either path. After every bus
-    request of a sharing-heavy run, checked against the arrays: a
-    BusRead fill that leaves the requestor the only holder holds X, and
-    a BusWrite's X means no other cache holds valid data."""
-    system = make_svc("hr", use_fastpath=use_fastpath)
+    ``VersionControlLogic._snapshot``. After every bus request of a
+    sharing-heavy run, checked against the arrays: a BusRead fill that
+    leaves the requestor the only holder holds X, and a BusWrite's X
+    means no other cache holds valid data."""
+    system = make_svc("hr")
     seen = {"sole read": 0, "shared read": 0, "x write": 0, "plain write": 0}
 
     def observe(event):
@@ -121,34 +121,30 @@ def test_exclusive_grants_match_brute_force(use_fastpath):
 
 
 def test_snoop_reads_the_live_rank_map():
-    """Both paths order a snoop's VOL by the system's live rank map,
-    handed out as is: no VCL code copies or mutates it."""
-    for use_fastpath in (True, False):
-        system = _sharing_system(use_fastpath=use_fastpath)
-        line_addr = system.amap.line_address(A)
-        for _ in range(2):
-            entries, ranks, vol = system.vcl._snoop(line_addr, None)
-            assert ranks is system._active_ranks
-            assert vol == build_vol(
-                _brute_holders(system, line_addr), system.current_ranks()
-            )
-            system.commit_head(system.cache_of_rank(system.head_rank()))
+    """A snoop's VOL is ordered by the system's live rank map, handed
+    out as is: no VCL code copies or mutates it."""
+    system = _sharing_system()
+    line_addr = system.amap.line_address(A)
+    for _ in range(2):
+        entries, ranks, vol = system.vcl._snoop(line_addr, None)
+        assert ranks is system._active_ranks
+        assert vol == build_vol(
+            _brute_holders(system, line_addr), system.current_ranks()
+        )
+        system.commit_head(system.cache_of_rank(system.head_rank()))
 
 
 def test_supply_plan_stamps_match_composed_bytes():
     """A plan whose stamps equal a composed line's stamps must describe
-    the same bytes (invariant 2: equal stamps imply equal data)."""
-    from repro.svc.vol import build_vol
-
+    the same bytes (equal stamps imply equal data)."""
     system = _sharing_system()
     vcl = system.vcl
-    kernel = vcl.fastpath
     line_addr = system.amap.line_address(A)
     entries = vcl._entries(line_addr)
     ranks = system.current_ranks()
     vol = build_vol(entries, ranks)
     for position in range(len(vol) + 1):
-        suppliers, stamps = kernel.supply_plan(line_addr, entries, vol, position)
+        suppliers, stamps = vcl._supply_plan(line_addr, entries, vol, position)
         data, ref_suppliers, stamp_map = vcl._compose(
             line_addr, entries, vol, position, system.amap.full_mask
         )
@@ -194,7 +190,6 @@ def _check_supply_walk(system, line_addr):
     """Every position and need mask of one line, in canonical and in
     reversed holder order (``clean_supplier`` takes the first match)."""
     vcl = system.vcl
-    kernel = vcl.fastpath
     amap = system.amap
     canonical = vcl._entries(line_addr)
     vol = build_vol(canonical, system.current_ranks())
@@ -210,7 +205,7 @@ def _check_supply_walk(system, line_addr):
                 assert bytes(data) == bytes(expected[0])
                 assert list(suppliers.items()) == list(expected[1].items())
                 assert stamps == expected[2]
-            suppliers, stamps = kernel.supply_plan(line_addr, entries, vol, position)
+            suppliers, stamps = vcl._supply_plan(line_addr, entries, vol, position)
             _, ref_suppliers, ref_stamps = _per_block_supply(
                 system, line_addr, entries, vol, position, amap.full_mask
             )
@@ -241,7 +236,7 @@ def _sharing_workload(seed):
 
 @pytest.mark.parametrize("tier", TIERS)
 def test_supply_walk_matches_per_block_rule(tier):
-    """``_compose`` and ``supply_plan`` find every block's supplier in
+    """``_compose`` and ``_supply_plan`` find every block's supplier in
     one VOL walk; on the live multi-holder line of every bus transaction
     they must agree, block by block, with ``closest_previous_writer``
     and ``clean_supplier``."""
@@ -506,7 +501,7 @@ def test_verify_reports_a_cached_vol_in_the_wrong_order(svc):
         svc.verify()
 
 
-# -- stamp-mismatch fallback (invariant 3's escape hatch) --------------------
+# -- stamp-mismatch fallback (the snarf's byte-compare escape hatch) ---------
 
 
 def _stamp_divergence_run(system):
@@ -519,7 +514,7 @@ def _stamp_divergence_run(system):
     allowed — but the free caches 3 and 4 insert *after* task 2's
     version, so their supply plans see S2 where the bus line carries S0.
     Equal bytes, unequal stamps: exactly the divergence the
-    stamp-compare accept must hand back to reference byte composition.
+    stamp-compare accept must hand back to byte composition.
     """
     for cache_id in range(5):
         system.begin_task(cache_id, cache_id)
@@ -530,12 +525,11 @@ def _stamp_divergence_run(system):
 
 
 def test_snarf_stamp_mismatch_takes_byte_compose_fallback(monkeypatch):
-    from repro.svc.fastpath import FastpathKernel
     from repro.svc.vcl import VersionControlLogic
 
     depth = {"snarf": 0}
     composed = {"in_snarf": 0}
-    real_snarf = FastpathKernel.snarf
+    real_snarf = VersionControlLogic._snarf
     real_compose = VersionControlLogic._compose
 
     def tracking_snarf(self, *args, **kwargs):
@@ -550,14 +544,14 @@ def test_snarf_stamp_mismatch_takes_byte_compose_fallback(monkeypatch):
             composed["in_snarf"] += 1
         return real_compose(self, *args, **kwargs)
 
-    monkeypatch.setattr(FastpathKernel, "snarf", tracking_snarf)
+    monkeypatch.setattr(VersionControlLogic, "_snarf", tracking_snarf)
     monkeypatch.setattr(VersionControlLogic, "_compose", counting_compose)
 
     system = make_svc("hr", n_caches=5)
     _stamp_divergence_run(system)
     line_addr = system.amap.line_address(A)
-    # The kernel could not accept on stamps — it composed bytes inside
-    # snarf for each free cache — yet the byte comparison succeeded and
+    # The VCL could not accept on stamps — it composed bytes inside
+    # _snarf for each free cache — yet the byte comparison succeeded and
     # both candidates still took their copies.
     assert composed["in_snarf"] >= 2
     assert system.stats.snapshot().get("snarfs", 0) >= 2
@@ -565,22 +559,50 @@ def test_snarf_stamp_mismatch_takes_byte_compose_fallback(monkeypatch):
         assert system.caches[cache_id].line_for(line_addr) is not None
 
 
+def _digest(events, *observables):
+    """Leading 16 hex digits of the sha256 of an event stream (each
+    event described with its fields sorted) and further observables."""
+    payload = repr(([event.describe() for event in events], *observables))
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def _observed_digest(tier, tasks, **run):
+    """:func:`_digest` of everything ``observe_run`` captures for one
+    tier on the paper's 32KB configuration."""
+    config = design_config(tier, SVCConfig.paper_32kb())
+    obs = observe_run(config, tasks, **run)
+    return _digest(
+        obs.events,
+        sorted(obs.stats.items()),
+        obs.load_values,
+        sorted(obs.image.items()),
+        obs.violation_squashes,
+        obs.injected_squashes,
+    )
+
+
 def test_stamp_mismatch_fallback_matches_reference_observables():
-    """The fallback must be invisible: identical event stream, stats,
-    and loaded value with the kernel on and off."""
-    observed = {}
-    for use_fastpath in (True, False):
-        system = make_svc("hr", n_caches=5, use_fastpath=use_fastpath)
-        result = _stamp_divergence_run(system)
-        observed[use_fastpath] = (
-            [(e.kind, e.source, e.detail) for e in system.event_log],
-            system.stats.snapshot(),
-            result.value,
-        )
-    assert observed[True] == observed[False]
+    """The fallback must be invisible: the event stream, stats and
+    loaded value the byte-comparing reference snarf produced (pinned
+    when both snarf implementations ran and agreed)."""
+    system = make_svc("hr", n_caches=5)
+    result = _stamp_divergence_run(system)
+    observed = _digest(
+        system.event_log, sorted(system.stats.snapshot().items()), result.value
+    )
+    assert observed == "62d180907576edf1"
 
 
-# -- differential anchors (fixed seeds, fault plans attached) ----------------
+# -- pinned anchors (fixed seeds, fault plans attached) ----------------------
+
+FAULT_DIGESTS = {
+    "base": "ab619068758fe24f",
+    "ec": "f39b77638f38790a",
+    "ecs": "d5e5931b1871cd74",
+    "hr": "27b850ced6788de5",
+    "rl": "513287f9acba866e",
+    "final": "513287f9acba866e",
+}
 
 
 @pytest.mark.parametrize("tier", TIERS)
@@ -589,50 +611,107 @@ def test_fastpath_equals_reference_with_faults(tier):
     tasks = differential_workload(seed, n_tasks=10, ops_per_task=8)
     allow_squashes = tier != "ec"
     plan = random_fault_plan(seed, len(tasks), 8, allow_squashes=allow_squashes)
-    mismatches = compare_fastpath_modes(
+    observed = _observed_digest(
         tier,
         tasks,
         seed=seed,
         squash_probability=0.05 if allow_squashes else 0.0,
         fault_plan=plan,
     )
-    assert not mismatches, "\n".join(mismatches)
+    assert observed == FAULT_DIGESTS[tier]
 
 
-# -- litmus shapes as differential inputs ------------------------------------
+# -- litmus shapes as pinned inputs ------------------------------------------
 #
 # The litmus corpus (tests/litmus/) proves each shape's outcome set by
 # exhaustive exploration; here each shape doubles as a tiny adversarial
-# workload for the fastpath kernel: every shape must produce an
-# identical event stream with the kernel on and off, on every tier.
+# workload whose observables are pinned on every tier. The digest table
+# names its shapes, so a shape added to the corpus needs no new pin.
+
+LITMUS_DIGESTS = {
+    "base": {
+        "corr": "d32ad220660e4afe",
+        "coww": "2f1cfcf0a5615e17",
+        "iriw": "dc8095e1424291c1",
+        "lb": "53ca04b49942c041",
+        "mp": "82dd11966b35c98e",
+        "sb": "5d74ae3c0b00939b",
+        "svc_treuse": "782c64447da64605",
+        "svc_xreact": "ca29e39ee1ae15d1",
+    },
+    "ec": {
+        "corr": "e565ac6bb24b7299",
+        "coww": "29f584f6c55ef850",
+        "iriw": "bac2738a0e7226b9",
+        "lb": "91e40783fa4d41ea",
+        "mp": "b67fab3ed792dcb7",
+        "sb": "c5f85ebd01817166",
+        "svc_treuse": "f0657cf2546843a8",
+        "svc_xreact": "842288ed793aefe3",
+    },
+    "ecs": {
+        "corr": "e565ac6bb24b7299",
+        "coww": "b875da5edf6ae75a",
+        "iriw": "d469a28bbfac757a",
+        "lb": "91e40783fa4d41ea",
+        "mp": "a7f1b3c313795a86",
+        "sb": "c5f85ebd01817166",
+        "svc_treuse": "f0657cf2546843a8",
+        "svc_xreact": "842288ed793aefe3",
+    },
+    "hr": {
+        "corr": "0b26f937c8c46b3d",
+        "coww": "f243c4aa852bfcd7",
+        "iriw": "0e83b15518e2e8fe",
+        "lb": "5419a898a0f66386",
+        "mp": "630af3edf2d71413",
+        "sb": "eb5e178b4a2fe80e",
+        "svc_treuse": "2efdab46f82e96d8",
+        "svc_xreact": "dbc442742c567671",
+    },
+    "rl": {
+        "corr": "0b26f937c8c46b3d",
+        "coww": "f243c4aa852bfcd7",
+        "iriw": "64dff6671df421fa",
+        "lb": "f60f762e85c1ed97",
+        "mp": "630af3edf2d71413",
+        "sb": "9df6502eefa5f08a",
+        "svc_treuse": "2efdab46f82e96d8",
+        "svc_xreact": "cb96f7a4153b1e9f",
+    },
+    "final": {
+        "corr": "0b26f937c8c46b3d",
+        "coww": "f243c4aa852bfcd7",
+        "iriw": "64dff6671df421fa",
+        "lb": "f60f762e85c1ed97",
+        "mp": "630af3edf2d71413",
+        "sb": "9df6502eefa5f08a",
+        "svc_treuse": "2efdab46f82e96d8",
+        "svc_xreact": "cb96f7a4153b1e9f",
+    },
+}
 
 
-def _litmus_cases():
-    from repro.litmus.shapes import LITMUS_SHAPES
-
-    return [
-        (name, tier) for name in sorted(LITMUS_SHAPES) for tier in TIERS
-    ]
-
-
-@pytest.mark.parametrize("shape,tier", _litmus_cases())
+@pytest.mark.parametrize(
+    "shape,tier",
+    [(shape, tier) for tier in TIERS for shape in LITMUS_DIGESTS[tier]],
+)
 def test_fastpath_identical_on_litmus_shapes(shape, tier):
     from repro.litmus.shapes import LITMUS_SHAPES, compile_shape
 
     tasks = list(compile_shape(LITMUS_SHAPES[shape]))
-    mismatches = compare_fastpath_modes(tier, tasks, seed=5)
-    assert not mismatches, "\n".join(mismatches)
+    assert _observed_digest(tier, tasks, seed=5) == LITMUS_DIGESTS[tier][shape]
 
 
 def test_fastpath_equals_reference_adversarial_schedule():
     """youngest_first maximizes misspeculation — the squash/repair path
-    is where a desynchronized kernel would show first."""
+    is where a desynchronized snapshot would show first."""
     tasks = differential_workload(11, n_tasks=12, ops_per_task=10)
-    mismatches = compare_fastpath_modes(
+    observed = _observed_digest(
         "final",
         tasks,
         seed=11,
         schedule="youngest_first",
         squash_probability=0.1,
     )
-    assert not mismatches, "\n".join(mismatches)
+    assert observed == "c19084bad1d4a7b3"

@@ -8,11 +8,9 @@ instruction). The committed baseline at the repository root is what
 CI's ``bench-smoke`` job compares a fresh ``--quick`` run against: a
 wall-time regression beyond the threshold (default 25%) fails the job.
 
-Four more gates ride along (docs/PERFORMANCE.md explains each):
+Three more gates ride along (docs/PERFORMANCE.md explains each):
 
-* per-tier events/sec floors for all six SVC designs, fastpath on;
-* a fastpath A/B — the structure-of-arrays kernel must never lose to
-  the reference object model it replaces;
+* per-tier events/sec floors for all six SVC designs;
 * disabled-mode telemetry overhead < 5% of the unwired baseline (the
   difference is zero by construction; 5% is the host noise floor);
 * enabled-mode telemetry overhead < 10% (production ring-buffer and
@@ -96,13 +94,13 @@ OVERHEAD_SCALE = 0.15
 #: carefully measured numbers.
 TELEMETRY_REPEATS = 6
 
-#: Minimum events/sec per SVC design tier, fastpath on (an event is one
-#: executed task op). Floors are *measured honestly*: the reference
-#: machine (1-CPU CI container, CPython) sustains 25k-35k events/sec
-#: per tier on the sharing-heavy differential workload; floors sit at
-#: roughly one third of that so hardware and scheduler variance cannot
-#: flip the gate, while a real hot-path regression (the fastpath
-#: silently disabled, an accidental O(n^2) walk) still trips it.
+#: Minimum events/sec per SVC design tier (an event is one executed
+#: task op). Floors are *measured honestly*: the reference machine
+#: (1-CPU CI container, CPython) sustains 25k-35k events/sec per tier on
+#: the sharing-heavy differential workload; floors sit at roughly one
+#: third of that so hardware and scheduler variance cannot flip the
+#: gate, while a real hot-path regression (VOL snapshots rebuilt on
+#: every bus request, an accidental O(n^2) walk) still trips it.
 #: docs/PERFORMANCE.md records the measurements behind these numbers.
 TIER_FLOORS = {
     "base": 9_000,
@@ -112,10 +110,6 @@ TIER_FLOORS = {
     "rl": 10_000,
     "final": 11_000,
 }
-
-#: The fastpath kernel must never be slower than the reference object
-#: model it replaces; allow this much slack for timing noise.
-FASTPATH_SLACK = 0.10
 
 #: Repeats for the per-tier throughput measurement (min-of-N).
 TIER_REPEATS = 3
@@ -130,29 +124,14 @@ SUPERVISOR_REPEATS = 8
 
 
 def measure_tier_throughput(repeats=TIER_REPEATS):
-    """Events/sec for every SVC design tier, fastpath on and off.
+    """Events/sec for every SVC design tier, from the min-of-``repeats``
+    wall.
 
     One seeded sharing-heavy workload (the differential generator's,
-    scaled up) runs through the functional driver per tier per mode.
-    Two gates read the result:
-
-    * fastpath-on events/sec (from the min-of-``repeats`` wall) must
-      clear :data:`TIER_FLOORS` — the hot VCL/snoop/commit path must
-      not silently regress, and
-    * fastpath-on must not be slower than fastpath-off beyond
-      :data:`FASTPATH_SLACK` — a fast path that loses to the reference
-      object model is a bug even when it clears the floor.
-
-    The A/B uses the same anti-noise shape as the overhead gates
-    below: both modes run back-to-back within each round in rotating
-    order, the per-round speedup comes from runs that shared the
-    host's speed phase, and the gate reads the **maximum speedup
-    across rounds** — deliberately optimistic, so residual noise
-    cannot flake the gate (per-mode min-of-N once measured a ~40ms
-    tier run 25% "slower" in one payload and 9% faster in the next).
+    scaled up) runs through the functional driver per tier. Each tier's
+    events/sec must clear :data:`TIER_FLOORS`: the hot VCL/snoop/commit
+    path must not silently regress.
     """
-    from dataclasses import replace as dc_replace
-
     from repro.common.config import SVCConfig
     from repro.common.events import EventLog
     from repro.harness.differential import differential_workload
@@ -164,52 +143,31 @@ def measure_tier_throughput(repeats=TIER_REPEATS):
     tasks = differential_workload(0, n_tasks=48, ops_per_task=24)
     events = sum(len(task.ops) for task in tasks)
 
-    def run_once(config):
+    def timed(config):
+        start = time.perf_counter()
         system = SVCSystem(
             config,
             memory=MainMemory(config.miss_penalty_cycles),
             event_log=EventLog(),
         )
         SpeculativeExecutionDriver(system, tasks, seed=0).run()
-
-    def timed(config):
-        start = time.perf_counter()
-        run_once(config)
         return time.perf_counter() - start
 
     tiers = {}
     for tier in DESIGNS:
         config = design_config(tier, SVCConfig.paper_32kb())
-        on_cfg = dc_replace(config, use_fastpath=True)
-        off_cfg = dc_replace(config, use_fastpath=False)
-        on_walls, off_walls, ratios = [], [], []
-        for round_no in range(repeats):
-            if round_no % 2 == 0:
-                on_wall = timed(on_cfg)
-                off_wall = timed(off_cfg)
-            else:
-                off_wall = timed(off_cfg)
-                on_wall = timed(on_cfg)
-            on_walls.append(on_wall)
-            off_walls.append(off_wall)
-            if on_wall > 0:
-                ratios.append(off_wall / on_wall)
-        on = min(on_walls)
-        off = min(off_walls)
+        wall = min(timed(config) for _ in range(repeats))
         tiers[tier] = {
             "events": events,
-            "fastpath_wall_s": round(on, 4),
-            "reference_wall_s": round(off, 4),
-            "events_per_sec": round(events / on) if on > 0 else 0,
-            "reference_events_per_sec": round(events / off) if off > 0 else 0,
-            "speedup": round(max(ratios), 3) if ratios else 0.0,
+            "wall_s": round(wall, 4),
+            "events_per_sec": round(events / wall) if wall > 0 else 0,
             "floor": TIER_FLOORS[tier],
         }
     return {"repeats": repeats, "tiers": tiers}
 
 
 def gate_tier_throughput(measurement):
-    """Failure strings for the per-tier floors and the fastpath A/B."""
+    """Failure strings for the per-tier floors."""
     failures = []
     for tier, data in measurement["tiers"].items():
         eps = data["events_per_sec"]
@@ -217,12 +175,6 @@ def gate_tier_throughput(measurement):
             failures.append(
                 f"tier {tier!r}: {eps} events/sec is below the "
                 f"{data['floor']} floor"
-            )
-        if data["speedup"] < 1.0 - FASTPATH_SLACK:
-            failures.append(
-                f"tier {tier!r}: fastpath is slower than the reference "
-                f"object model in every paired round (best speedup "
-                f"{data['speedup']:.2f}x, slack {FASTPATH_SLACK:.0%})"
             )
     return failures
 
@@ -498,7 +450,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--skip-tiers",
         action="store_true",
-        help="skip the per-tier throughput floors and fastpath A/B gate",
+        help="skip the per-tier throughput floors",
     )
     parser.add_argument(
         "--compare",
@@ -539,8 +491,7 @@ def main(argv=None) -> int:
         for tier, data in tier_measurement["tiers"].items():
             print(
                 f"tier {tier}: {data['events_per_sec']} events/sec "
-                f"(floor {data['floor']}, fastpath speedup "
-                f"{data['speedup']:.2f}x)",
+                f"(floor {data['floor']})",
                 file=sys.stderr,
             )
         telemetry_failures.extend(gate_tier_throughput(tier_measurement))
