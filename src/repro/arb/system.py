@@ -31,7 +31,7 @@ from repro.common.events import EventLog, ProtocolEvent
 from repro.common.stats import StatsRegistry
 from repro.mem.main_memory import MainMemory
 from repro.svc.system import AccessResult
-from repro.telemetry import COMMIT, OCCUPANCY_EDGES, SQUASH, wired
+from repro.telemetry import COMMIT, OCCUPANCY_EDGES, SQUASH
 
 
 class ARBSystem:
@@ -70,9 +70,8 @@ class ARBSystem:
         #: begin/commit/squash so the hot paths never filter Nones.
         self._active_ranks: Dict[int, int] = {}
         self._committed_through = -1
-        #: None when absent or disabled (checked once here, so hot paths
-        #: pay a single ``is not None``).
-        self.telemetry = wired(telemetry)
+        #: None when unwired, so hot paths pay a single ``is not None``.
+        self.telemetry = telemetry
         self._tel_rows = None
         if self.telemetry is not None:
             self._tel_rows = self.telemetry.histogram(

@@ -17,7 +17,7 @@ from repro.bus.requests import BusRequestKind, BusTransaction
 from repro.common.config import BusConfig
 from repro.common.events import EventLog
 from repro.common.stats import StatsRegistry
-from repro.telemetry import CYCLE_EDGES, wired
+from repro.telemetry import CYCLE_EDGES
 
 
 class SnoopingBus:
@@ -45,8 +45,7 @@ class SnoopingBus:
         #: kind, e.g. ``{"wback": 2}`` models a slow next-level path.
         self.fault_extra_cycles: dict = {}
         #: Telemetry histograms, resolved once at wiring time so
-        #: :meth:`reserve` pays only an ``is not None`` when disabled.
-        telemetry = wired(telemetry)
+        #: :meth:`reserve` pays only an ``is not None`` when unwired.
         self._tel_wait = self._tel_occupancy = None
         self._wait_batch = self._occupancy_batch = None
         if telemetry is not None:

@@ -9,15 +9,15 @@ Usage (any experiment from the registry)::
     python -m repro replay failure.json --shrink
     python -m repro modelcheck --pus 2 --ops 3 --lines 2
     python -m repro litmus --all
-    python -m repro trace fig19 --scale 0.02 --benchmarks compress
-    python -m repro bench --gate
     python -m repro fig19 --workload trace:examples/traces/histogram.jsonl
     python -m repro fig19 --workers 2 --progress --stream campaign.ndjson
-    python -m repro report fig19 --scale 0.05
+    python -m repro fig19 --scale 0.05 --report reports
 
 Results print in the paper's row/series shape, with the published
 numbers alongside where the paper reports them, and can additionally be
-written to a file with ``--output``.
+written to a file with ``--output``. ``--report DIR`` runs the campaign
+with telemetry on and writes a run report, a Chrome trace and a
+Prometheus exposition into ``DIR`` (:mod:`repro.telemetry.report`).
 
 Experiments run under the supervised engine
 (:mod:`repro.harness.supervisor`): ``--workers``, ``--timeout``,
@@ -85,18 +85,19 @@ def build_parser() -> argparse.ArgumentParser:
         + ", ".join(sorted(set(EXPERIMENTS) | {"list"}))
         + "; or 'replay <capture.json>' to re-run a failure capture; "
         "or 'modelcheck' for bounded exhaustive schedule exploration; "
-        "or 'litmus' for the litmus-shape conformance corpus; "
-        "or 'trace <experiment>' to run with telemetry and emit a "
-        "Perfetto-loadable Chrome trace; "
-        "or 'bench' to run the performance benchmark and its gates; "
-        "or 'report <experiment>' to run a campaign and render an "
-        "aggregated HTML/markdown run report",
+        "or 'litmus' for the litmus-shape conformance corpus",
     )
     parser.add_argument(
         "--benchmarks",
         default=None,
         help="comma-separated SPEC95 benchmark subset "
         f"(default: experiment-specific; all = {','.join(BENCHMARKS)})",
+    )
+    parser.add_argument(
+        "--designs",
+        default=None,
+        help="comma-separated design tiers (ablation_designs only; "
+        "e.g. base,ec,ecs,hr,rl,final)",
     )
     parser.add_argument(
         "--workload",
@@ -170,6 +171,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the campaign's schema-versioned NDJSON event stream "
         "to FILE (validate with python -m repro.telemetry.stream)",
     )
+    parser.add_argument(
+        "--report",
+        default=None,
+        metavar="DIR",
+        help="run with telemetry on and write <experiment>.report.md, "
+        "<experiment>.trace.json (Chrome trace) and metrics.prom to DIR",
+    )
     return parser
 
 
@@ -183,22 +191,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.modelcheck.runner import modelcheck_main
 
         return modelcheck_main(raw[1:])
-    if raw and raw[0] == "trace":
-        from repro.telemetry.trace_cli import trace_main
-
-        return trace_main(raw[1:])
-    if raw and raw[0] == "bench":
-        from repro.bench_cli import bench_main
-
-        return bench_main(raw[1:])
     if raw and raw[0] == "litmus":
         from repro.litmus.runner import litmus_main
 
         return litmus_main(raw[1:])
-    if raw and raw[0] == "report":
-        from repro.telemetry.report import report_main
-
-        return report_main(raw[1:])
     args = build_parser().parse_args(argv)
     if args.experiment == "list":
         for name, runner in sorted(EXPERIMENTS.items()):
@@ -243,12 +239,35 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"unknown benchmarks: {unknown}", file=sys.stderr)
             return EXIT_USAGE
         kwargs["benchmarks"] = requested
+    if args.designs:
+        if args.experiment != "ablation_designs":
+            print(
+                "--designs only applies to the ablation_designs experiment",
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
+        from repro.svc.designs import DESIGNS
+
+        designs = tuple(name.strip() for name in args.designs.split(","))
+        unknown = [name for name in designs if name not in DESIGNS]
+        if unknown:
+            print(
+                f"unknown designs: {unknown} "
+                f"(choose from {','.join(sorted(DESIGNS))})",
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
+        kwargs["designs"] = designs
     if args.scale is not None:
         kwargs["scale"] = args.scale
     if args.workers is not None:
         kwargs["workers"] = args.workers
     if args.resume:
         kwargs["resume"] = True
+    if args.report:
+        # The report's histograms, trace and metrics.prom come from the
+        # per-point telemetry payloads.
+        kwargs["telemetry"] = True
 
     from repro.harness.supervisor import (
         SupervisorConfig,
@@ -262,20 +281,29 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Validate every knob up front so garbage is a usage error (2),
         # not a mid-campaign crash.
         resolve_workers(args.workers)
-        supervisor = SupervisorConfig(
-            point_timeout=resolve_point_timeout(args.timeout),
-            retries=resolve_retries(args.retries),
-            chaos_seed=args.chaos,
-            resume=args.resume,
-            store_root=args.store,
-            stream_path=args.stream,
-            progress=args.progress,
-        )
+        point_timeout = resolve_point_timeout(args.timeout)
+        retries = resolve_retries(args.retries)
     except ConfigError as error:
         print(f"config error: {error}", file=sys.stderr)
         return EXIT_USAGE
 
-    previous = set_default_supervisor(supervisor)
+    # The campaign stream persists the NDJSON log (--stream), paints
+    # live progress (--progress) and times each tier for the report.
+    stream = None
+    if args.stream or args.progress or args.report:
+        from repro.telemetry.stream import CampaignStream
+
+        stream = CampaignStream(path=args.stream, progress=args.progress)
+    previous = set_default_supervisor(
+        SupervisorConfig(
+            point_timeout=point_timeout,
+            retries=retries,
+            chaos_seed=args.chaos,
+            resume=args.resume,
+            store_root=args.store,
+            stream=stream,
+        )
+    )
     started = time.time()
     try:
         result = EXPERIMENTS[args.experiment](**kwargs)
@@ -287,6 +315,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_RUN_FAILURE
     finally:
         set_default_supervisor(previous)
+        if stream is not None:
+            stream.close()
     text = _render(result)
     elapsed = time.time() - started
     header = f"== {args.experiment} ({elapsed:.1f}s) =="
@@ -295,6 +325,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(f"{header}\n{text}\n")
+    if args.report:
+        from repro.telemetry.exporters import render_summary
+        from repro.telemetry.report import collect_report, write_report_files
+
+        payloads = [point.telemetry for point in result.points if point.telemetry]
+        written = write_report_files(
+            collect_report(result, stream), args.report, payloads
+        )
+        print(render_summary(payloads))
+        for kind, path in sorted(written.items()):
+            print(f"report[{kind}]: {path}")
     for report in result.campaigns:
         print(f"campaign: {report.summary()}", file=sys.stderr)
     quarantined = result.quarantined_count

@@ -118,11 +118,9 @@ def _collect(
 
 
 def _point_telemetry(
-    benchmark: str, machine: str, telemetry: Optional[bool]
+    benchmark: str, machine: str, telemetry: bool
 ) -> Optional[Telemetry]:
-    """Tri-state wiring (see :class:`PointSpec`): ``None`` stays fully
-    unwired, ``False`` constructs a disabled facade (so the disabled-mode
-    overhead is measurable), ``True`` records.
+    """``None`` (unwired) unless the point asked for telemetry.
 
     Campaign points record under the production bounded/sampled
     configuration — a span ring plus 1-in-N memory-op subtrees — which
@@ -130,11 +128,10 @@ def _point_telemetry(
     Code that needs every span (unit tests, the exporter round-trips)
     builds its own full-recording ``Telemetry()``.
     """
-    if telemetry is None:
+    if not telemetry:
         return None
     return Telemetry(
         label=f"{benchmark}/{machine}",
-        enabled=telemetry,
         capacity=PRODUCTION_TRACE_CAPACITY,
         sample_interval=PRODUCTION_SAMPLE_INTERVAL,
     )
@@ -145,7 +142,7 @@ def _run_svc(
     machine: str,
     config: SVCConfig,
     scale: Optional[float],
-    telemetry: Optional[bool] = None,
+    telemetry: bool = False,
 ) -> BenchmarkResult:
     tasks = resolve_tasks(benchmark, scale)
     tel = _point_telemetry(benchmark, machine, telemetry)
@@ -159,7 +156,7 @@ def _run_arb(
     machine: str,
     config: ARBConfig,
     scale: Optional[float],
-    telemetry: Optional[bool] = None,
+    telemetry: bool = False,
 ) -> BenchmarkResult:
     tasks = resolve_tasks(benchmark, scale)
     tel = _point_telemetry(benchmark, machine, telemetry)
@@ -184,7 +181,7 @@ def _to_result(
         instructions=report.committed_instructions,
         violation_squashes=report.violation_squashes,
         misprediction_squashes=report.misprediction_squashes,
-        telemetry=tel.snapshot() if tel is not None and tel.enabled else None,
+        telemetry=tel.snapshot() if tel is not None else None,
     )
 
 
@@ -192,7 +189,7 @@ def run_table2(
     benchmarks=BENCHMARKS,
     scale: Optional[float] = None,
     workers: Optional[int] = None,
-    telemetry: Optional[bool] = None,
+    telemetry: bool = False,
     resume: bool = False,
 ) -> ExperimentResult:
     """Table 2: miss ratios, ARB/32KB vs SVC 4x8KB."""
@@ -218,7 +215,7 @@ def run_table3(
     benchmarks=BENCHMARKS,
     scale: Optional[float] = None,
     workers: Optional[int] = None,
-    telemetry: Optional[bool] = None,
+    telemetry: bool = False,
     resume: bool = False,
 ) -> ExperimentResult:
     """Table 3: SVC snooping-bus utilization at 4x8KB and 4x16KB."""
@@ -245,7 +242,7 @@ def figure_specs(
     arb_factory: Callable[[int], ARBConfig],
     benchmarks,
     scale: Optional[float] = None,
-    telemetry: Optional[bool] = None,
+    telemetry: bool = False,
 ) -> List[PointSpec]:
     """The point list of one figure sweep (shared with tools/bench_perf)."""
     specs = []
@@ -267,7 +264,7 @@ def figure_specs(
 def figure19_specs(
     benchmarks=BENCHMARKS,
     scale: Optional[float] = None,
-    telemetry: Optional[bool] = None,
+    telemetry: bool = False,
 ) -> List[PointSpec]:
     """Figure 19's points as bare specs (for benches and chaos smokes)."""
     return figure_specs(
@@ -286,7 +283,7 @@ def _run_figure(
     benchmarks,
     scale: Optional[float],
     workers: Optional[int] = None,
-    telemetry: Optional[bool] = None,
+    telemetry: bool = False,
     resume: bool = False,
 ) -> ExperimentResult:
     result = ExperimentResult(experiment=experiment)
@@ -298,7 +295,7 @@ def run_figure19(
     benchmarks=BENCHMARKS,
     scale: Optional[float] = None,
     workers: Optional[int] = None,
-    telemetry: Optional[bool] = None,
+    telemetry: bool = False,
     resume: bool = False,
 ) -> ExperimentResult:
     """Figure 19: IPC, ARB (1-4 cycle hit) vs SVC (1 cycle), 32KB total."""
@@ -318,7 +315,7 @@ def run_figure20(
     benchmarks=BENCHMARKS,
     scale: Optional[float] = None,
     workers: Optional[int] = None,
-    telemetry: Optional[bool] = None,
+    telemetry: bool = False,
     resume: bool = False,
 ) -> ExperimentResult:
     """Figure 20: IPC, ARB (1-4 cycle hit) vs SVC (1 cycle), 64KB total."""
@@ -339,7 +336,7 @@ def run_ablation_designs(
     designs=("base", "ec", "ecs", "hr", "final"),
     scale: Optional[float] = None,
     workers: Optional[int] = None,
-    telemetry: Optional[bool] = None,
+    telemetry: bool = False,
     resume: bool = False,
 ) -> ExperimentResult:
     """Design progression ablation: what each section-3 step buys.
@@ -363,7 +360,7 @@ def run_ablation_update_policy(
     benchmarks=("compress", "gcc", "mgrid"),
     scale: Optional[float] = None,
     workers: Optional[int] = None,
-    telemetry: Optional[bool] = None,
+    telemetry: bool = False,
     resume: bool = False,
 ) -> ExperimentResult:
     """Invalidate vs update vs hybrid coherence (section 3.8)."""
@@ -385,7 +382,7 @@ def run_ablation_linesize(
     block_sizes=(4, 8, 16),
     scale: Optional[float] = None,
     workers: Optional[int] = None,
-    telemetry: Optional[bool] = None,
+    telemetry: bool = False,
     resume: bool = False,
 ) -> ExperimentResult:
     """RL design: versioning-block size vs false-sharing squashes."""
@@ -415,7 +412,7 @@ def run_ablation_scaling(
     pu_counts=(2, 4, 8),
     scale: Optional[float] = None,
     workers: Optional[int] = None,
-    telemetry: Optional[bool] = None,
+    telemetry: bool = False,
     resume: bool = False,
 ) -> ExperimentResult:
     """Extension experiment: PU-count scaling of both organizations.

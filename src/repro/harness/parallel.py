@@ -52,10 +52,8 @@ class PointSpec:
     kind: str
     config: object
     scale: Optional[float] = None
-    #: Tri-state telemetry wiring: ``None`` = not wired at all (the
-    #: baseline fast path), ``False`` = wired but disabled (measures the
-    #: disabled-mode overhead), ``True`` = record spans and metrics.
-    telemetry: Optional[bool] = None
+    #: Record spans and metrics (``False`` = unwired, the fast path).
+    telemetry: bool = False
 
 
 def execute_point(spec: PointSpec):
@@ -105,6 +103,28 @@ def resolve_workers(workers: Optional[Union[int, str]] = None) -> int:
     return count
 
 
+def _kill_pool(pool) -> None:
+    """Tear a pool down hard: cancel queued work, SIGKILL the workers
+    and reap them.
+
+    Shared by :func:`parallel_map` and the supervisor, for Ctrl-C and
+    for point timeouts. Reaches into ``_processes`` (stable since 3.7)
+    because the public API has no way to stop a worker mid-task.
+    """
+    processes = list(getattr(pool, "_processes", {}).values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    for process in processes:
+        try:
+            process.kill()
+        except (OSError, AttributeError, ValueError):
+            pass
+    for process in processes:
+        try:
+            process.join(timeout=1.0)
+        except (OSError, AssertionError, ValueError):
+            pass
+
+
 def parallel_map(
     func, items: List, workers: Optional[Union[int, str]] = None
 ) -> List:
@@ -136,21 +156,8 @@ def parallel_map(
     try:
         results = list(pool.map(func, items))
     except KeyboardInterrupt:
-        # An aborted campaign must not leave orphaned workers: cancel
-        # everything queued, SIGKILL the running workers, and reap them
-        # before re-raising to the interactive caller.
-        processes = list(getattr(pool, "_processes", {}).values())
-        pool.shutdown(wait=False, cancel_futures=True)
-        for process in processes:
-            try:
-                process.kill()
-            except (OSError, AttributeError, ValueError):
-                pass
-        for process in processes:
-            try:
-                process.join(timeout=1.0)
-            except (OSError, AssertionError, ValueError):
-                pass
+        # An aborted campaign must not leave orphaned workers.
+        _kill_pool(pool)
         raise
     else:
         pool.shutdown(wait=True)

@@ -71,7 +71,7 @@ from typing import Dict, List, Optional
 from repro.common.errors import ConfigError, SimulationError
 from repro.common.rng import make_rng
 from repro.harness.chaos import ChaosPlan, random_chaos_plan
-from repro.harness.parallel import execute_point, resolve_workers
+from repro.harness.parallel import _kill_pool, execute_point, resolve_workers
 from repro.harness.resultstore import ResultStore, point_key
 from repro.telemetry import CAMPAIGN, POINT_ATTEMPT, SUPERVISOR_EVENT
 
@@ -191,15 +191,14 @@ class SupervisorConfig:
     quarantine counters and campaign/attempt spans into the PR-4 layer.
 
     Observability knobs: ``stream`` is a caller-owned
-    :class:`repro.telemetry.stream.CampaignStream` (the report CLI uses
-    this to watch its own campaign); ``stream_path``/``progress`` make
-    the engine construct one itself (NDJSON file / live terminal line).
-    ``flight`` controls per-attempt flight-recorder dumps: ``None``
-    (default) auto-enables them whenever a post-mortem is plausible —
-    chaos, timeouts, streaming, or an explicit ``flight_dir`` — so the
-    plain no-fault fast path stays file-free; ``flight_dir=None`` uses
-    a temp directory cleaned at campaign end (quarantine dumps are
-    collected first).
+    :class:`repro.telemetry.stream.CampaignStream` that the engine
+    narrates the campaign into (the CLI builds one for ``--stream``,
+    ``--progress`` and ``--report``, and closes it). ``flight`` controls
+    per-attempt flight-recorder dumps: ``None`` (default) auto-enables
+    them whenever a post-mortem is plausible — chaos, timeouts, a
+    stream, or an explicit ``flight_dir`` — so the plain no-fault fast
+    path stays file-free; ``flight_dir=None`` uses a temp directory
+    cleaned at campaign end (quarantine dumps are collected first).
     """
 
     workers: Optional[int] = None
@@ -212,8 +211,6 @@ class SupervisorConfig:
     store_root: Optional[str] = None
     telemetry: object = None
     stream: object = None
-    stream_path: Optional[str] = None
-    progress: bool = False
     flight: Optional[bool] = None
     flight_dir: Optional[str] = None
 
@@ -365,27 +362,6 @@ def _execute_supervised(payload):
     return index, result, wall
 
 
-def _kill_pool(pool) -> None:
-    """Tear a pool down hard: cancel queued work, SIGKILL the workers.
-
-    Reaches into ``_processes`` (stable since 3.7) because the public
-    API has no way to stop a worker mid-task — which is the entire
-    scenario being handled.
-    """
-    processes = list(getattr(pool, "_processes", {}).values())
-    pool.shutdown(wait=False, cancel_futures=True)
-    for process in processes:
-        try:
-            process.kill()
-        except (OSError, AttributeError, ValueError):
-            pass
-    for process in processes:
-        try:
-            process.join(timeout=1.0)
-        except (OSError, AssertionError, ValueError):
-            pass
-
-
 class _Engine:
     """One campaign's supervisor state machine."""
 
@@ -405,20 +381,8 @@ class _Engine:
         if self.chaos is not None and self.chaos.is_noop:
             self.chaos = None
         self.store = ResultStore(config.store_root) if config.resume else None
-        from repro.telemetry import wired
-
-        self.telemetry = wired(config.telemetry)
-        # Campaign event stream: use the caller's, or build one when the
-        # CLI asked for a file and/or live progress.
+        self.telemetry = config.telemetry
         self.stream = config.stream
-        self._owns_stream = False
-        if self.stream is None and (config.stream_path or config.progress):
-            from repro.telemetry.stream import CampaignStream
-
-            self.stream = CampaignStream(
-                path=config.stream_path, progress=config.progress
-            )
-            self._owns_stream = True
         # Flight recording: None = auto (on whenever a post-mortem is
         # plausible); the plain fast path stays file-free.
         flight = config.flight
@@ -549,9 +513,6 @@ class _Engine:
                 note=note,
             )
         return True
-
-    def _work_key(self, work: _Work) -> str:
-        return work.key or f"{work.spec.benchmark}/{work.spec.machine}/{work.index}"
 
     def _build_work(self) -> List[_Work]:
         """Resolve cache hits; return the points that must execute."""
@@ -801,8 +762,6 @@ class _Engine:
                 # stream consumers can rely on the event being present.
                 self.stream.heartbeat(force=True)
                 self.stream.campaign_finished(dict(self.counters))
-                if self._owns_stream:
-                    self.stream.close()
             if self._owns_flight and self.flight_root is not None:
                 from repro.telemetry.flight import purge
 

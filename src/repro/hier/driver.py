@@ -135,8 +135,7 @@ class SpeculativeExecutionDriver:
         #: by the deterministic schedules until something else progresses
         #: (prevents a youngest-first livelock on a stalled task).
         self._recently_stalled = set()
-        #: Telemetry, resolved once at wiring time from the system (the
-        #: system already applied :func:`repro.telemetry.wired`).
+        #: Telemetry, resolved once at wiring time from the system.
         self._telemetry = getattr(system, "telemetry", None)
 
     # -- helpers ---------------------------------------------------------------

@@ -286,12 +286,18 @@ def build_parser():
         "every small program, across the design tiers and the ARB, "
         "cross-checked against the sequential oracle.",
     )
-    parser.add_argument("--pus", type=int, default=2, help="processing units")
     parser.add_argument(
-        "--ops", type=int, default=3, help="total memory-op budget per program"
+        "--pus", type=int, default=None,
+        help="processing units (default 2, or the --mutation's own bound)",
     )
     parser.add_argument(
-        "--lines", type=int, default=2, help="distinct 16-byte lines"
+        "--ops", type=int, default=None,
+        help="total memory-op budget per program "
+        "(default 3, or the --mutation's own bound)",
+    )
+    parser.add_argument(
+        "--lines", type=int, default=None,
+        help="distinct 16-byte lines (default 2, or the --mutation's own bound)",
     )
     parser.add_argument(
         "--tasks", type=int, default=None,
@@ -328,8 +334,14 @@ def modelcheck_main(argv: Optional[List[str]] = None) -> int:
     """``python -m repro modelcheck [--pus N] [--ops N] [--lines N] ...``"""
     args = build_parser().parse_args(argv)
 
+    # A mutation is registered with the bound that catches it; explicit
+    # flags still win.
+    default = MUTATIONS[args.mutation].bounds if args.mutation else Bounds()
     bounds = Bounds(
-        pus=args.pus, ops=args.ops, lines=args.lines, tasks=args.tasks
+        pus=default.pus if args.pus is None else args.pus,
+        ops=default.ops if args.ops is None else args.ops,
+        lines=default.lines if args.lines is None else args.lines,
+        tasks=default.tasks if args.tasks is None else args.tasks,
     )
     designs = args.designs.split(",") if args.designs else None
     report = run_modelcheck(

@@ -29,7 +29,7 @@ from repro.mem.main_memory import MainMemory
 from repro.svc.cache import ProbeOutcome, SVCCache, scan_holders
 from repro.svc.line import LineState, SVCLine
 from repro.svc.vcl import VersionControlLogic
-from repro.telemetry import COMMIT, SQUASH, TASK_BEGIN, WB_DRAIN, wired
+from repro.telemetry import COMMIT, SQUASH, TASK_BEGIN, WB_DRAIN
 
 
 @dataclass(slots=True)
@@ -64,10 +64,9 @@ class SVCSystem:
         self.geometry = self.config.geometry
         self.amap = self.geometry.address_map
         self.stats = StatsRegistry()
-        #: Opt-in tracing/metrics sink, normalized once at wiring time
-        #: (None unless present *and* enabled), so every hot path pays
-        #: a single ``is not None`` — never writes to stats/event_log.
-        self.telemetry = wired(telemetry)
+        #: Opt-in tracing/metrics sink (None = unwired): every hot path
+        #: pays a single ``is not None`` — never writes to stats/event_log.
+        self.telemetry = telemetry
         if checker is not None and event_log is None:
             event_log = EventLog()
         self.event_log = event_log

@@ -13,22 +13,18 @@ The observability substrate for the whole reproduction. One
 
 Exporters (:mod:`repro.telemetry.exporters`) turn snapshots into Chrome
 ``trace_event`` JSON (loadable in Perfetto / ``chrome://tracing``), a
-flat metrics JSON, and a terminal summary; ``python -m repro trace
-<experiment>`` runs any experiment with tracing on and emits all three.
+flat metrics JSON, and a terminal summary; ``python -m repro
+<experiment> --report DIR`` runs any experiment with tracing on and
+writes its Chrome trace next to the run report
+(:mod:`repro.telemetry.report`).
 
-Cost model — near-zero when off, checked once at wiring time
-------------------------------------------------------------
+Cost model — near-zero when off
+-------------------------------
 
-Components never test an ``enabled`` flag per event. They normalize at
-construction::
-
-    self.telemetry = wired(telemetry)   # None unless enabled
-
-and every hot path then pays a single ``is not None`` test, exactly the
-pattern the ``event_log=None`` plumbing already uses. A disabled
-``Telemetry(enabled=False)`` wires to ``None``, so "telemetry compiled
-in but off" and "no telemetry" are byte-identical code paths — which is
-what lets ``tools/bench_perf.py`` assert the disabled-mode overhead.
+Components take ``telemetry=None`` (the default) or a
+:class:`Telemetry` and keep it as given, so every hot path pays a
+single ``is not None`` test, exactly the pattern the ``event_log=None``
+plumbing already uses.
 
 Determinism
 -----------
@@ -111,17 +107,15 @@ class Telemetry:
     exact regardless.
     """
 
-    __slots__ = ("label", "enabled", "tracer", "metrics", "_flush_hooks")
+    __slots__ = ("label", "tracer", "metrics", "_flush_hooks")
 
     def __init__(
         self,
         label: str = "run",
-        enabled: bool = True,
         capacity: Optional[int] = None,
         sample_interval: int = 1,
     ) -> None:
         self.label = label
-        self.enabled = enabled
         self.tracer = Tracer(
             capacity=capacity,
             sample_interval=sample_interval,
@@ -195,18 +189,6 @@ class Telemetry:
         }
 
 
-def wired(telemetry: Optional[Telemetry]) -> Optional[Telemetry]:
-    """Normalize a telemetry argument once, at component wiring time.
-
-    Returns ``telemetry`` only when it is present *and* enabled, else
-    ``None`` — so hot paths test a single ``is not None`` and a disabled
-    sink costs exactly as much as no sink at all.
-    """
-    if telemetry is None or not telemetry.enabled:
-        return None
-    return telemetry
-
-
 __all__ = [
     "BUS_TXN",
     "CAMPAIGN",
@@ -234,5 +216,4 @@ __all__ = [
     "Span",
     "Telemetry",
     "Tracer",
-    "wired",
 ]

@@ -1,51 +1,37 @@
-"""Run-report generator: ``python -m repro report <experiment>``.
+"""Run reports: ``python -m repro <experiment> --report DIR``.
 
-One command turns a campaign into a self-contained artifact a human (or
-a dashboard) can read without re-running anything:
+With ``--report`` the experiment command runs its campaign with
+telemetry on and turns it into artifacts a human (or a dashboard) can
+read without re-running anything. A warm result store (``--resume``)
+renders a report without recomputing a single point. The CLI hands the
+campaign's :class:`repro.telemetry.stream.CampaignStream` in as well:
+per-tier wall times, and therefore events/sec, come from the stream
+(result objects know event counts; only the stream saw the clock).
+:func:`write_report_files` writes three files:
 
-* runs the experiment under the supervised engine with telemetry
-  enabled (honoring ``--resume``/``--store``, so a warm result store
-  renders a report without recomputing a single point);
-* watches its own campaign through an injected
-  :class:`repro.telemetry.stream.CampaignStream` — that is where
-  per-tier wall times, and therefore events/sec, come from (result
-  objects know event counts; only the stream saw the clock) — and can
-  simultaneously persist the NDJSON stream (``--stream``) and render
-  live progress (``--progress``);
-* writes ``<experiment>.report.md`` and ``<experiment>.report.html``
-  (self-contained, inline CSS, no external assets): campaign counters,
-  per-tier throughput, paper side-by-side (Table 2 / Table 3 goldens
-  when the experiment carries them), VOL-length and bus-occupancy
-  histograms, the supervisor's retry/chaos history, and the flight-
-  recorder post-mortem of every quarantined point;
-* writes ``metrics.prom`` — a Prometheus text exposition of the merged
-  metrics registry plus the campaign counters, ready for a scraper
-  once the service front-end lands.
+* ``<experiment>.report.md``: campaign counters, per-tier throughput,
+  paper side-by-side (Table 2 / Table 3 goldens when the experiment
+  carries them), VOL-length and bus-occupancy histograms, and the
+  flight-recorder post-mortem of every quarantined point;
+* ``<experiment>.trace.json``: the Chrome trace of the merged per-point
+  telemetry payloads (open it in https://ui.perfetto.dev);
+* ``metrics.prom``: a Prometheus text exposition of the merged metrics
+  registry plus the campaign counters.
 
-Exit codes follow the repo convention: **0** complete campaign and
-report written, **1** partial campaign (quarantined points — the report
-is still written; that is when you need it most), **2** usage or
-configuration error.
+A partial campaign (quarantined points) still gets its report before
+the command exits 1: that is when the report is needed most.
 """
 
 from __future__ import annotations
 
-import argparse
-import html as html_module
 import os
-import sys
 import time
 from typing import Dict, List, Optional, Sequence
-
-from repro.common.errors import ConfigError, ReproError
-
-#: Output formats the CLI accepts.
-FORMATS = ("md", "html")
 
 #: Histograms the report charts first, in this order, when present.
 FEATURED_HISTOGRAMS = ("svc.vol_length", "bus.occupancy_cycles")
 
-#: Fixed Prometheus exposition filename (ISSUE/service contract).
+#: Fixed Prometheus exposition filename, so a scraper can find it.
 PROM_FILENAME = "metrics.prom"
 
 #: Which measured metric the experiment's paper goldens refer to.
@@ -62,11 +48,9 @@ def _mean(values: List[float]) -> float:
 # -- structured collection ---------------------------------------------------
 
 
-def collect_report(
-    result, stream=None, meta: Optional[Dict] = None
-) -> Dict:
+def collect_report(result, stream=None) -> Dict:
     """Fold an ``ExperimentResult`` (+ optional campaign stream) into
-    the plain-data structure both renderers consume."""
+    the plain-data structure the renderers consume."""
     from repro.telemetry.metrics import merge_metric_snapshots
 
     points = list(result.points)
@@ -157,7 +141,6 @@ def collect_report(
             "benchmarks": benchmarks,
             "machines": machines,
             "paper_metric": metric_label,
-            **(meta or {}),
         },
         "counters": counters,
         "tiers": tiers,
@@ -227,16 +210,6 @@ def _md_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
     for row in rows:
         lines.append("| " + " | ".join(str(c) for c in row) + " |")
     return "\n".join(lines)
-
-
-def _html_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
-    esc = html_module.escape
-    head = "".join(f"<th>{esc(str(h))}</th>" for h in headers)
-    body = "".join(
-        "<tr>" + "".join(f"<td>{esc(str(c))}</td>" for c in row) + "</tr>"
-        for row in rows
-    )
-    return f"<table><thead><tr>{head}</tr></thead><tbody>{body}</tbody></table>"
 
 
 def _histogram_rows(data: Dict) -> List:
@@ -376,384 +349,35 @@ def render_markdown(report: Dict) -> str:
     return "\n".join(lines).rstrip() + "\n"
 
 
-_CSS = (
-    "body{font-family:system-ui,sans-serif;margin:2rem auto;max-width:60rem;"
-    "padding:0 1rem;color:#1a1a2e}"
-    "table{border-collapse:collapse;margin:1rem 0}"
-    "th,td{border:1px solid #c8c8d8;padding:0.3rem 0.6rem;text-align:left}"
-    "th{background:#eef}"
-    ".bar{background:#4a6fa5;height:0.8rem;display:inline-block}"
-    ".warn{color:#a33;font-weight:bold}"
-    "h1,h2,h3{color:#16213e}"
-)
-
-
-def render_html(report: Dict) -> str:
-    esc = html_module.escape
-    meta = report["meta"]
-    parts = [
-        "<!DOCTYPE html>",
-        "<html><head><meta charset='utf-8'>",
-        f"<title>Run report: {esc(meta['experiment'])}</title>",
-        f"<style>{_CSS}</style></head><body>",
-        f"<h1>Run report: {esc(meta['experiment'])}</h1>",
-        f"<p>Generated {esc(meta['generated'])} · benchmarks: "
-        f"{esc(', '.join(meta['benchmarks']) or '-')} · machines: "
-        f"{esc(', '.join(meta['machines']) or '-')}</p>",
-        "<h2>Campaign</h2>",
-    ]
-    counters = report["counters"]
-    if counters:
-        parts.append(
-            _html_table(
-                ("counter", "value"),
-                [(k, counters[k]) for k in sorted(counters)],
-            )
-        )
-    else:
-        parts.append("<p>No campaign counters (no points executed).</p>")
-    parts.append("<h2>Per-tier throughput</h2>")
-    parts.append(_html_table(_TIER_HEADERS, _tier_table_rows(report)))
-    if report["paper"]:
-        metric = meta["paper_metric"]
-        parts.append(f"<h2>Paper comparison ({esc(metric)})</h2>")
-        parts.append(
-            _html_table(
-                ("benchmark", "machine", f"measured {metric}",
-                 f"paper {metric}"),
-                [
-                    (
-                        row["benchmark"],
-                        row["machine"],
-                        "-" if row["measured"] is None else row["measured"],
-                        row["paper"],
-                    )
-                    for row in report["paper"]
-                ],
-            )
-        )
-    merged = report["metrics"]
-    names = _histogram_order(merged)
-    if names:
-        parts.append("<h2>Histograms</h2>")
-        for name in names:
-            data = merged["histograms"][name]
-            if not data["count"]:
-                continue
-            unit = f" {data['unit']}" if data.get("unit") else ""
-            mean = data["total"] / data["count"]
-            parts.append(
-                f"<h3>{esc(name)} (n={data['count']}, "
-                f"mean={mean:.2f}{esc(unit)})</h3>"
-            )
-            rows = _histogram_rows(data)
-            peak = max((count for _, count in rows), default=1) or 1
-            bar_rows = [
-                (
-                    label,
-                    count,
-                    f"<span class='bar' "
-                    f"style='width:{round(300 * count / peak)}px'></span>",
-                )
-                for label, count in rows
-            ]
-            head = "".join(
-                f"<th>{esc(h)}</th>" for h in ("bucket", "count", "")
-            )
-            body = "".join(
-                f"<tr><td>{esc(label)}</td><td>{count}</td><td>{bar}</td></tr>"
-                for label, count, bar in bar_rows
-            )
-            parts.append(
-                f"<table><thead><tr>{head}</tr></thead>"
-                f"<tbody>{body}</tbody></table>"
-            )
-    if report["dropped_spans"]:
-        parts.append(
-            f"<p class='warn'>WARNING: {report['dropped_spans']} span(s) "
-            "dropped by the trace ring buffer.</p>"
-        )
-    if report["quarantined"]:
-        parts.append("<h2>Quarantined points (flight recorder)</h2>")
-        for item in report["quarantined"]:
-            parts.append(
-                f"<h3>point {item['point']}: {esc(item['benchmark'])}/"
-                f"{esc(item['machine'])} ({item['attempts']} attempts, "
-                f"{len(item['flight'])} flight record(s))</h3>"
-            )
-            failures = "".join(
-                f"<li>{esc(failure)}</li>" for failure in item["failures"]
-            )
-            flights = "".join(
-                "<li>flight attempt "
-                f"{record.get('attempt')}: "
-                + esc(
-                    ", ".join(
-                        entry.get("kind", "?")
-                        for entry in record.get("entries", [])
-                    )
-                )
-                + "</li>"
-                for record in item["flight"]
-            )
-            parts.append(f"<ul>{failures}{flights}</ul>")
-    parts.append("</body></html>")
-    return "\n".join(parts) + "\n"
-
-
 def write_report_files(
-    report: Dict,
-    output_dir: str,
-    formats: Sequence[str] = FORMATS,
-    campaign_counters: Optional[Dict[str, int]] = None,
+    report: Dict, output_dir: str, payloads: Sequence[Dict] = ()
 ) -> Dict[str, str]:
-    """Write the requested renderings + the Prometheus exposition;
-    returns ``{kind: path}``."""
+    """Write the Markdown report, the Chrome trace of ``payloads`` and
+    the Prometheus exposition; returns ``{kind: path}``."""
+    from repro.telemetry.exporters import write_chrome_trace
+
     os.makedirs(output_dir, exist_ok=True)
-    experiment = report["meta"]["experiment"]
-    written: Dict[str, str] = {}
-    if "md" in formats:
-        path = os.path.join(output_dir, f"{experiment}.report.md")
-        with open(path, "w") as handle:
-            handle.write(render_markdown(report))
-        written["md"] = path
-    if "html" in formats:
-        path = os.path.join(output_dir, f"{experiment}.report.html")
-        with open(path, "w") as handle:
-            handle.write(render_html(report))
-        written["html"] = path
+    meta = report["meta"]
+    experiment = meta["experiment"]
+    md_path = os.path.join(output_dir, f"{experiment}.report.md")
+    with open(md_path, "w") as handle:
+        handle.write(render_markdown(report))
+    # No timestamp in the trace: the same run writes the same trace.
+    trace_path = write_chrome_trace(
+        os.path.join(output_dir, f"{experiment}.trace.json"),
+        payloads,
+        {key: meta[key] for key in ("experiment", "benchmarks", "machines")},
+    )
     prom_path = os.path.join(output_dir, PROM_FILENAME)
     with open(prom_path, "w") as handle:
-        handle.write(
-            prometheus_exposition(
-                report["metrics"],
-                campaign_counters
-                if campaign_counters is not None
-                else report["counters"],
-            )
-        )
-    written["prom"] = prom_path
-    return written
-
-
-# -- CLI ---------------------------------------------------------------------
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro report",
-        description="Run an experiment campaign and render an aggregated "
-        "HTML/markdown run report plus a Prometheus metrics exposition.",
-    )
-    parser.add_argument(
-        "experiment",
-        help="experiment id from the registry (see 'python -m repro list')",
-    )
-    parser.add_argument(
-        "--benchmarks",
-        default=None,
-        help="comma-separated SPEC95 benchmark subset",
-    )
-    parser.add_argument(
-        "--designs",
-        default=None,
-        help="comma-separated design tiers (ablation_designs only; "
-        "e.g. base,ec,ecs,hr,rl,final)",
-    )
-    parser.add_argument(
-        "--scale",
-        type=float,
-        default=None,
-        help="workload scale factor (default: REPRO_SCALE or 1.0)",
-    )
-    parser.add_argument(
-        "--workers",
-        default=None,
-        help="worker processes (0 = one per CPU; default: REPRO_WORKERS "
-        "or serial)",
-    )
-    parser.add_argument(
-        "--timeout",
-        default=None,
-        help="per-point wall-clock timeout in seconds",
-    )
-    parser.add_argument(
-        "--retries",
-        default=None,
-        help="retry budget per failing point before quarantine",
-    )
-    parser.add_argument(
-        "--chaos",
-        type=int,
-        default=None,
-        metavar="SEED",
-        help="inject a seeded chaos plan into the campaign",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="serve already-computed points from the result store",
-    )
-    parser.add_argument(
-        "--store",
-        default=None,
-        metavar="DIR",
-        help="result-store root for --resume",
-    )
-    parser.add_argument(
-        "--output-dir",
-        default="reports",
-        help="directory for the report artifacts (default: reports)",
-    )
-    parser.add_argument(
-        "--format",
-        default=",".join(FORMATS),
-        help="comma-separated output formats: md,html (metrics.prom is "
-        "always written)",
-    )
-    parser.add_argument(
-        "--stream",
-        default=None,
-        metavar="FILE",
-        help="also persist the campaign's NDJSON event stream to FILE",
-    )
-    parser.add_argument(
-        "--progress",
-        action="store_true",
-        help="render live campaign progress on stderr",
-    )
-    return parser
-
-
-def report_main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    from repro.harness.experiments import EXPERIMENTS
-    from repro.workloads.spec95 import BENCHMARKS
-
-    if args.experiment not in EXPERIMENTS:
-        print(
-            f"unknown experiment {args.experiment!r}; "
-            "see 'python -m repro list'",
-            file=sys.stderr,
-        )
-        return 2
-
-    formats = tuple(f for f in args.format.split(",") if f)
-    unknown_formats = [f for f in formats if f not in FORMATS]
-    if unknown_formats or not formats:
-        print(
-            f"unknown formats {unknown_formats or args.format!r}: "
-            f"choose from {','.join(FORMATS)}",
-            file=sys.stderr,
-        )
-        return 2
-
-    kwargs = {}
-    if args.benchmarks:
-        requested = tuple(name.strip() for name in args.benchmarks.split(","))
-        unknown = [name for name in requested if name not in BENCHMARKS]
-        if unknown:
-            print(f"unknown benchmarks: {unknown}", file=sys.stderr)
-            return 2
-        kwargs["benchmarks"] = requested
-    if args.designs:
-        if args.experiment != "ablation_designs":
-            print(
-                "--designs only applies to the ablation_designs experiment",
-                file=sys.stderr,
-            )
-            return 2
-        from repro.svc.designs import DESIGNS
-
-        designs = tuple(name.strip() for name in args.designs.split(","))
-        unknown = [name for name in designs if name not in DESIGNS]
-        if unknown:
-            print(
-                f"unknown designs: {unknown} "
-                f"(choose from {','.join(sorted(DESIGNS))})",
-                file=sys.stderr,
-            )
-            return 2
-        kwargs["designs"] = designs
-    if args.scale is not None:
-        kwargs["scale"] = args.scale
-    if args.workers is not None:
-        kwargs["workers"] = args.workers
-    if args.resume:
-        kwargs["resume"] = True
-    # Telemetry on: the report's histograms and metrics.prom come from
-    # the merged per-point snapshots.
-    kwargs["telemetry"] = True
-
-    from repro.harness.parallel import resolve_workers
-    from repro.harness.supervisor import (
-        SupervisorConfig,
-        resolve_point_timeout,
-        resolve_retries,
-        set_default_supervisor,
-    )
-    from repro.telemetry.stream import CampaignStream
-
-    stream = CampaignStream(path=args.stream, progress=args.progress)
-    try:
-        resolve_workers(args.workers)
-        supervisor = SupervisorConfig(
-            point_timeout=resolve_point_timeout(args.timeout),
-            retries=resolve_retries(args.retries),
-            chaos_seed=args.chaos,
-            resume=args.resume,
-            store_root=args.store,
-            stream=stream,
-        )
-    except ConfigError as error:
-        stream.close()
-        print(f"config error: {error}", file=sys.stderr)
-        return 2
-
-    previous = set_default_supervisor(supervisor)
-    try:
-        result = EXPERIMENTS[args.experiment](**kwargs)
-    except ConfigError as error:
-        print(f"config error: {error}", file=sys.stderr)
-        return 2
-    except ReproError as error:
-        print(f"run failed: {error}", file=sys.stderr)
-        return 1
-    finally:
-        set_default_supervisor(previous)
-        stream.close()
-
-    report = collect_report(result, stream=stream)
-    written = write_report_files(report, args.output_dir, formats)
-    for kind, path in sorted(written.items()):
-        print(f"report[{kind}]: {path}")
-    for campaign in result.campaigns:
-        print(f"campaign: {campaign.summary()}", file=sys.stderr)
-    quarantined = result.quarantined_count
-    if quarantined:
-        print(
-            f"PARTIAL CAMPAIGN: {quarantined} point(s) quarantined; the "
-            "report carries their flight-recorder post-mortems",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+        handle.write(prometheus_exposition(report["metrics"], report["counters"]))
+    return {"md": md_path, "trace": trace_path, "prom": prom_path}
 
 
 __all__ = [
-    "FORMATS",
     "PROM_FILENAME",
-    "build_parser",
     "collect_report",
     "prometheus_exposition",
-    "render_html",
     "render_markdown",
-    "report_main",
     "write_report_files",
 ]
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via the CLI
-    raise SystemExit(report_main())

@@ -3,9 +3,8 @@
 The supervised engine (:mod:`repro.harness.supervisor`) already knows
 everything interesting about a running campaign — which points are in
 flight, which retried, which quarantined, how fast finished points
-executed — but until now that knowledge died with the process unless
-someone re-ran ``python -m repro trace`` afterwards. This module turns
-it into a consumable **event stream**:
+executed — and without a record that knowledge dies with the process.
+This module turns it into a consumable **event stream**:
 
 * every supervisor decision becomes one JSON object on one line
   (NDJSON), stamped with a schema version (``v``), a strictly

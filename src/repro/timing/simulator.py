@@ -152,9 +152,8 @@ class TimingSimulator:
         #: ReplacementStall retries of the head task since the last
         #: commit (watchdog input).
         self._head_stalls = 0
-        #: Telemetry, resolved once at wiring time from the system (the
-        #: system already applied :func:`repro.telemetry.wired`), so the
-        #: memory-event hot path pays a single ``is not None`` check.
+        #: Telemetry, resolved once at wiring time from the system, so
+        #: the memory-event hot path pays a single ``is not None`` check.
         self._telemetry = getattr(system, "telemetry", None)
         self._tel_mshr = None
         self._tel_tracer = None

@@ -19,7 +19,7 @@ from repro.svc.designs import final_design
 SCALE = 0.01
 
 
-def spec(machine="svc_1c", scale=SCALE, telemetry=None):
+def spec(machine="svc_1c", scale=SCALE, telemetry=False):
     return PointSpec(
         "compress", machine, "svc", final_design(SVCConfig.paper_32kb()),
         scale, telemetry,

@@ -154,6 +154,44 @@ def test_parallel_quarantine_is_partial():
         assert pickle.dumps(vars(outcome.result)) == pickle.dumps(vars(reference))
 
 
+class _InterruptingStream:
+    """A campaign stream whose second ``point_started`` is a Ctrl-C:
+    the pool is up and its first point is in flight by then."""
+
+    def __init__(self):
+        self.started = 0
+
+    def point_started(self, **fields):
+        self.started += 1
+        if self.started == 2:
+            raise KeyboardInterrupt
+
+    def __getattr__(self, name):
+        return lambda *args, **kwargs: None
+
+
+def test_parallel_keyboard_interrupt_reaps_workers():
+    """Ctrl-C in the parent propagates and leaves no orphaned workers."""
+    import multiprocessing
+    import time
+
+    stream = _InterruptingStream()
+    # Point 0 stalls far past the test: only a SIGKILL ends its worker.
+    plan = ChaosPlan(stalls=((0, 0, 60.0),))
+    config = SupervisorConfig(workers=2, chaos=plan, stream=stream)
+    with pytest.raises(KeyboardInterrupt):
+        run_campaign(specs(), config)
+    assert stream.started == 2
+    # The pool's workers were SIGKILLed and reaped (give the reaper a
+    # beat on slow machines).
+    deadline = time.monotonic() + 5.0
+    while time.monotonic() < deadline:
+        if not multiprocessing.active_children():
+            break
+        time.sleep(0.05)
+    assert multiprocessing.active_children() == []
+
+
 # -- defaults plumbing ------------------------------------------------------
 
 

@@ -3,8 +3,9 @@
 Hypothesis generates random task programs (loads/stores over a small
 address pool, with word and sub-word sizes), random PU interleavings and
 random injected squashes; the functional driver replays them over every
-SVC design level with protocol-invariant checking enabled. After the
-run:
+SVC design level with protocol-invariant checking enabled, and
+``FastpathKernel.audit`` re-derives every cached VOL snapshot from the
+cache arrays after each bus transaction. After the run:
 
 * every load value retained by a committed task equals what a purely
   sequential execution produces, and
@@ -20,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.common.config import CacheGeometry, SVCConfig
+from repro.common.events import EventLog
 from repro.hier.driver import SpeculativeExecutionDriver
 from repro.hier.task import MemOp, TaskProgram
 from repro.oracle.sequential import SequentialOracle, verify_run
@@ -64,7 +66,13 @@ def run_and_verify(design, tasks, seed, squash_probability):
             check_invariants=True,
         ),
     )
-    system = SVCSystem(config)
+    system = SVCSystem(config, event_log=EventLog())
+
+    def audit_snapshots(event):
+        if event.kind == "bus":
+            system.vcl.fastpath.audit()
+
+    system.event_log.attach(audit_snapshots)
     driver = SpeculativeExecutionDriver(
         system, tasks, seed=seed, squash_probability=squash_probability
     )
@@ -72,7 +80,10 @@ def run_and_verify(design, tasks, seed, squash_probability):
     oracle = SequentialOracle().run(tasks)
     problems = verify_run(report, oracle, system.memory)
     assert problems == [], "\n".join(problems)
-    system.verify()  # post-run structural audit
+    # The driver drained every cache before returning, so this finds no
+    # line and no snapshot left: the per-bus audit above is the one that
+    # checks the snapshots.
+    system.verify()
 
 
 @pytest.mark.parametrize("design", ["base", "ecs", "final"])

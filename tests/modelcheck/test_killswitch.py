@@ -45,3 +45,46 @@ def test_kill_switch_finds_a_replayable_counterexample(tier, tmp_path):
     assert capture.case.mutation == name
     assert capture.case.script
     assert not run_case(capture.case).ok
+
+
+class _CapturedReport:
+    per_design = {}
+    ok = True
+
+    def describe(self):
+        return ""
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        # A mutation runs at the bound it is registered with...
+        (["--mutation", "snarf_any_version"], (3, 3, 1)),
+        (["--mutation", "no_violation_squash"], (2, 3, 1)),
+        # ...an explicit flag still wins...
+        (["--mutation", "snarf_any_version", "--lines", "2"], (3, 3, 2)),
+        (
+            ["--mutation", "no_violation_squash", "--pus", "2", "--ops", "3",
+             "--lines", "2"],
+            (2, 3, 2),
+        ),
+        # ...and without a mutation the defaults are 2/3/2.
+        ([], (2, 3, 2)),
+    ],
+)
+def test_cli_bounds_default_to_the_mutations_own(argv, expected, monkeypatch):
+    """``python -m repro modelcheck --mutation NAME`` searches the bound
+    the mutation is caught at, not the exploration defaults."""
+    from repro.modelcheck import runner
+
+    seen = []
+
+    def capture(bounds, **kwargs):
+        seen.append(bounds)
+        return _CapturedReport()
+
+    monkeypatch.setattr(runner, "run_modelcheck", capture)
+    runner.modelcheck_main(argv)
+    (bounds,) = seen
+    assert (bounds.pus, bounds.ops, bounds.lines) == expected
+    assert bounds.tasks is None

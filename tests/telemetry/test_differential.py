@@ -106,21 +106,3 @@ def test_timing_telemetry_on_equals_off(tier, workload, faulted):
         assert on[2] == off[2]
         assert any(span.kind == MEM_OP for span in telemetry.tracer.spans)
 
-
-def test_disabled_telemetry_equals_off():
-    """Telemetry(enabled=False) must wire to nothing at all."""
-    from repro.telemetry import Telemetry
-
-    tasks = differential_workload(7, n_tasks=5, ops_per_task=6)
-    disabled = Telemetry(label="x", enabled=False)
-    mismatches = compare_telemetry_modes("final", tasks, seed=7)
-    assert not mismatches
-    # And a disabled object records nothing even if handed to a system.
-    from repro.harness.differential import observe_run
-    from repro.svc.designs import design_config
-    from repro.common.config import SVCConfig
-
-    config = design_config("final", SVCConfig.paper_32kb())
-    observe_run(config, tasks, seed=7, telemetry=disabled)
-    assert disabled.tracer.spans == []
-    assert len(disabled.metrics) == 0

@@ -138,10 +138,15 @@ def test_purge_removes_tree(tmp_path):
 
 def test_quarantine_attaches_flight_records_everywhere(tmp_path):
     from repro.harness.experiments import figure19_specs
-    from repro.telemetry.stream import read_stream, validate_stream_file
+    from repro.telemetry.stream import (
+        CampaignStream,
+        read_stream,
+        validate_stream_file,
+    )
 
     specs = figure19_specs(benchmarks=("compress",), scale=0.01)
     stream_path = tmp_path / "campaign.ndjson"
+    stream = CampaignStream(path=str(stream_path))
     plan = ChaosPlan(raises=((0, 0), (0, 1)))
     report = run_campaign(
         specs,
@@ -152,9 +157,10 @@ def test_quarantine_attaches_flight_records_everywhere(tmp_path):
             backoff=FAST,
             resume=True,
             store_root=str(tmp_path / "store"),
-            stream_path=str(stream_path),
+            stream=stream,
         ),
     )
+    stream.close()
 
     # The outcome carries one dump per attempt, each proving the
     # attempt started and died on the injected exception.

@@ -1,15 +1,14 @@
-"""Run-report generator: collection, renderers, Prometheus, CLI."""
+"""Run reports: renderers, Prometheus, and ``python -m repro
+<experiment> --report DIR``."""
 
-import pytest
+import json
 
+from repro.cli import build_parser, main
+from repro.telemetry.exporters import validate_trace_file
 from repro.telemetry.report import (
-    FORMATS,
     PROM_FILENAME,
-    build_parser,
     prometheus_exposition,
-    render_html,
     render_markdown,
-    report_main,
     write_report_files,
 )
 
@@ -120,18 +119,6 @@ def test_markdown_histogram_bars_scale_to_peak():
     assert "#" * 41 not in text
 
 
-def test_html_is_self_contained_and_escaped():
-    report = synthetic_report()
-    report["quarantined"][0]["failures"] = ["<script>alert(1)</script>"]
-    text = render_html(report)
-    assert text.startswith("<!DOCTYPE html>")
-    assert "<style>" in text  # inline CSS, no external assets
-    assert "http" not in text.split("</title>")[1]  # no remote fetches
-    assert "<script>" not in text
-    assert "&lt;script&gt;" in text
-    assert "class='bar'" in text
-
-
 def test_empty_campaign_renders_without_sections():
     report = synthetic_report(
         counters={},
@@ -145,8 +132,6 @@ def test_empty_campaign_renders_without_sections():
     assert "No campaign counters" in text
     assert "Histograms" not in text
     assert "WARNING" not in text
-    html = render_html(report)
-    assert "No campaign counters" in html
 
 
 # -- prometheus exposition ---------------------------------------------------
@@ -192,20 +177,15 @@ def test_prometheus_names_are_sanitized():
 
 def test_write_report_files_bundle(tmp_path):
     written = write_report_files(synthetic_report(), str(tmp_path))
-    assert sorted(written) == ["html", "md", "prom"]
+    assert sorted(written) == ["md", "prom", "trace"]
     assert written["md"].endswith("fig19.report.md")
-    assert written["html"].endswith("fig19.report.html")
+    assert written["trace"].endswith("fig19.trace.json")
     assert written["prom"].endswith(PROM_FILENAME)
-    # Campaign counters default into the prometheus exposition.
+    # No payloads: the trace is empty but still loadable.
+    validate_trace_file(written["trace"])
+    # Campaign counters go into the prometheus exposition.
     prom = open(written["prom"]).read()
     assert "repro_campaign_quarantined 1" in prom
-
-
-def test_write_report_files_respects_format_subset(tmp_path):
-    written = write_report_files(
-        synthetic_report(), str(tmp_path), formats=("md",)
-    )
-    assert sorted(written) == ["md", "prom"]  # prom is always written
 
 
 # -- CLI ---------------------------------------------------------------------
@@ -213,54 +193,56 @@ def test_write_report_files_respects_format_subset(tmp_path):
 
 def test_parser_prog_and_flags():
     parser = build_parser()
-    assert parser.prog == "python -m repro report"
+    assert parser.prog == "python -m repro"
     args = parser.parse_args(
-        ["fig19", "--scale", "0.02", "--stream", "s.ndjson", "--progress"]
+        ["ablation_designs", "--designs", "base,final", "--report", "out",
+         "--stream", "s.ndjson", "--progress"]
     )
-    assert args.experiment == "fig19"
+    assert args.experiment == "ablation_designs"
+    assert args.designs == "base,final"
+    assert args.report == "out"
     assert args.stream == "s.ndjson"
     assert args.progress is True
-    assert args.format == ",".join(FORMATS)
 
 
 class TestExitCodes:
     """0 clean report, 1 partial campaign, 2 usage/config error."""
 
-    def test_unknown_experiment_is_two(self, capsys):
-        assert report_main(["nope"]) == 2
+    def test_unknown_experiment_is_two(self, capsys, tmp_path):
+        assert main(["nope", "--report", str(tmp_path)]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
-    def test_unknown_format_is_two(self, capsys):
-        assert report_main(["fig19", "--format", "pdf"]) == 2
-        assert "unknown formats" in capsys.readouterr().err
-
-    def test_unknown_benchmark_is_two(self, capsys):
-        assert report_main(["fig19", "--benchmarks", "linpack"]) == 2
+    def test_unknown_benchmark_is_two(self, capsys, tmp_path):
+        code = main(["fig19", "--benchmarks", "linpack", "--report", str(tmp_path)])
+        assert code == 2
         assert "unknown benchmarks" in capsys.readouterr().err
 
-    def test_designs_on_wrong_experiment_is_two(self, capsys):
-        assert report_main(["fig19", "--designs", "base"]) == 2
+    def test_designs_on_wrong_experiment_is_two(self, capsys, tmp_path):
+        code = main(["fig19", "--designs", "base", "--report", str(tmp_path)])
+        assert code == 2
         assert "ablation_designs" in capsys.readouterr().err
 
-    def test_unknown_design_is_two(self, capsys):
-        code = report_main(
-            ["ablation_designs", "--designs", "base,warp9"]
+    def test_unknown_design_is_two(self, capsys, tmp_path):
+        code = main(
+            ["ablation_designs", "--designs", "base,warp9",
+             "--report", str(tmp_path)]
         )
         assert code == 2
         assert "warp9" in capsys.readouterr().err
 
-    def test_bad_timeout_is_config_error_two(self, capsys):
-        assert report_main(["fig19", "--timeout", "soon"]) == 2
+    def test_bad_timeout_is_config_error_two(self, capsys, tmp_path):
+        code = main(["fig19", "--timeout", "soon", "--report", str(tmp_path)])
+        assert code == 2
         assert "config error" in capsys.readouterr().err
 
     def test_quarantined_campaign_is_one_but_writes_report(
         self, capsys, tmp_path
     ):
-        code = report_main(
+        code = main(
             [
                 "fig19", "--scale", "0.01", "--benchmarks", "compress",
                 "--retries", "0", "--chaos", "7",
-                "--output-dir", str(tmp_path),
+                "--report", str(tmp_path),
             ]
         )
         assert code == 1
@@ -270,6 +252,40 @@ class TestExitCodes:
         assert "Quarantined points" in text
 
 
+def test_report_writes_valid_perfetto_trace_and_metrics(tmp_path, capsys):
+    """``--report`` writes the Markdown report, a Perfetto-loadable
+    trace with nested bus_txn -> snoop -> vol_walk spans, and the
+    Prometheus exposition, all from one campaign."""
+    code = main(
+        [
+            "fig19", "--scale", "0.02", "--benchmarks", "compress",
+            "--report", str(tmp_path),
+        ]
+    )
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "telemetry: 5 point(s)" in out
+    for kind in ("md", "trace", "prom"):
+        assert f"report[{kind}]" in out
+    assert "| svc_1c |" in (tmp_path / "fig19.report.md").read_text()
+    validate_trace_file(
+        str(tmp_path / "fig19.trace.json"),
+        require_kinds=("bus_txn", "snoop", "vol_walk", "commit", "mem_op", "run"),
+    )
+    trace = json.loads((tmp_path / "fig19.trace.json").read_text())
+    assert trace["otherData"] == {
+        "experiment": "fig19",
+        "benchmarks": ["compress"],
+        "machines": ["svc_1c", "arb_1c", "arb_2c", "arb_3c", "arb_4c"],
+    }
+    counts = {}
+    for line in (tmp_path / PROM_FILENAME).read_text().splitlines():
+        name, _, value = line.partition(" ")
+        counts[name] = value
+    assert int(counts["repro_svc_snoop_fanout_count"]) > 0
+    assert int(counts["repro_bus_wait_cycles_count"]) > 0
+
+
 def test_end_to_end_report_covers_all_six_tiers(tmp_path, capsys):
     """Acceptance: one CLI invocation sweeps every design tier and the
     report + stream + prometheus bundle covers all six."""
@@ -277,13 +293,13 @@ def test_end_to_end_report_covers_all_six_tiers(tmp_path, capsys):
     from repro.telemetry.stream import validate_stream_file
 
     stream_path = tmp_path / "stream.ndjson"
-    code = report_main(
+    code = main(
         [
             "ablation_designs",
             "--designs", "base,ec,ecs,hr,rl,final",
             "--benchmarks", "compress",
             "--scale", "0.01",
-            "--output-dir", str(tmp_path),
+            "--report", str(tmp_path),
             "--stream", str(stream_path),
         ]
     )
@@ -292,13 +308,11 @@ def test_end_to_end_report_covers_all_six_tiers(tmp_path, capsys):
     assert "report[md]" in out and "report[prom]" in out
 
     markdown = (tmp_path / "ablation_designs.report.md").read_text()
-    html = (tmp_path / "ablation_designs.report.html").read_text()
     assert sorted(DESIGNS) == sorted(
         ("base", "ec", "ecs", "hr", "rl", "final")
     )
     for design in DESIGNS:
         assert f"svc_{design}" in markdown
-        assert f"svc_{design}" in html
     # Fresh serial executions: every tier has wall time and throughput.
     for line in markdown.splitlines():
         if line.startswith("| svc_"):
@@ -317,16 +331,21 @@ def test_report_resume_serves_cached_points(tmp_path, capsys):
     store = str(tmp_path / "store")
     argv = [
         "fig19", "--scale", "0.01", "--benchmarks", "compress",
-        "--resume", "--store", store, "--output-dir", str(tmp_path / "r1"),
+        "--resume", "--store", store, "--report", str(tmp_path / "r1"),
     ]
-    assert report_main(argv) == 0
+    assert main(argv) == 0
     argv2 = [
         "fig19", "--scale", "0.01", "--benchmarks", "compress",
-        "--resume", "--store", store, "--output-dir", str(tmp_path / "r2"),
+        "--resume", "--store", store, "--report", str(tmp_path / "r2"),
     ]
-    assert report_main(argv2) == 0
+    assert main(argv2) == 0
     captured = capsys.readouterr()
-    assert "recomputed" in captured.err
+    assert "0 recomputed" in captured.err and "5 cached" in captured.err
     text = (tmp_path / "r2" / "fig19.report.md").read_text()
     # Cached points carry no wall time, so throughput shows "-".
     assert "| svc_1c |" in text
+    # Cached results keep their telemetry payloads, so the warm report
+    # still has a full trace.
+    validate_trace_file(
+        str(tmp_path / "r2" / "fig19.trace.json"), require_kinds=("bus_txn",)
+    )

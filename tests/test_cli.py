@@ -161,52 +161,47 @@ def test_spec95_name_accepted_as_workload(capsys):
     assert "gcc" in capsys.readouterr().out
 
 
-# -- bench subcommand --------------------------------------------------------
+# -- the bench tool ----------------------------------------------------------
 
 
-def test_bench_parser_accepts_documented_flags():
-    from repro.bench_cli import build_parser
+def _bench_perf(*args):
+    """Run ``tools/bench_perf.py`` as CI does, in a subprocess."""
+    import os
+    import subprocess
+    import sys
 
-    args = build_parser().parse_args(
-        ["--scale", "0.1", "--repeats", "5", "--gate"]
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    return subprocess.run(
+        [sys.executable, os.path.join(root, "tools", "bench_perf.py"), *args],
+        capture_output=True,
+        text=True,
+        timeout=600,
     )
-    assert args.scale == 0.1
-    assert args.repeats == 5
-    assert args.gate
 
 
-def test_bench_smoke_run_writes_payload(capsys, tmp_path):
+def test_bench_smoke_run_writes_payload(tmp_path):
     import json
 
     out = tmp_path / "bench.json"
-    code = main([
-        "bench", "--scale", "0.02", "--benchmarks", "compress",
+    done = _bench_perf(
+        "--scale", "0.02", "--benchmarks", "compress",
         "--experiments", "fig19", "--repeats", "1",
-        "--experiments-only", "--output", str(out),
-    ])
-    assert code == 0
-    capsys.readouterr()
+        "--skip-telemetry", "--skip-supervisor", "--skip-tiers",
+        "--output", str(out),
+    )
+    assert done.returncode == 0, done.stderr
     payload = json.loads(out.read_text())
     assert payload["experiments"]["fig19"]["events_per_sec"] > 0
     assert payload["meta"]["scale"] == 0.02
 
 
-def test_bench_gate_without_baseline_is_config_error(capsys, tmp_path, monkeypatch):
-    import repro.bench_cli as bench_cli
-
-    monkeypatch.setattr(bench_cli, "_repo_root", lambda: tmp_path)
-    assert main(["bench", "--gate"]) == 2
-    assert "no committed baseline" in capsys.readouterr().err
-
-
-def test_bench_unknown_experiment_is_usage_error(capsys, tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main([
-            "bench", "--experiments", "nope", "--experiments-only",
-            "--output", str(tmp_path / "b.json"),
-        ])
-    assert exc.value.code == 2
-    capsys.readouterr()
+def test_bench_unknown_experiment_is_usage_error(tmp_path):
+    done = _bench_perf(
+        "--experiments", "nope", "--skip-telemetry", "--skip-supervisor",
+        "--skip-tiers", "--output", str(tmp_path / "b.json"),
+    )
+    assert done.returncode == 2
+    assert "unknown experiment" in done.stderr
 
 
 # -- campaign event stream flags --------------------------------------------
@@ -252,20 +247,29 @@ def test_quarantine_mentions_flight_records(capsys):
     assert "flight record(s) attached" in capsys.readouterr().err
 
 
-# -- report subcommand dispatch ---------------------------------------------
+# -- run reports -------------------------------------------------------------
 
 
-def test_report_dispatch_reaches_report_cli(capsys):
-    assert main(["report", "nope"]) == 2
+@pytest.mark.parametrize("subcommand", ["report", "trace", "bench"])
+def test_removed_subcommands_exit_two(subcommand, capsys):
+    """``report`` and ``trace`` are ``--report DIR`` on the experiment
+    command now, and the bench is ``python tools/bench_perf.py``."""
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, "fig19"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main([subcommand]) == 2
     assert "unknown experiment" in capsys.readouterr().err
 
 
-def test_report_dispatch_end_to_end(tmp_path, capsys):
+def test_report_flag_end_to_end(tmp_path, capsys):
     code = main([
-        "report", "fig19", "--benchmarks", "compress", "--scale", "0.02",
-        "--output-dir", str(tmp_path),
+        "fig19", "--benchmarks", "compress", "--scale", "0.02",
+        "--report", str(tmp_path),
     ])
     assert code == 0
     out = capsys.readouterr().out
+    assert "svc_1c" in out  # the experiment still renders as usual
     assert "report[md]" in out
-    assert (tmp_path / "metrics.prom").exists()
+    for name in ("fig19.report.md", "fig19.trace.json", "metrics.prom"):
+        assert (tmp_path / name).stat().st_size > 0

@@ -60,7 +60,7 @@ class TestValidation:
             "python -m repro fig19 --workers 4 --chaos 7",
             "python -m repro replay <capture.json> --shrink",
             "python -m repro modelcheck --pus 2 --ops 3 --lines 2",
-            "python -m repro trace fig19 --scale 0.02",
+            "python -m repro fig19 --scale 0.02 --report reports",
             "python -m repro",  # bare module reference in prose
         ):
             assert check_docs.check_command(command) is None, command

@@ -13,9 +13,9 @@ mechanical, so CI checks them mechanically over ``README.md`` and
 * every ``python -m repro ...`` command quoted in a code fence or
   inline code span must parse against the *real* argument parsers —
   the top-level experiment CLI (``repro.cli.build_parser``) and the
-  dispatched ``replay`` / ``modelcheck`` / ``litmus`` / ``trace`` /
-  ``bench`` / ``report`` subcommand parsers — and top-level experiment
-  ids must exist in the ``EXPERIMENTS`` registry.
+  dispatched ``replay`` / ``modelcheck`` / ``litmus`` subcommand
+  parsers — and top-level experiment ids must exist in the
+  ``EXPERIMENTS`` registry.
 
 Commands containing ``<placeholder>`` tokens are validated for
 subcommand shape only (the placeholder is substituted with a dummy
@@ -183,17 +183,8 @@ def check_command(command):
     if subcommand == "modelcheck":
         from repro.modelcheck.runner import build_parser
         return _parse_with(build_parser(), tokens[1:])
-    if subcommand == "trace":
-        from repro.telemetry.trace_cli import build_parser
-        return _parse_with(build_parser(), tokens[1:])
-    if subcommand == "bench":
-        from repro.bench_cli import build_parser
-        return _parse_with(build_parser(), tokens[1:])
     if subcommand == "litmus":
         from repro.litmus.runner import build_parser
-        return _parse_with(build_parser(), tokens[1:])
-    if subcommand == "report":
-        from repro.telemetry.report import build_parser
         return _parse_with(build_parser(), tokens[1:])
 
     error = _parse_with(top_parser(), tokens)
