@@ -95,20 +95,22 @@ class SVCFeatures:
     ========  ============================================================
     BASE      all flags off (and a 1-word, 1-block line geometry)
     EC        ``lazy_commit`` (C bit) and ``stale_bit`` (T bit)
-    ECS       EC + ``architectural_bit`` (A bit) + ``vol_repair``
+    ECS       EC + ``architectural_bit`` (A bit)
     HR        ECS + ``snarfing``
     RL        HR + multi-word lines (geometry, not a flag here)
-    FINAL     RL + ``update_policy`` other than pure invalidate, optional
-              ``retain_passive_dirty``
+    FINAL     RL + ``update_policy`` other than pure invalidate
     ========  ============================================================
+
+    Two refinements the paper introduces with later tiers are on at every
+    tier that can use them: every tier repairs its VOLs after each bus
+    request, and every lazy-commit tier keeps the newest committed
+    version resident when it supplies a load (docs/PROTOCOL.md).
     """
 
     lazy_commit: bool = False
     stale_bit: bool = False
     architectural_bit: bool = False
-    vol_repair: bool = False
     snarfing: bool = False
-    retain_passive_dirty: bool = False
     update_policy: str = UpdatePolicy.INVALIDATE
 
     def __post_init__(self) -> None:
@@ -116,8 +118,6 @@ class SVCFeatures:
             raise ConfigError(f"unknown update policy {self.update_policy!r}")
         if self.architectural_bit and not self.lazy_commit:
             raise ConfigError("the A bit (ECS) requires the C bit (EC)")
-        if self.vol_repair and not self.lazy_commit:
-            raise ConfigError("VOL repair (ECS) requires lazy commit (EC)")
         if self.stale_bit and not self.lazy_commit:
             raise ConfigError("the T bit is an EC-design feature")
 
@@ -131,12 +131,7 @@ class SVCFeatures:
 
     @classmethod
     def ecs(cls) -> "SVCFeatures":
-        return cls(
-            lazy_commit=True,
-            stale_bit=True,
-            architectural_bit=True,
-            vol_repair=True,
-        )
+        return cls(lazy_commit=True, stale_bit=True, architectural_bit=True)
 
     @classmethod
     def hr(cls) -> "SVCFeatures":
@@ -149,11 +144,7 @@ class SVCFeatures:
 
     @classmethod
     def final(cls, update_policy: str = UpdatePolicy.HYBRID) -> "SVCFeatures":
-        return replace(
-            cls.hr(),
-            update_policy=update_policy,
-            retain_passive_dirty=True,
-        )
+        return replace(cls.hr(), update_policy=update_policy)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,18 @@ steps, faithfully exercising the hierarchical execution model:
   at random points,
 * tasks commit strictly in sequence order (head first).
 
+A run is a sequence of scheduler *actions*: ``("op", rank)`` executes
+task ``rank``'s next memory op and ``("commit", rank)`` commits the
+head. :meth:`SpeculativeExecutionDriver.run` chooses each one from
+:meth:`~SpeculativeExecutionDriver.enabled` by its schedule. The model
+checker (:mod:`repro.modelcheck`) chooses them itself through
+:meth:`~SpeculativeExecutionDriver.apply`, and
+:meth:`~SpeculativeExecutionDriver.run_script` replays a recorded list
+of them, so the engine the model checker explores is the one the
+property tests, the conformance corpus and the stress sweeps run. Every
+run ends by auditing the system with its ``verify()`` (when it has one)
+and then draining it.
+
 The driver records the load values observed by the *committed* execution
 of every task; :mod:`repro.oracle` checks them — and the drained memory
 image — against a sequential execution of the same program. This is the
@@ -27,12 +39,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ReplacementStall, SimulationError
 from repro.faults import FaultInjector, FaultPlan
-from repro.hier.task import OpKind, TaskProgram
+from repro.hier.task import MemOp, OpKind, TaskProgram
 from repro.telemetry import RUN, SQUASH
+
+#: One scheduler choice: ("op", rank) or ("commit", rank).
+Action = Tuple[str, int]
 
 
 @dataclass
@@ -73,7 +88,8 @@ class DriverReport:
 
 
 class SpeculativeExecutionDriver:
-    """Randomized functional executor for the hierarchical model."""
+    """Functional executor for the hierarchical model, stepped by its
+    own schedule (:meth:`run`) or by the caller (:meth:`apply`)."""
 
     #: Scheduling policies: ``random`` interleaves arbitrarily;
     #: ``oldest_first`` approximates in-order progress (fewest
@@ -119,12 +135,16 @@ class SpeculativeExecutionDriver:
         self.watchdog_rounds = (
             watchdog_rounds if watchdog_rounds is not None else self.WATCHDOG_ROUNDS
         )
+        #: The first tasks are dispatched by the first stepping call, so
+        #: that ``run()`` dispatches them inside its telemetry span.
+        self._started = False
         self._next_dispatch = 0
         #: First rank not yet committed; commits are strictly in rank
         #: order and never undone, so this only ever advances — an
         #: amortized-O(1) replacement for scanning the task list.
         self._head_ptr = 0
         self._free_pus = list(range(system.n_units))
+        self._steps = 0
         self._violations = 0
         self._injected = 0
         self._stalls = 0
@@ -140,17 +160,24 @@ class SpeculativeExecutionDriver:
 
     # -- helpers ---------------------------------------------------------------
 
+    def _start(self) -> None:
+        if not self._started:
+            self._started = True
+            self._dispatch()
+
+    def _begin(self, rank: int, pu: int) -> None:
+        """Start a fresh execution of task ``rank`` on ``pu``."""
+        state = self.tasks[rank]
+        state.pu = pu
+        state.op_index = 0
+        state.observed_loads = []
+        state.loaded_by_index = {}
+        state.executions += 1
+        self.system.begin_task(pu, rank)
+
     def _dispatch(self) -> None:
         while self._free_pus and self._next_dispatch < len(self.tasks):
-            rank = self._next_dispatch
-            pu = self._free_pus.pop(0)
-            state = self.tasks[rank]
-            state.pu = pu
-            state.op_index = 0
-            state.observed_loads = []
-            state.loaded_by_index = {}
-            state.executions += 1
-            self.system.begin_task(pu, rank)
+            self._begin(self._next_dispatch, self._free_pus.pop(0))
             self._next_dispatch += 1
 
     def _head_rank(self) -> Optional[int]:
@@ -166,14 +193,10 @@ class SpeculativeExecutionDriver:
     def _reset_squashed(self, squashed_ranks: List[int]) -> None:
         """Re-dispatch squashed tasks on their PUs (same rank, fresh run)."""
         for rank in sorted(squashed_ranks):
-            state = self.tasks[rank]
-            if state.pu is None:
+            pu = self.tasks[rank].pu
+            if pu is None:
                 raise SimulationError(f"squashed rank {rank} had no PU")
-            state.op_index = 0
-            state.observed_loads = []
-            state.loaded_by_index = {}
-            state.executions += 1
-            self.system.begin_task(state.pu, rank)
+            self._begin(rank, pu)
 
     def _inject_squash(self) -> None:
         """Misprediction-style squash of a random non-head active task."""
@@ -195,7 +218,7 @@ class SpeculativeExecutionDriver:
         self._injected += 1
         self._reset_squashed(squashed)
 
-    def _step_pu(self, rank: int) -> None:
+    def _step_pu(self, rank: int) -> bool:
         state = self.tasks[rank]
         # The head task is non-speculative (paper section 2): its stores are
         # architectural and may already have reached memory, so no squash
@@ -209,7 +232,7 @@ class SpeculativeExecutionDriver:
             squashed = self.system.squash_from_rank(rank, reason="fault")
             self._injected += 1
             self._reset_squashed(squashed)
-            return
+            return True
         op = state.program.memory_ops[state.op_index]
         try:
             if op.kind == OpKind.LOAD:
@@ -231,6 +254,8 @@ class SpeculativeExecutionDriver:
         except ReplacementStall:
             self._stalls += 1  # retried on a later step
             self._recently_stalled.add(rank)
+            return False
+        return True
 
     def _commit_head(self, rank: int) -> None:
         state = self.tasks[rank]
@@ -241,6 +266,7 @@ class SpeculativeExecutionDriver:
         self._progress += 1
         # A commit frees capacity: stalled tasks may proceed now.
         self._recently_stalled.clear()
+        self._dispatch()
 
     def _stall_report(self, rounds: int) -> str:
         """Per-rank diagnostics for a watchdog-detected livelock: which
@@ -266,12 +292,83 @@ class SpeculativeExecutionDriver:
             )
         return "\n".join(lines)
 
-    # -- main loop ---------------------------------------------------------------
+    # -- stepping ----------------------------------------------------------------
+
+    @property
+    def terminal(self) -> bool:
+        """Every task has committed."""
+        self._start()
+        return all(state.committed for state in self.tasks)
+
+    def enabled(self) -> List[Action]:
+        """Every action the schedule may take next, in rank order: the
+        next op of each running task, and the head's commit once its
+        ops are done."""
+        self._start()
+        head = self._head_rank()
+        actions: List[Action] = []
+        for rank, state in enumerate(self.tasks):
+            if state.pu is None or state.committed:
+                continue
+            if state.finished:
+                if rank == head:
+                    actions.append(("commit", rank))
+            else:
+                actions.append(("op", rank))
+        return actions
+
+    def current_op(self, rank: int) -> Optional[MemOp]:
+        """The memory op an ``("op", rank)`` action would execute now."""
+        state = self.tasks[rank]
+        if state.committed or state.finished:
+            return None
+        return state.program.memory_ops[state.op_index]
+
+    def apply(self, action: Action, lenient: bool = False) -> bool:
+        """Take one action; returns True if it took effect.
+
+        An action that is not enabled raises :class:`SimulationError`,
+        or with ``lenient`` is skipped — what scripted replays need
+        after shrinking removed ops the script still names. An op that
+        hits a replacement stall is counted, returns False and stays
+        enabled.
+        """
+        if action not in self.enabled():
+            if lenient:
+                return False
+            raise SimulationError(f"action {action!r} is not enabled")
+        return self._apply(action)
+
+    def _apply(self, action: Action) -> bool:
+        kind, rank = action
+        self._steps += 1
+        if kind == "commit":
+            self._commit_head(rank)
+            return True
+        return self._step_pu(rank)
+
+    # -- whole runs --------------------------------------------------------------
 
     def run(self) -> DriverReport:
+        """Run every task to commit, each action chosen by the schedule,
+        then audit and drain the system."""
+        return self._traced(())
+
+    def run_script(self, script: Sequence[Action]) -> DriverReport:
+        """Replay a schedule script, then finish the run oldest-first.
+
+        Script actions are applied leniently (skipped when not enabled),
+        so shrunken scripts stay replayable; under ``oldest_first`` the
+        head always progresses, so the run ends unless the protocol
+        itself livelocks, which the step guard then reports.
+        """
+        self.schedule = "oldest_first"
+        return self._traced(script)
+
+    def _traced(self, script: Sequence[Action]) -> DriverReport:
         telemetry = self._telemetry
         if telemetry is None:
-            return self._run_impl()
+            return self._run_impl(script)
         span = telemetry.begin(
             RUN,
             "functional run",
@@ -279,7 +376,7 @@ class SpeculativeExecutionDriver:
             schedule=self.schedule,
         )
         try:
-            report = self._run_impl()
+            report = self._run_impl(script)
         finally:
             # Closes the span and any descendants a raise left open.
             telemetry.end(span)
@@ -292,14 +389,13 @@ class SpeculativeExecutionDriver:
         )
         return report
 
-    def _run_impl(self) -> DriverReport:
-        steps = 0
+    def _run_impl(self, script: Sequence[Action]) -> DriverReport:
+        for action in script:
+            self.apply(tuple(action), lenient=True)
         last_progress = self._progress
         stalled_rounds = 0
-        self._dispatch()
-        while not all(state.committed for state in self.tasks):
-            steps += 1
-            if steps > self.max_steps:
+        while not self.terminal:
+            if self._steps >= self.max_steps:
                 raise SimulationError(
                     f"driver exceeded {self.max_steps} steps; "
                     "likely livelock in the protocol or the schedule"
@@ -319,40 +415,31 @@ class SpeculativeExecutionDriver:
             ):
                 self._inject_squash()
 
-            head = self._head_rank()
-            candidates = []
-            for rank, state in enumerate(self.tasks):
-                if state.pu is None or state.committed:
-                    continue
-                if state.finished:
-                    if rank == head:
-                        candidates.append(("commit", rank))
-                else:
-                    candidates.append(("op", rank))
+            candidates = self.enabled()
             if not candidates:
                 raise SimulationError("no runnable PU and tasks remain")
             preferred = [
                 c for c in candidates if c[1] not in self._recently_stalled
             ] or candidates
             if self.schedule == "oldest_first":
-                action, rank = min(preferred, key=lambda c: c[1])
+                action = min(preferred, key=lambda c: c[1])
             elif self.schedule == "youngest_first":
                 # Commits still happen when only a commit is possible;
                 # otherwise always push the youngest task forward.
                 ops = [c for c in preferred if c[0] == "op"]
-                action, rank = max(ops or preferred, key=lambda c: c[1])
+                action = max(ops or preferred, key=lambda c: c[1])
             else:
-                action, rank = self.rng.choice(candidates)
-            if action == "commit":
-                self._commit_head(rank)
-                self._dispatch()
-            else:
-                self._step_pu(rank)
+                action = self.rng.choice(candidates)
+            self._apply(action)
 
+        # The audit runs before the drain empties the caches.
+        verify = getattr(self.system, "verify", None)
+        if verify is not None:
+            verify()
         self.system.drain()
         return DriverReport(
             load_values=[state.observed_loads for state in self.tasks],
-            steps=steps,
+            steps=self._steps,
             violation_squashes=self._violations,
             injected_squashes=self._injected,
             replacement_stalls=self._stalls,

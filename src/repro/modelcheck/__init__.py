@@ -4,13 +4,14 @@ The invariant checker audits the schedules a workload happens to take;
 this package enumerates *every* schedule of every small program within a
 configurable bound and drives the real :class:`repro.svc.SVCSystem` (and
 the ARB baseline) through each one, checking every terminal state
-against the sequential oracle. The pieces:
+against the sequential oracle. Each schedule is a list of actions
+applied one at a time to the same
+:class:`repro.hier.driver.SpeculativeExecutionDriver` the property tests
+and stress sweeps run, so it is an explicit replayable script instead of
+an RNG. The pieces:
 
 * :mod:`repro.modelcheck.programs` — the bound (PUs, total ops, lines)
   and the symmetry-reduced enumeration of small task programs,
-* :mod:`repro.modelcheck.executor` — a deterministic, action-at-a-time
-  re-implementation of the hier driver's stepping rules, so a schedule
-  is an explicit replayable script instead of an RNG,
 * :mod:`repro.modelcheck.fingerprint` — canonical state hashing for
   duplicate-state pruning,
 * :mod:`repro.modelcheck.explorer` — the DFS over scheduler choices with
@@ -27,7 +28,6 @@ files, so every violation shrinks and replays deterministically with
 ``python -m repro replay``.
 """
 
-from repro.modelcheck.executor import ScheduleExecutor, run_script
 from repro.modelcheck.explorer import ExplorationResult, explore_case
 from repro.modelcheck.mutations import MUTATIONS, TIER_KILL_SWITCH
 from repro.modelcheck.programs import Bounds, bound_geometry, enumerate_programs
@@ -38,12 +38,10 @@ __all__ = [
     "ExplorationResult",
     "MUTATIONS",
     "ModelCheckReport",
-    "ScheduleExecutor",
     "TIER_KILL_SWITCH",
     "bound_geometry",
     "enumerate_programs",
     "explore_case",
     "modelcheck_main",
     "run_modelcheck",
-    "run_script",
 ]

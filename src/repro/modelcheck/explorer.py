@@ -1,10 +1,11 @@
 """The bounded exhaustive DFS over scheduler choices.
 
 One exploration = one (design, program) pair. The tree's nodes are
-schedule prefixes; an edge is one enabled action. The systems expose no
-snapshot/undo, so each node is reached by replaying its prefix from a
-fresh system — O(depth) work per node, which the two prunings repay
-many times over:
+schedule prefixes; an edge is one enabled action of the functional
+driver (:class:`repro.hier.driver.SpeculativeExecutionDriver`). The
+systems expose no snapshot/undo, so each node is reached by applying
+its prefix to a fresh system's driver — O(depth) work per node, which
+the two prunings repay many times over:
 
 * **sleep sets** (Godefroid's partial-order reduction): after exploring
   action ``a`` at a node, sibling subtrees need not re-explore ``b`` in
@@ -32,8 +33,8 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.common.errors import InvariantViolation, ProtocolError, SimulationError
+from repro.hier.driver import Action, SpeculativeExecutionDriver
 from repro.hier.task import OpKind
-from repro.modelcheck.executor import Action, ScheduleExecutor
 from repro.modelcheck.fingerprint import fingerprint
 from repro.oracle.sequential import SequentialOracle, verify_run
 from repro.replay import Case, CaseResult, build_system, run_case
@@ -91,10 +92,10 @@ class _Explorer:
 
     def _replay(self, script: List[Action]):
         system = build_system(self.case)
-        executor = ScheduleExecutor(system, self.case.tasks)
+        driver = SpeculativeExecutionDriver(system, list(self.case.tasks))
         for action in script:
-            executor.apply(action)
-        return system, executor
+            driver.apply(action)
+        return system, driver
 
     def _record_counterexample(self, script: List[Action]) -> None:
         failing = dataclasses.replace(self.case, script=tuple(script))
@@ -113,13 +114,13 @@ class _Explorer:
         if len(self.result.counterexamples) >= self.max_counterexamples:
             raise _StopExploration()
 
-    def _independent(self, executor, system, a: Action, b: Action) -> bool:
+    def _independent(self, driver, system, a: Action, b: Action) -> bool:
         """True only for two loads by different tasks to different
         effective lines — everything else is order-sensitive."""
         if a[0] != "op" or b[0] != "op" or a[1] == b[1]:
             return False
-        op_a = executor.current_op(a[1])
-        op_b = executor.current_op(b[1])
+        op_a = driver.current_op(a[1])
+        op_b = driver.current_op(b[1])
         if op_a is None or op_b is None:
             return False
         if op_a.kind != OpKind.LOAD or op_b.kind != OpKind.LOAD:
@@ -135,15 +136,16 @@ class _Explorer:
             self.result.truncated = True
             raise _StopExploration()
         try:
-            system, executor = self._replay(script)
+            system, driver = self._replay(script)
         except (InvariantViolation, SimulationError, ProtocolError):
             self._record_counterexample(script)
             return
 
-        if executor.terminal:
+        if driver.terminal:
             self.result.schedules += 1
             try:
-                report = executor.finish()
+                # Nothing is left to schedule: run() audits and drains.
+                report = driver.run()
             except (InvariantViolation, SimulationError, ProtocolError):
                 self._record_counterexample(script)
                 return
@@ -165,7 +167,7 @@ class _Explorer:
             self.result.truncated = True
             return
 
-        fp = fingerprint(system, executor)
+        fp = fingerprint(system, driver)
         explored_under = self.seen.get(fp)
         if explored_under is not None and any(
             prev <= sleep for prev in explored_under
@@ -175,7 +177,7 @@ class _Explorer:
         self.seen.setdefault(fp, []).append(sleep)
 
         explored: List[Action] = []
-        for action in executor.enabled():
+        for action in driver.enabled():
             if action in sleep:
                 self.result.sleep_pruned += 1
                 explored.append(action)
@@ -183,7 +185,7 @@ class _Explorer:
             child_sleep = frozenset(
                 b
                 for b in set(sleep) | set(explored)
-                if self._independent(executor, system, action, b)
+                if self._independent(driver, system, action, b)
             )
             self._visit(script + [action], child_sleep)
             explored.append(action)

@@ -41,10 +41,10 @@ class _StampRenamer:
         return renamed
 
 
-def _progress_key(executor) -> Tuple:
+def _progress_key(driver) -> Tuple:
     return tuple(
         (s.pu, s.op_index, tuple(s.observed_loads), s.committed)
-        for s in executor.progress
+        for s in driver.tasks
     )
 
 
@@ -58,7 +58,7 @@ def _masked_data(data, valid_mask: int, block_masks: List[Tuple[int, int]]) -> b
     return bytes(out)
 
 
-def _svc_fingerprint(system, executor) -> Tuple:
+def _svc_fingerprint(system, driver) -> Tuple:
     rename = _StampRenamer()
     block = system.geometry.versioning_block_size
     block_masks = [
@@ -93,11 +93,11 @@ def _svc_fingerprint(system, executor) -> Tuple:
         for addr, stamps in sorted(system.vcl._memory_stamps.items())
         if any(stamps)
     )
-    return ("svc", _progress_key(executor), system._committed_through,
+    return ("svc", _progress_key(driver), system._committed_through,
             tuple(caches), memory, mem_stamps)
 
 
-def _arb_fingerprint(system, executor) -> Tuple:
+def _arb_fingerprint(system, driver) -> Tuple:
     rows = []
     for word_addr, row in sorted(system.buffer._rows.items()):
         entries = tuple(
@@ -115,14 +115,15 @@ def _arb_fingerprint(system, executor) -> Tuple:
     )
     units = tuple(sorted(system._task_of_unit.items()))
     memory = tuple(sorted(system.memory.image().items()))
-    return ("arb", _progress_key(executor), system._committed_through,
+    return ("arb", _progress_key(driver), system._committed_through,
             units, tuple(rows), dcache, memory)
 
 
-def fingerprint(system, executor) -> Tuple:
-    """A hashable canonical key for (system state, schedule progress)."""
+def fingerprint(system, driver) -> Tuple:
+    """A hashable canonical key for (system state, the driver's
+    schedule progress)."""
     if hasattr(system, "vcl"):
-        return _svc_fingerprint(system, executor)
+        return _svc_fingerprint(system, driver)
     if hasattr(system, "buffer"):
-        return _arb_fingerprint(system, executor)
+        return _arb_fingerprint(system, driver)
     raise TypeError(f"cannot fingerprint {type(system).__name__}")

@@ -27,8 +27,9 @@ from repro.harness.parallel import parallel_map, resolve_workers
 from repro.modelcheck.explorer import explore_case
 from repro.modelcheck.mutations import MUTATIONS
 from repro.modelcheck.programs import Bounds, bound_geometry, enumerate_programs
-from repro.replay import Case, FailureCapture, task_from_dict, task_to_dict
+from repro.replay import Case, FailureCapture
 from repro.svc.designs import DESIGNS
+from repro.workloads.traceio import decode_task, encode_task
 
 #: Default exploration targets: all six SVC tiers plus the ARB baseline.
 ALL_TARGETS = tuple(DESIGNS) + ("arb",)
@@ -102,7 +103,7 @@ def _check_unit(payload: Dict) -> Dict:
     """Explore one (design, program) unit. Top-level so it pickles."""
     case = Case(
         design=payload["design"],
-        tasks=tuple(task_from_dict(t) for t in payload["tasks"]),
+        tasks=tuple(decode_task(t) for t in payload["tasks"]),
         geometry=CacheGeometry(**payload["geometry"]),
         schedule="script",
         checker=True,
@@ -198,7 +199,7 @@ def run_modelcheck(
         {
             "design": design,
             "program": index,
-            "tasks": [task_to_dict(t) for t in program],
+            "tasks": [encode_task(t) for t in program],
             "geometry": geometry_dict,
             "n_caches": bounds.pus,
             "mutation": mutation,

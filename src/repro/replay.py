@@ -30,6 +30,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.common.config import ARBConfig, CacheGeometry, SVCConfig
 from repro.common.errors import (
+    ConfigError,
     InvariantViolation,
     ProtocolError,
     ReproError,
@@ -37,57 +38,16 @@ from repro.common.errors import (
 )
 from repro.faults import FaultPlan
 from repro.hier.driver import DriverReport, SpeculativeExecutionDriver
-from repro.hier.task import MemOp, TaskProgram
+from repro.hier.task import TaskProgram
 from repro.oracle.sequential import SequentialOracle, verify_run
 from repro.svc.designs import DESIGNS, design_config
+from repro.workloads.traceio import decode_task, encode_task
 
-CAPTURE_FORMAT = 1
+#: Format 2 carries each task as its trace record (repro.workloads.traceio).
+CAPTURE_FORMAT = 2
 
 #: Designs a Case can name: the paper's six SVC tiers plus the ARB.
 CASE_DESIGNS = tuple(DESIGNS) + ("arb",)
-
-
-# -- task (de)serialization --------------------------------------------------
-
-
-def op_to_dict(op: MemOp) -> Dict:
-    data = {"kind": op.kind, "addr": op.addr, "size": op.size, "value": op.value}
-    if op.latency != 1:
-        data["latency"] = op.latency
-    if op.depends_on:
-        data["depends_on"] = list(op.depends_on)
-    if op.value_deps:
-        data["value_deps"] = list(op.value_deps)
-    return data
-
-
-def op_from_dict(data: Dict) -> MemOp:
-    return MemOp(
-        kind=data["kind"],
-        addr=data.get("addr", 0),
-        size=data.get("size", 4),
-        value=data.get("value", 0),
-        latency=data.get("latency", 1),
-        depends_on=tuple(data.get("depends_on", [])),
-        value_deps=tuple(data.get("value_deps", [])),
-    )
-
-
-def task_to_dict(task: TaskProgram) -> Dict:
-    data: Dict = {"ops": [op_to_dict(op) for op in task.ops]}
-    if task.name:
-        data["name"] = task.name
-    if task.mispredicted:
-        data["mispredicted"] = True
-    return data
-
-
-def task_from_dict(data: Dict) -> TaskProgram:
-    return TaskProgram(
-        ops=[op_from_dict(op) for op in data["ops"]],
-        name=data.get("name"),
-        mispredicted=data.get("mispredicted", False),
-    )
 
 
 # -- the case ----------------------------------------------------------------
@@ -115,8 +75,8 @@ class Case:
     #: model checker turns it on, fuzzing leaves it to the event checker).
     check_invariants: bool = False
     #: An explicit schedule from repro.modelcheck: a tuple of
-    #: ("op"|"commit", rank) actions replayed through ScheduleExecutor
-    #: instead of the RNG-driven hier driver. None = use the driver.
+    #: ("op"|"commit", rank) actions the driver replays with
+    #: ``run_script`` instead of choosing them by ``schedule``.
     script: Optional[Tuple[Tuple[str, int], ...]] = None
     #: Name of a repro.modelcheck.mutations entry applied to the system
     #: after construction — how kill-switch counterexamples stay
@@ -131,12 +91,30 @@ class Case:
             raise ReproError(
                 f"unknown design {self.design!r}; choose from {CASE_DESIGNS}"
             )
+        if self.script is None:
+            return
+        for action in self.script:
+            if not (
+                len(action) == 2
+                and action[0] in ("op", "commit")
+                and type(action[1]) is int
+                and action[1] >= 0
+            ):
+                raise ReproError(
+                    f"script action {list(action)!r} is not an "
+                    "['op' or 'commit', rank] pair"
+                )
+        # A script fixes every action, so nothing would apply these.
+        if not self.fault_plan.is_noop or self.squash_probability:
+            raise ReproError(
+                "a scripted case takes no fault plan and no squash probability"
+            )
 
     def to_dict(self) -> Dict:
         data = {
             "design": self.design,
             "seed": self.seed,
-            "tasks": [task_to_dict(t) for t in self.tasks],
+            "tasks": [encode_task(t) for t in self.tasks],
             "geometry": {
                 "size_bytes": self.geometry.size_bytes,
                 "associativity": self.geometry.associativity,
@@ -161,10 +139,16 @@ class Case:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "Case":
+        tasks = []
+        for rank, record in enumerate(data.get("tasks", [])):
+            try:
+                tasks.append(decode_task(record))
+            except ConfigError as exc:
+                raise ConfigError(f"task {rank}: {exc}") from exc
         return cls(
             design=data["design"],
             seed=data.get("seed", 0),
-            tasks=tuple(task_from_dict(t) for t in data.get("tasks", [])),
+            tasks=tuple(tasks),
             geometry=CacheGeometry(**data.get("geometry", {})),
             schedule=data.get("schedule", "random"),
             squash_probability=data.get("squash_probability", 0.0),
@@ -174,7 +158,7 @@ class Case:
             n_caches=data.get("n_caches", 4),
             check_invariants=data.get("check_invariants", False),
             script=(
-                tuple((kind, rank) for kind, rank in data["script"])
+                tuple(map(tuple, data["script"]))
                 if data.get("script") is not None
                 else None
             ),
@@ -296,9 +280,9 @@ def run_case(case: Case) -> CaseResult:
 
     try:
         if case.script is not None:
-            from repro.modelcheck.executor import run_script
-
-            report = run_script(system, tasks, case.script)
+            report = SpeculativeExecutionDriver(system, tasks).run_script(
+                case.script
+            )
         else:
             driver = SpeculativeExecutionDriver(
                 system,
@@ -380,12 +364,24 @@ class FailureCapture:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "FailureCapture":
-        if data.get("format") != CAPTURE_FORMAT:
+        """Parse a capture; anything malformed raises one ReproError."""
+        try:
+            if data.get("format") != CAPTURE_FORMAT:
+                raise ReproError(
+                    f"unsupported capture format {data.get('format')!r} "
+                    f"(this build reads format {CAPTURE_FORMAT})"
+                )
+            case = Case.from_dict(data["case"])
+            signature = data["failure"]["signature"]
+            if len(signature) != 2:
+                raise ReproError(
+                    f"failure signature must be [kind, name], got {signature!r}"
+                )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ReproError(
-                f"unsupported capture format {data.get('format')!r} "
-                f"(this build reads format {CAPTURE_FORMAT})"
-            )
-        return cls(case=Case.from_dict(data["case"]), failure=data["failure"])
+                f"malformed capture ({type(exc).__name__}: {exc})"
+            ) from exc
+        return cls(case=case, failure=data["failure"])
 
     def save(self, path: str) -> str:
         directory = os.path.dirname(path)
@@ -595,7 +591,7 @@ def replay_main(argv: Optional[List[str]] = None) -> int:
     except OSError as exc:
         print(f"cannot read capture: {exc}")
         return 2
-    except (json.JSONDecodeError, KeyError, ReproError) as exc:
+    except (ValueError, ReproError) as exc:  # bad JSON or a bad capture
         print(f"not a valid capture file: {exc}")
         return 2
     print(f"replaying {capture.case.describe()}")

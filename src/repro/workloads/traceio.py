@@ -17,13 +17,17 @@ Loads may also carry a trailing dependence list. Every dependence
 names an earlier op of the same task, by its position in ``ops``, and
 every value dependence an earlier load. Unknown op codes and any other
 dependence are rejected loudly; round-tripping is exact.
+
+The same record is the task codec everywhere else: failure captures
+(:mod:`repro.replay`) and model-check work units carry tasks as
+:func:`encode_task` records and read them back with :func:`decode_task`.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, List, Union
+from typing import Dict, Iterable, List, Union
 
 from repro.common.errors import ConfigError
 from repro.hier.task import MemOp, OpKind, TaskProgram
@@ -109,7 +113,7 @@ def _decode_op(encoded) -> MemOp:
             latency=_int_field(encoded, 1, "compute latency"),
             depends_on=_dep_list(encoded, 2, "compute deps"),
         )
-    raise ConfigError(f"unknown op code {code!r} in trace")
+    raise ConfigError(f"unknown op code {code!r}")
 
 
 def _check_dependences(ops: List[MemOp]) -> None:
@@ -133,16 +137,39 @@ def _check_dependences(ops: List[MemOp]) -> None:
             loads.add(index)
 
 
+def encode_task(task: TaskProgram) -> Dict:
+    """One task as its trace record (a JSON-ready dict)."""
+    return {
+        "name": task.name,
+        "mispredicted": task.mispredicted,
+        "ops": [_encode_op(op) for op in task.ops],
+    }
+
+
+def decode_task(record) -> TaskProgram:
+    """A trace record back into a task; raises :class:`ConfigError` on
+    anything :func:`encode_task` would not have written."""
+    if not isinstance(record, dict):
+        raise ConfigError(
+            f"task record must be an object, got {type(record).__name__}"
+        )
+    ops = record.get("ops")
+    if not isinstance(ops, list):
+        raise ConfigError(f"malformed op list: expected a list, got {ops!r}")
+    decoded = [_decode_op(op) for op in ops]
+    _check_dependences(decoded)
+    return TaskProgram(
+        ops=decoded,
+        name=record.get("name"),
+        mispredicted=bool(record.get("mispredicted", False)),
+    )
+
+
 def dump_tasks(tasks: Iterable[TaskProgram], path: Union[str, Path]) -> None:
     """Write a task list as a JSON-lines trace file."""
     with open(path, "w") as handle:
         for task in tasks:
-            record = {
-                "name": task.name,
-                "mispredicted": task.mispredicted,
-                "ops": [_encode_op(op) for op in task.ops],
-            }
-            handle.write(json.dumps(record) + "\n")
+            handle.write(json.dumps(encode_task(task)) + "\n")
 
 
 def load_tasks(path: Union[str, Path]) -> List[TaskProgram]:
@@ -154,28 +181,9 @@ def load_tasks(path: Union[str, Path]) -> List[TaskProgram]:
             if not line:
                 continue
             try:
-                record = json.loads(line)
+                tasks.append(decode_task(json.loads(line)))
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"trace line {line_no}: bad JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise ConfigError(
-                    f"trace line {line_no}: task record must be an object, "
-                    f"got {type(record).__name__}"
-                )
-            try:
-                ops = [_decode_op(op) for op in record["ops"]]
-                _check_dependences(ops)
             except ConfigError as exc:
                 raise ConfigError(f"trace line {line_no}: {exc}") from exc
-            except (KeyError, IndexError, TypeError) as exc:
-                raise ConfigError(
-                    f"trace line {line_no}: malformed op list"
-                ) from exc
-            tasks.append(
-                TaskProgram(
-                    ops=ops,
-                    name=record.get("name"),
-                    mispredicted=bool(record.get("mispredicted", False)),
-                )
-            )
     return tasks

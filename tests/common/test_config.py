@@ -40,7 +40,6 @@ class TestSVCFeatures:
         assert not SVCFeatures.ec().architectural_bit
         assert SVCFeatures.ecs().architectural_bit
         assert SVCFeatures.hr().snarfing
-        assert SVCFeatures.final().retain_passive_dirty
 
     def test_final_default_policy_is_hybrid(self):
         assert SVCFeatures.final().update_policy == UpdatePolicy.HYBRID

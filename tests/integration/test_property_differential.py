@@ -10,10 +10,9 @@ checks judge the run:
 * :func:`repro.oracle.verify_run` demands the committed load values and
   the drained memory image of the :class:`repro.oracle.SequentialOracle`;
 * ``FastpathKernel.audit`` re-derives every cached VOL snapshot from the
-  cache arrays after each bus transaction, and ``SVCSystem.verify()``
-  runs it and the structural checks once more at the end. The driver
-  drains every cache before it returns, so the final ``verify()`` alone
-  would find nothing left to audit.
+  cache arrays after each bus transaction, and the driver's run ends
+  with ``SVCSystem.verify()``, which runs it and the structural checks
+  once more on every resident line before the caches are drained.
 """
 
 import pytest
@@ -89,4 +88,3 @@ def test_run_matches_the_oracle(tier, data):
     ).run()
     problems = verify_run(report, SequentialOracle().run(tasks), memory)
     assert not problems, "\n".join(problems)
-    system.verify()

@@ -76,14 +76,12 @@ def run_and_verify(design, tasks, seed, squash_probability):
     driver = SpeculativeExecutionDriver(
         system, tasks, seed=seed, squash_probability=squash_probability
     )
+    # run() ends with system.verify(), the structural audit of every
+    # resident line, before it drains the caches.
     report = driver.run()
     oracle = SequentialOracle().run(tasks)
     problems = verify_run(report, oracle, system.memory)
     assert problems == [], "\n".join(problems)
-    # The driver drained every cache before returning, so this finds no
-    # line and no snapshot left: the per-bus audit above is the one that
-    # checks the snapshots.
-    system.verify()
 
 
 @pytest.mark.parametrize("design", ["base", "ecs", "final"])

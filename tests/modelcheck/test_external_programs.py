@@ -11,9 +11,9 @@ replay to the outcomes they claim.
 import pytest
 
 from repro.common.errors import ConfigError
+from repro.hier.driver import SpeculativeExecutionDriver
 from repro.hier.task import MemOp, TaskProgram
 from repro.litmus.shapes import LITMUS_SHAPES, compile_shape
-from repro.modelcheck.executor import ScheduleExecutor
 from repro.modelcheck.explorer import explore_case
 from repro.modelcheck.programs import (
     Bounds,
@@ -119,11 +119,11 @@ def test_witness_schedules_replay_to_their_outcomes():
     assert set(result.witnesses) == result.outcomes
     for outcome, script in result.witnesses.items():
         system = build_system(case)
-        executor = ScheduleExecutor(system, case.tasks)
+        driver = SpeculativeExecutionDriver(system, list(case.tasks))
         for action in script:
-            executor.apply(action)
-        assert executor.terminal
-        report = executor.finish()
+            driver.apply(action)
+        assert driver.terminal
+        report = driver.run()
         replayed = (
             tuple(tuple(values) for values in report.load_values),
             tuple(sorted(system.memory.image().items())),

@@ -2,6 +2,7 @@
 (repro.replay)."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -9,6 +10,8 @@ from repro.common.config import CacheGeometry
 from repro.common.errors import ReproError
 from repro.faults import FaultPlan
 from repro.hier.task import MemOp, TaskProgram
+from repro.litmus.shapes import LITMUS_SHAPES, compile_shape
+from repro.modelcheck.programs import Bounds, enumerate_programs
 from repro.replay import (
     CASE_DESIGNS,
     Case,
@@ -16,9 +19,12 @@ from repro.replay import (
     FailureCapture,
     _drop_op,
     _shrink_candidates,
+    replay_main,
     run_case,
     shrink_case,
 )
+from repro.workloads.generator import WorkloadSpec, generate_tasks
+from repro.workloads.traceprog import TRACE_KERNELS, build_kernel
 
 A = 0x1000
 
@@ -111,6 +117,96 @@ class TestFailureCapture:
             FailureCapture.from_dict({"format": 999, "case": {}, "failure": {}})
 
 
+#: Every producer of tasks a capture may carry, as one task list each.
+TASK_SOURCES = {
+    "generator": lambda: generate_tasks(
+        WorkloadSpec(name="roundtrip", n_tasks=12, mispredict_rate=0.3, seed=5)
+    ),
+    "litmus": lambda: [
+        task for shape in LITMUS_SHAPES.values() for task in compile_shape(shape)
+    ],
+    "enumerator": lambda: [
+        task
+        for program in enumerate_programs(Bounds(pus=2, ops=2, lines=1))
+        for task in program
+    ],
+    "kernels": lambda: [
+        task for name in TRACE_KERNELS for task in build_kernel(name)
+    ],
+}
+
+
+@pytest.mark.parametrize("source", sorted(TASK_SOURCES))
+def test_capture_round_trips_tasks_field_for_field(source):
+    tasks = TASK_SOURCES[source]()
+    case = Case(tasks=tuple(tasks))
+    capture = FailureCapture.from_result(case, TestFailureCapture().failing_result())
+    loaded = FailureCapture.from_dict(json.loads(json.dumps(capture.to_dict())))
+    for original, rebuilt in zip(case.tasks, loaded.case.tasks, strict=True):
+        assert rebuilt.name == original.name
+        assert rebuilt.mispredicted == original.mispredicted
+        assert rebuilt.ops == original.ops
+
+
+def _valid_capture():
+    case = Case(
+        tasks=simple_tasks(),
+        schedule="script",
+        n_caches=2,
+        script=(("op", 1), ("op", 0)),
+    )
+    return FailureCapture.from_result(
+        case, TestFailureCapture().failing_result()
+    ).to_dict()
+
+
+def _no_addr(data):
+    data["case"]["tasks"][0]["ops"][1] = ["L"]
+
+
+def _bad_kind(data):
+    data["case"]["tasks"][0]["ops"][1] = ["lod", A, 4]
+
+
+def _unknown_action(data):
+    data["case"]["script"].append(["jump", 0])
+
+
+def _string_ops(data):
+    data["case"]["tasks"][1]["ops"] = "LS"
+
+
+def _short_action(data):
+    data["case"]["script"].append(["op"])
+
+
+def _unknown_geometry_key(data):
+    data["case"]["geometry"]["banks"] = 2
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_no_addr, _bad_kind, _unknown_action, _string_ops, _short_action,
+     _unknown_geometry_key],
+)
+def test_replay_cli_exits_two_on_an_invalid_capture(corrupt, tmp_path, capsys):
+    data = _valid_capture()
+    corrupt(data)
+    path = tmp_path / "capture.json"
+    path.write_text(json.dumps(data))
+    assert replay_main([str(path)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("not a valid capture file")
+
+
+def test_replay_cli_accepts_the_uncorrupted_capture(tmp_path, capsys):
+    path = tmp_path / "capture.json"
+    path.write_text(json.dumps(_valid_capture()))
+    # The case passes in this build, so it does not reproduce: exit 1.
+    assert replay_main([str(path)]) == 1
+    assert "NOT REPRODUCED" in capsys.readouterr().out
+
+
 class TestShrink:
     """Shrink mechanics on the pure helpers; the full capture-shrink-
     replay loop on a live protocol bug is exercised in test_checker.py."""
@@ -194,6 +290,14 @@ class TestScriptedCases:
         by_label = dict(_shrink_candidates(case))
         shrunk = by_label["drop script action 1"]
         assert shrunk.script == (("op", 0), ("commit", 0))
+
+    def test_rejects_faults_the_script_would_not_apply(self):
+        with pytest.raises(ReproError, match="scripted case"):
+            self._scripted([("op", 0)], fault_plan=FaultPlan(squash_rate=0.5))
+        with pytest.raises(ReproError, match="scripted case"):
+            self._scripted([("op", 0)], squash_probability=0.5)
+        # A seeded plan that injects nothing is still a no-op.
+        self._scripted([("op", 0)], fault_plan=FaultPlan(seed=3))
 
     def test_dropping_a_task_renumbers_script_ranks(self):
         case = self._scripted([("op", 0), ("op", 1), ("commit", 0)])

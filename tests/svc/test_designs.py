@@ -44,7 +44,6 @@ def test_feature_monotonicity():
     assert not base.lazy_commit and ec.lazy_commit
     assert not ec.architectural_bit and ecs.architectural_bit
     assert not ecs.snarfing and hr.snarfing
-    assert final.retain_passive_dirty
     assert final.update_policy == UpdatePolicy.HYBRID
 
 

@@ -117,9 +117,10 @@ def measure_tier_throughput(repeats=TIER_REPEATS):
     wall.
 
     One seeded sharing-heavy workload (the differential generator's,
-    scaled up) runs through the functional driver per tier. Each tier's
-    events/sec must clear :data:`TIER_FLOORS`: the hot VCL/snoop/commit
-    path must not silently regress.
+    scaled up) runs through the functional driver per tier; the timed
+    ``run()`` includes the driver's end-of-run ``verify()`` audit. Each
+    tier's events/sec must clear :data:`TIER_FLOORS`: the hot
+    VCL/snoop/commit path must not silently regress.
     """
     from repro.common.config import SVCConfig
     from repro.common.events import EventLog
