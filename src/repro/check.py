@@ -55,6 +55,11 @@ class InvariantChecker:
     def __init__(self) -> None:
         self.system = None
         self._family: Optional[str] = None
+        #: The system's telemetry, taken at wiring time like the bus's
+        #: and VCL's metric handles: a violation is reported even while
+        #: the timing simulator has ``system.telemetry`` detached for
+        #: an untraced memory op.
+        self._telemetry = None
         self.checks = 0
         self.last_violation: Optional[InvariantViolation] = None
         #: Full scan owed once the current bus transaction settles.
@@ -71,6 +76,7 @@ class InvariantChecker:
                 "event_log= explicitly"
             )
         self.system = system
+        self._telemetry = getattr(system, "telemetry", None)
         if hasattr(system, "vcl"):
             self._family = "svc"
         elif hasattr(system, "buffer"):
@@ -83,6 +89,7 @@ class InvariantChecker:
         if self.system is not None and self.system.event_log is not None:
             self.system.event_log.detach(self.on_event)
         self.system = None
+        self._telemetry = None
 
     # -- event dispatch -----------------------------------------------------
 
@@ -115,7 +122,7 @@ class InvariantChecker:
         except InvariantViolation as violation:
             if self.last_violation is None:
                 self.last_violation = violation
-            telemetry = getattr(self.system, "telemetry", None)
+            telemetry = self._telemetry
             if telemetry is not None:
                 # Error-level instant + counter: the trace shows *where*
                 # in the span tree the invariant broke (filter on the

@@ -2,7 +2,7 @@
 
 Named memory-model litmus shapes — SB, MP, LB, IRIW, CoRR, CoWW plus
 SVC-specific shapes — compiled into task programs and checked against
-pinned allowed-outcome sets on every tier by exhaustive schedule
+the sequential oracle's outcome on every tier by exhaustive schedule
 exploration (:mod:`repro.modelcheck`). ``python -m repro litmus`` is
 the CLI; docs/LITMUS.md is the catalog.
 """

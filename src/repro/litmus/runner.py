@@ -3,11 +3,13 @@
 One *unit* is (shape, tier): compile the shape, exhaustively explore
 every schedule on that design tier (:func:`repro.modelcheck.explorer.
 explore_case`), map each terminal outcome onto the shape's registers
-and locations, and hold the result against the shape's pinned sets:
+and locations, and hold the result against the sequential oracle's
+valuation and the shape's forbidden patterns:
 
-* every observed valuation must match an **allowed** pattern,
-* every allowed pattern must actually be observed (a vacuously passing
-  shape is a corpus bug),
+* every observed valuation must be the sequential one
+  (:func:`repro.litmus.shapes.sequential_valuation`),
+* the sequential valuation must actually be observed (a vacuously
+  passing shape is a corpus bug),
 * no observed valuation may match a **forbidden** pattern, and the
   exploration must be exhaustive (not truncated) — that pair is what
   "proven unreachable" means,
@@ -33,6 +35,7 @@ from repro.litmus.shapes import (
     compile_shape,
     matches,
     outcome_valuation,
+    sequential_valuation,
 )
 from repro.modelcheck.explorer import explore_case
 from repro.modelcheck.programs import bound_geometry, bounds_for_programs
@@ -119,7 +122,6 @@ def check_shape(
         design=tier,
         tasks=tasks,
         geometry=bound_geometry(bounds),
-        schedule="script",
         checker=True,
         check_invariants=True,
         n_caches=bounds.pus,
@@ -152,17 +154,17 @@ def check_shape(
     check.observed = sorted(valuations)
     check.witnesses = valuations
 
+    sequential = sequential_valuation(shape)
     for valuation in check.observed:
-        if not any(matches(valuation, pattern) for pattern in shape.allowed):
+        if valuation != sequential:
             check.problems.append(
                 f"unexpected outcome {_format_valuation(valuation)} "
                 f"(witness: {_format_schedule(valuations[valuation])})"
             )
-    for pattern in shape.allowed:
-        if not any(matches(v, pattern) for v in check.observed):
-            check.problems.append(
-                f"allowed outcome {_format_pattern(pattern)} never observed"
-            )
+    if sequential not in valuations:
+        check.problems.append(
+            f"sequential outcome {_format_valuation(sequential)} never observed"
+        )
     for pattern in shape.forbidden:
         hits = [v for v in check.observed if matches(v, pattern)]
         if hits:
@@ -292,8 +294,8 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="python -m repro litmus",
         description="Run the litmus-shape conformance corpus: exhaustive "
-        "schedule exploration of every named shape against its pinned "
-        "allowed-outcome set.",
+        "schedule exploration of every named shape against its "
+        "sequential outcome.",
     )
     parser.add_argument(
         "shapes", nargs="*",

@@ -2,13 +2,14 @@
 
 A litmus shape is the lingua franca of memory-system verification
 (RealityCheck; "Taming Weak Memory Models"): a tiny named program, one
-thread per task, plus a *pinned* set of allowed final outcomes and the
-classic relaxed outcomes that must never appear. Here each thread is a
-speculative task — SVC tasks carry a sequential program order, so the
-allowed set of every shape is exactly the sequential execution's
-outcome, and the corpus' claim is the paper's central one: speculative
-versioning preserves sequential semantics at every design tier, under
-*every* schedule, which :mod:`repro.modelcheck` proves exhaustively.
+thread per task, plus the classic relaxed outcomes that must never
+appear. Here each thread is a speculative task — SVC tasks carry a
+sequential program order, so the one allowed outcome of every shape is
+the sequential execution's, derived from the oracle
+(:func:`sequential_valuation`), and the corpus' claim is the paper's
+central one: speculative versioning preserves sequential semantics at
+every design tier, under *every* schedule, which
+:mod:`repro.modelcheck` proves exhaustively.
 
 The DSL: a thread is a tuple of statements, ``("st", loc, value)`` or
 ``("ld", loc, reg)``. Locations ``x``/``y``/``z``/``w`` map to distinct
@@ -18,10 +19,10 @@ ordering, not false sharing); registers are per-shape-unique names
 outcome *valuation* assigns every register its committed load value and
 every location its final architected memory word.
 
-``allowed`` / ``forbidden`` are tuples of (possibly partial) valuation
-patterns: a valuation matches a pattern when every pattern key agrees.
-Every tier is checked against the same ``allowed`` set: the sequential
-outcome, which is the conformance claim.
+``forbidden`` is a tuple of (possibly partial) valuation patterns: a
+valuation matches a pattern when every pattern key agrees. Every tier
+is checked against the same allowed outcome, the sequential one, which
+is the conformance claim.
 """
 
 from __future__ import annotations
@@ -52,16 +53,13 @@ def location_address(loc: str) -> int:
 
 @dataclass(frozen=True)
 class LitmusShape:
-    """One named litmus shape with its pinned outcome sets."""
+    """One named litmus shape with its forbidden outcomes."""
 
     name: str
     title: str
     #: Where the shape comes from (catalog paper / SVC paper section).
     source: str
     threads: Tuple[Tuple[Statement, ...], ...]
-    #: Pinned allowed outcomes — every one must be observed, and every
-    #: observed outcome must match exactly one of them.
-    allowed: Tuple[Mapping[str, int], ...]
     #: Relaxed outcomes that must be proven unreachable.
     forbidden: Tuple[Mapping[str, int], ...]
     #: PUs to build (tasks beyond this count exercise PU reuse).
@@ -153,8 +151,8 @@ def matches(valuation: Valuation, pattern: Mapping[str, int]) -> bool:
 
 
 def sequential_valuation(shape: LitmusShape) -> Valuation:
-    """The sequential execution's valuation (the oracle ground truth the
-    pinned allowed sets are checked against by the corpus self-test)."""
+    """The sequential execution's valuation: the one outcome every tier
+    must produce under every schedule (the oracle ground truth)."""
     from repro.oracle.sequential import SequentialOracle
 
     tasks = list(compile_shape(shape))
@@ -185,7 +183,6 @@ LITMUS_SHAPES: Dict[str, LitmusShape] = {
                 (("st", "x", 1), ("ld", "y", "r0")),
                 (("st", "y", 1), ("ld", "x", "r1")),
             ),
-            allowed=({"r0": 0, "r1": 1, "x": 1, "y": 1},),
             forbidden=({"r0": 0, "r1": 0}, {"r0": 1, "r1": 0}),
             description=(
                 "Each task stores one flag then reads the other's. Task "
@@ -201,7 +198,6 @@ LITMUS_SHAPES: Dict[str, LitmusShape] = {
                 (("st", "x", 1), ("st", "y", 1)),
                 (("ld", "y", "r0"), ("ld", "x", "r1")),
             ),
-            allowed=({"r0": 1, "r1": 1, "x": 1, "y": 1},),
             forbidden=({"r0": 1, "r1": 0}, {"r0": 0, "r1": 0}),
             description=(
                 "Producer writes data (x) then flag (y); later task reads "
@@ -218,7 +214,6 @@ LITMUS_SHAPES: Dict[str, LitmusShape] = {
                 (("ld", "x", "r0"), ("st", "y", 1)),
                 (("ld", "y", "r1"), ("st", "x", 1)),
             ),
-            allowed=({"r0": 0, "r1": 1, "x": 1, "y": 1},),
             forbidden=({"r0": 1, "r1": 1}, {"r0": 1, "r1": 0}),
             description=(
                 "Loads before cross stores. r0=1,r1=1 (each load sees the "
@@ -236,9 +231,6 @@ LITMUS_SHAPES: Dict[str, LitmusShape] = {
                 (("ld", "x", "r0"), ("ld", "y", "r1")),
                 (("st", "y", 1),),
                 (("ld", "y", "r2"), ("ld", "x", "r3")),
-            ),
-            allowed=(
-                {"r0": 1, "r1": 0, "r2": 1, "r3": 1, "x": 1, "y": 1},
             ),
             forbidden=(
                 {"r0": 1, "r1": 0, "r2": 1, "r3": 0},
@@ -259,7 +251,6 @@ LITMUS_SHAPES: Dict[str, LitmusShape] = {
                 (("st", "x", 1),),
                 (("ld", "x", "r0"), ("ld", "x", "r1")),
             ),
-            allowed=({"r0": 1, "r1": 1, "x": 1},),
             forbidden=({"r0": 1, "r1": 0},),
             description=(
                 "Two reads of one location may never observe values going "
@@ -275,7 +266,6 @@ LITMUS_SHAPES: Dict[str, LitmusShape] = {
                 (("st", "x", 1), ("st", "x", 2)),
                 (("ld", "x", "r0"),),
             ),
-            allowed=({"r0": 2, "x": 2},),
             forbidden=({"x": 1}, {"r0": 1}),
             description=(
                 "Same-task stores to one location must retire in program "
@@ -293,7 +283,6 @@ LITMUS_SHAPES: Dict[str, LitmusShape] = {
                 (("ld", "y", "r0"),),
                 (("ld", "x", "r1"),),
             ),
-            allowed=({"r0": 0, "r1": 1, "x": 1},),
             forbidden=({"r1": 0},),
             description=(
                 "Three tasks on two PUs: task 2 reuses task 0's PU, whose "
@@ -313,7 +302,6 @@ LITMUS_SHAPES: Dict[str, LitmusShape] = {
                 (("ld", "x", "r1"),),
                 (("st", "x", 2), ("ld", "x", "r2")),
             ),
-            allowed=({"r0": 0, "r1": 1, "r2": 2, "x": 2},),
             forbidden=({"r2": 1}, {"r1": 2}, {"x": 1}),
             description=(
                 "Task 2 reuses task 0's PU and overwrites the line task 0 "

@@ -105,7 +105,6 @@ def _check_unit(payload: Dict) -> Dict:
         design=payload["design"],
         tasks=tuple(decode_task(t) for t in payload["tasks"]),
         geometry=CacheGeometry(**payload["geometry"]),
-        schedule="script",
         checker=True,
         check_invariants=True,
         n_caches=payload["n_caches"],

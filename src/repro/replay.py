@@ -92,6 +92,11 @@ class Case:
                 f"unknown design {self.design!r}; choose from {CASE_DESIGNS}"
             )
         if self.script is None:
+            if self.schedule not in SpeculativeExecutionDriver.SCHEDULES:
+                raise ReproError(
+                    f"unknown schedule {self.schedule!r}; choose from "
+                    f"{SpeculativeExecutionDriver.SCHEDULES}"
+                )
             return
         for action in self.script:
             if not (

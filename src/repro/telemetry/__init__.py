@@ -89,9 +89,9 @@ SUPERVISOR_EVENT = "supervisor_event"
 
 #: Ring capacity / sampling interval used by campaign runners
 #: (:func:`repro.harness.experiments._point_telemetry`): keep the newest
-#: ~64k spans and 1-in-128 per-memory-op subtrees. A plain
-#: ``Telemetry()`` records everything — unit tests and the differential
-#: harness depend on full traces.
+#: ~64k spans and trace 1-in-128 memory ops. A plain ``Telemetry()``
+#: records everything — unit tests and the differential harness depend
+#: on full traces.
 PRODUCTION_TRACE_CAPACITY = 65536
 PRODUCTION_SAMPLE_INTERVAL = 128
 
@@ -99,15 +99,20 @@ PRODUCTION_SAMPLE_INTERVAL = 128
 class Telemetry:
     """One run's tracer + metrics, with convenience passthroughs.
 
-    ``capacity`` and ``sample_interval`` bound tracing cost for long
-    campaigns (see :mod:`repro.telemetry.tracer`); sampling applies to
-    :data:`MEM_OP` subtrees — the per-memory-operation envelopes that
-    account for nearly all span volume — while commits, squashes and
-    every warning/error instant are always recorded, and metrics stay
-    exact regardless.
+    ``capacity`` bounds the tracer's span ring (see
+    :mod:`repro.telemetry.tracer`). ``sample_interval`` is read by the
+    timing simulator, the one sampler: it traces the first memory-op
+    attempt and every ``sample_interval``-th after it, each with its
+    :data:`MEM_OP` span and the protocol spans nested in it, and keeps
+    the system's telemetry detached for the others. Commit waves,
+    misprediction squashes, task begins and checker violations are
+    recorded whatever the interval; spans raised inside an untraced op
+    are not. Metrics stay exact regardless.
     """
 
-    __slots__ = ("label", "tracer", "metrics", "_flush_hooks")
+    __slots__ = (
+        "label", "tracer", "metrics", "sample_interval", "_flush_hooks"
+    )
 
     def __init__(
         self,
@@ -116,12 +121,9 @@ class Telemetry:
         sample_interval: int = 1,
     ) -> None:
         self.label = label
-        self.tracer = Tracer(
-            capacity=capacity,
-            sample_interval=sample_interval,
-            sample_kinds=(MEM_OP,),
-        )
+        self.tracer = Tracer(capacity=capacity)
         self.metrics = MetricsRegistry()
+        self.sample_interval = max(1, int(sample_interval))
         self._flush_hooks = []
 
     # -- batched observation hooks -------------------------------------------
@@ -184,7 +186,7 @@ class Telemetry:
             "clock": self.tracer.clock,
             "spans": self.tracer.export_spans(),
             "dropped_spans": self.tracer.dropped,
-            "sample_interval": self.tracer.sample_interval,
+            "sample_interval": self.sample_interval,
             "metrics": self.metrics.snapshot(),
         }
 

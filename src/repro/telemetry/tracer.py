@@ -26,12 +26,12 @@ still-open descendants first (innermost first), so a protocol error
 thrown mid-transaction cannot leave the stack polluted and silently
 reparent every later span.
 
-Bounded cost: ring buffer and root sampling
--------------------------------------------
+Bounded cost
+------------
 
-Recording every span of a long campaign is what made enabled-mode
-telemetry cost +71% wall time in the PR-4 measurements. Two knobs bound
-the cost while keeping traces on:
+Recording every span of a long campaign once cost enabled-mode
+telemetry +71% wall time. Two bounds keep traces on at a fraction of
+that:
 
 * ``capacity`` — spans live in a preallocated ring
   (``collections.deque(maxlen=capacity)``): the newest ``capacity``
@@ -41,27 +41,23 @@ the cost while keeping traces on:
   ids keep incrementing — so causal links stay stable and
   :meth:`Tracer.export_spans` reparents a span whose parent was evicted
   to the root rather than to a wrong survivor.
-* ``sample_interval`` — spans of a *sampled root kind* (the timing
-  simulator's per-memory-op envelope, by default) are kept 1-in-N:
-  the first root is always recorded, then every ``sample_interval``-th.
-  A suppressed root suppresses its entire subtree — ``begin`` returns a
-  cheap :class:`_SuppressedSpan` sentinel carrying only its depth, so
-  the protocol layers' unconditional ``begin``/``end`` pairs cost an
-  integer compare, not a dataclass, an args dict and two clock ticks.
-  Error- and warning-level instants are recorded even while suppressed
-  (a sampled trace must never hide a violation); metrics are *never*
-  sampled — counters and histograms stay exact.
+* sampling — the tracer records every span it is given. Which memory
+  operations get spans at all is decided by the timing simulator
+  (:class:`repro.timing.simulator.TimingSimulator`), which traces the
+  first memory-op attempt and every ``Telemetry.sample_interval``-th
+  after it and keeps the system's telemetry detached for the rest, so
+  the protocol spans of an untraced op never reach this class.
 
-Both knobs default off (unbounded, record everything), which is what
-the unit tests and the differential harness use; campaign runners opt
-in via :class:`repro.telemetry.Telemetry`.
+The ring defaults off (unbounded), which is what the unit tests and the
+differential harness use; campaign runners opt in via
+:class:`repro.telemetry.Telemetry`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from contextlib import contextmanager
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
 #: Span severity levels, in increasing order.
 LEVELS = ("info", "warning", "error")
@@ -155,50 +151,18 @@ class Span:
         )
 
 
-class _SuppressedSpan:
-    """Placeholder returned by ``begin`` inside a sampled-out subtree.
-
-    Carries only the logical open-depth at which it was created, which
-    is all ``end`` needs to unwind correctly — including through double
-    ``end`` calls (several layers end spans defensively in ``finally``
-    blocks) and exception unwinds that skipped descendant ends.
-    """
-
-    __slots__ = ("depth",)
-
-    def __init__(self, depth: int) -> None:
-        self.depth = depth
-
-
 class Tracer:
     """Collects spans for one run. Not thread-safe by design: the
     simulation is single-threaded and parallel experiment points each
     build their own system (and tracer) inside their worker process.
 
-    ``capacity`` bounds retained spans in a ring (``None`` = unbounded);
-    ``sample_interval`` keeps 1-in-N subtrees rooted at a kind in
-    ``sample_kinds`` (1 = record everything). See the module docstring.
+    ``capacity`` bounds retained spans in a ring (``None`` = unbounded).
+    See the module docstring.
     """
 
-    __slots__ = (
-        "spans",
-        "_stack",
-        "_clock",
-        "_next_id",
-        "_appended",
-        "_sample_interval",
-        "_sample_kinds",
-        "_sample_seen",
-        "_depth",
-        "_suppress_from",
-    )
+    __slots__ = ("spans", "_stack", "_clock", "_next_id", "_appended")
 
-    def __init__(
-        self,
-        capacity: Optional[int] = None,
-        sample_interval: int = 1,
-        sample_kinds: Iterable[str] = (),
-    ) -> None:
+    def __init__(self, capacity: Optional[int] = None) -> None:
         if capacity is None:
             self.spans: List[Span] = []
         else:
@@ -208,15 +172,6 @@ class Tracer:
         self._next_id = 1
         #: Spans ever recorded; ``dropped`` = appended - len(spans).
         self._appended = 0
-        self._sample_interval = max(1, int(sample_interval))
-        self._sample_kinds = frozenset(sample_kinds)
-        #: Sampled roots seen so far (kept + suppressed), per kind.
-        self._sample_seen: Dict[str, int] = {}
-        #: Open spans including suppressed ones; equals len(_stack)
-        #: whenever no suppression is active.
-        self._depth = 0
-        #: Depth of the outermost suppressed span, or None.
-        self._suppress_from: Optional[int] = None
 
     @property
     def clock(self) -> int:
@@ -225,20 +180,11 @@ class Tracer:
     @property
     def depth(self) -> int:
         """Number of currently open spans (0 when quiescent)."""
-        return self._depth
+        return len(self._stack)
 
     @property
     def capacity(self) -> Optional[int]:
         return getattr(self.spans, "maxlen", None)
-
-    @property
-    def sample_interval(self) -> int:
-        return self._sample_interval
-
-    @property
-    def sample_kinds(self):
-        """Root span kinds subject to 1-in-``sample_interval`` keeping."""
-        return self._sample_kinds
 
     @property
     def dropped(self) -> int:
@@ -253,80 +199,10 @@ class Tracer:
         self._appended += 1
         self.spans.append(span)
 
-    # -- cooperative root sampling -------------------------------------------
-
-    def next_root_kept(self, kind: str) -> bool:
-        """Peek: would a root span of ``kind`` begun now be recorded?
-
-        Consumes nothing. A cooperating hot loop (the timing simulator)
-        asks this *before* paying for span names and args; on ``False``
-        it calls :meth:`skip_root` and bypasses telemetry for the whole
-        subtree, which is much cheaper than threading sentinel spans
-        through every protocol layer. Either route — ``begin`` or
-        ``skip_root`` — consumes exactly one sampling slot, so the
-        kept/suppressed cadence is identical to uncooperative callers
-        that just call ``begin`` everywhere.
-        """
-        if self._suppress_from is not None:
-            return False
-        if self._sample_interval <= 1 or kind not in self._sample_kinds:
-            return True
-        return not (self._sample_seen.get(kind, 0) % self._sample_interval)
-
-    def skip_root(self, kind: str) -> None:
-        """Consume one sampling slot for a root the caller suppressed
-        itself (after a ``False`` from :meth:`next_root_kept`)."""
-        self._sample_seen[kind] = self._sample_seen.get(kind, 0) + 1
-
-    def skip_roots(self, kind: str, count: int) -> None:
-        """Consume ``count`` sampling slots at once.
-
-        The cheapest cooperative protocol: a hot loop that caches
-        :attr:`sample_interval` can run its own suppressed-root
-        countdown — paying one integer decrement per suppressed root
-        instead of any call here — and batch-sync the consumed slots
-        just before the next root it keeps. Equivalent to ``count``
-        :meth:`skip_root` calls.
-        """
-        if count > 0:
-            self._sample_seen[kind] = self._sample_seen.get(kind, 0) + count
-
-    def take_root(self, kind: str) -> bool:
-        """Fused :meth:`next_root_kept` + :meth:`skip_root`: one call
-        decides whether a root of ``kind`` begun now would be recorded
-        and, when the answer is no, consumes the sampling slot itself.
-        A ``True`` return consumes nothing — the subsequent ``begin``
-        of the root does — so cadence is identical to both the
-        two-call protocol and plain uncooperative ``begin`` loops.
-        """
-        if self._sample_interval <= 1 or kind not in self._sample_kinds:
-            return self._suppress_from is None
-        seen = self._sample_seen.get(kind, 0)
-        if self._suppress_from is not None or seen % self._sample_interval:
-            self._sample_seen[kind] = seen + 1
-            return False
-        return True
-
     # -- spans ---------------------------------------------------------------
 
-    def begin(self, kind: str, name: Optional[str] = None, **args):
-        """Open a span; its parent is the innermost span still open.
-
-        Returns a :class:`_SuppressedSpan` sentinel instead when inside
-        (or starting) a sampled-out subtree; pass it back to ``end`` as
-        usual — every other operation on it is a no-op.
-        """
-        depth = self._depth + 1
-        if self._suppress_from is not None:
-            self._depth = depth
-            return _SuppressedSpan(depth)
-        if self._sample_interval > 1 and kind in self._sample_kinds:
-            seen = self._sample_seen.get(kind, 0)
-            self._sample_seen[kind] = seen + 1
-            if seen % self._sample_interval:
-                self._depth = depth
-                self._suppress_from = depth
-                return _SuppressedSpan(depth)
+    def begin(self, kind: str, name: Optional[str] = None, **args) -> Span:
+        """Open a span; its parent is the innermost span still open."""
         parent = self._stack[-1].span_id if self._stack else None
         span = Span(
             span_id=self._next_id,
@@ -339,26 +215,13 @@ class Tracer:
         self._next_id += 1
         self._record(span)
         self._stack.append(span)
-        self._depth = depth
         return span
 
-    def end(self, span, level: Optional[str] = None, **args) -> None:
+    def end(self, span: Span, level: Optional[str] = None, **args) -> None:
         """Close ``span``, first closing any still-open descendants
         (an exception that unwound past their ``end`` calls). Ending a
         span that is already closed only merges args/level (idempotent).
         """
-        if type(span) is _SuppressedSpan:
-            # Unwind to just above the sentinel; a second end of the
-            # same sentinel (depth > current) is a no-op, and closing
-            # the outermost suppressed span re-enables recording.
-            if self._depth >= span.depth:
-                self._depth = span.depth - 1
-                if (
-                    self._suppress_from is not None
-                    and self._depth < self._suppress_from
-                ):
-                    self._suppress_from = None
-            return
         # Identity scan, not ``in``: Span has value equality (for
         # snapshot round-trips) and the hot path must not pay for it.
         if any(open_span is span for open_span in self._stack):
@@ -368,14 +231,6 @@ class Tracer:
                     top.end = self._tick()
                 if top is span:
                     break
-            # Closing a real span also closes any suppressed spans
-            # opened above it (they can only nest deeper).
-            self._depth = len(self._stack)
-            if (
-                self._suppress_from is not None
-                and self._depth < self._suppress_from
-            ):
-                self._suppress_from = None
         elif span.end is None:
             # Orphaned begin (its ancestor was force-closed): stamp it.
             span.end = self._tick()
@@ -396,15 +251,7 @@ class Tracer:
     def instant(
         self, kind: str, name: Optional[str] = None, level: str = "info", **args
     ) -> Span:
-        """Record a point-in-time marker under the current open span.
-
-        Inside a sampled-out subtree, ``info`` instants are dropped with
-        the rest of the subtree, but ``warning``/``error`` instants are
-        always recorded (parented to the innermost *recorded* span):
-        sampling must never hide a violation or a fault.
-        """
-        if self._suppress_from is not None and level == "info":
-            return _SuppressedSpan(self._depth)
+        """Record a point-in-time marker under the current open span."""
         parent = self._stack[-1].span_id if self._stack else None
         tick = self._tick()
         span = Span(

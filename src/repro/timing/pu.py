@@ -37,6 +37,9 @@ class PUTaskTiming:
 
     op_index: int = 0
     completions: List[int] = field(default_factory=list)
+    #: Op index -> value this attempt's load observed (the dataflow
+    #: into stores with ``value_deps``).
+    loaded: List[int] = field(default_factory=list)
     _last_issue: int = 0
     _slots_used: int = 0
     _last_mem_issue: int = -1
@@ -45,6 +48,7 @@ class PUTaskTiming:
 
     def __post_init__(self) -> None:
         self.completions = [0] * len(self.program.ops)
+        self.loaded = [0] * len(self.program.ops)
         self._last_issue = self.start_time
         self._slots_used = 0
         self._last_mem_issue = self.start_time - 1
@@ -129,6 +133,7 @@ class PUTaskTiming:
         self.epoch += 1
         self.op_index = 0
         self.completions = [0] * len(self.program.ops)
+        self.loaded = [0] * len(self.program.ops)
         self.start_time = new_start
         self._last_issue = new_start
         self._slots_used = 0

@@ -156,21 +156,14 @@ class TimingSimulator:
         #: the memory-event hot path pays a single ``is not None`` check.
         self._telemetry = getattr(system, "telemetry", None)
         self._tel_mshr = None
-        self._tel_tracer = None
         self._mshr_occ = None
-        #: Suppressed-root countdown (see ``Tracer.skip_roots``): when
-        #: the tracer samples MEM_OP roots 1-in-N, the memory-event hot
-        #: path pays one integer decrement per sampled-out op and
-        #: batch-syncs the tracer's slot counter at the next kept root,
-        #: keeping the cadence identical to per-op ``take_root`` calls.
+        #: The one memory-op sampler: the first attempt of a run is
+        #: traced, then every ``Telemetry.sample_interval``-th; an
+        #: untraced op pays one integer decrement.
         self._sample_window = 0
         self._root_countdown = 0
-        self._suppressed_pending = 0
         if self._telemetry is not None:
-            tracer = self._telemetry.tracer
-            self._tel_tracer = tracer
-            if tracer.sample_interval > 1 and MEM_OP in tracer.sample_kinds:
-                self._sample_window = tracer.sample_interval - 1
+            self._sample_window = self._telemetry.sample_interval - 1
             self._tel_mshr = self._telemetry.histogram(
                 "mshr.occupancy", OCCUPANCY_EDGES, unit="entries"
             )
@@ -293,23 +286,17 @@ class TimingSimulator:
 
     def _begin_mem_op(self, pu: int, rank: int, op, now: int, mshrs: MSHRFile):
         """Per-op telemetry before the probe. Counts the MSHR occupancy
-        and runs the root-sampling countdown. ``run()`` keeps the
-        system's telemetry detached, so a sampled-out op pays only the
-        countdown and gets no span; a kept root syncs the batched slot
-        count into the tracer, re-attaches the telemetry for the op's
-        duration, and returns its MEM_OP span."""
+        and runs the sampling countdown. ``run()`` keeps the system's
+        telemetry detached, so an untraced op pays only the countdown
+        and gets no span; a traced op re-attaches the telemetry for its
+        duration and returns its MEM_OP span."""
         # len() of the MSHR dict directly: this per-op increment is the
         # cost of keeping the occupancy metric exact.
         self._mshr_occ[len(mshrs._entries)] += 1
         countdown = self._root_countdown
         if countdown:
             self._root_countdown = countdown - 1
-            self._suppressed_pending += 1
             return None
-        pending = self._suppressed_pending
-        if pending:
-            self._suppressed_pending = 0
-            self._tel_tracer.skip_roots(MEM_OP, pending)
         self._root_countdown = self._sample_window
         telemetry = self._telemetry
         self.system.telemetry = telemetry
@@ -323,7 +310,7 @@ class TimingSimulator:
         )
 
     def _end_mem_op(self, span, **attrs) -> None:
-        """End a kept root's MEM_OP span and detach the system's
+        """End a traced op's MEM_OP span and detach the system's
         telemetry again."""
         if span is not None:
             self._telemetry.end(span, **attrs)
@@ -440,9 +427,13 @@ class TimingSimulator:
                         if op.kind == LOAD:
                             result = sys_load(pu, op.addr, op.size, now)
                             end = result.end_cycle
+                            state.loaded[state.op_index] = result.value
                         else:
+                            value = op.value
+                            if op.value_deps:
+                                value = op.store_value(state.loaded)
                             result = sys_store(
-                                pu, op.addr, op.value, op.size, now
+                                pu, op.addr, value, op.size, now
                             )
                             # Stores retire into the store buffer;
                             # dependents (none, by construction) would
@@ -513,13 +504,14 @@ class TimingSimulator:
         )
         # Inverted wiring: the system's telemetry reference stays
         # detached for the whole run and is re-attached only around the
-        # always-recorded sections (commits, task dispatch, squash
-        # restarts) and around kept mem-op roots — so a sampled-out
-        # memory op pays nothing beyond the sampling counter itself.
-        # Metric handles captured at wiring time (bus wait/occupancy,
-        # VCL snoop shape, MSHR occupancy) keep observing throughout,
-        # so metrics stay exact; only spans and instants routed through
-        # the detached reference are sampled.
+        # always-recorded sections (commit waves with their
+        # misprediction squashes, task begins) and around traced memory
+        # ops — so an untraced memory op pays nothing beyond the
+        # sampling countdown. Handles taken at wiring time (bus
+        # wait/occupancy, VCL snoop shape, MSHR occupancy, the checker's
+        # violation report) keep observing throughout, so metrics stay
+        # exact; only spans and instants routed through the detached
+        # reference are sampled.
         self.system.telemetry = None
         try:
             report = self._run_impl()
@@ -527,12 +519,6 @@ class TimingSimulator:
             self.system.telemetry = telemetry
             # Closes the span and any descendants a raise left open.
             telemetry.end(span)
-            # Sync outstanding suppressed-root slots so the tracer's
-            # sampling counter is exact if this tracer is reused.
-            pending = self._suppressed_pending
-            if pending:
-                self._suppressed_pending = 0
-                self._tel_tracer.skip_roots(MEM_OP, pending)
             # Drain every batched-metric accumulator (this simulator's
             # MSHR occupancy, the VCL's snoop shape) so callers reading
             # metrics without snapshotting still see exact counts.

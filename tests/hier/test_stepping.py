@@ -24,7 +24,6 @@ def _case(tasks, design="final", pus=2):
         design=design,
         tasks=tuple(tasks),
         geometry=bound_geometry(Bounds(pus=pus)),
-        schedule="script",
         checker=True,
         check_invariants=True,
         n_caches=pus,

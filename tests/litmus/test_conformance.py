@@ -1,9 +1,9 @@
 """The corpus' acceptance criterion, one test per (shape, tier).
 
 Each test exhaustively explores every schedule of one shape on one
-design tier and demands full conformance: the only observed outcomes
-are the pinned allowed ones, every allowed outcome is actually
-witnessed, and every forbidden (classic relaxed) outcome is *proven*
+design tier and demands full conformance: the only observed outcome
+is the sequential oracle's, it is actually witnessed, and every
+forbidden (classic relaxed) outcome is *proven*
 unreachable — which requires the exploration to be exhaustive (not
 truncated) and free of oracle/invariant counterexamples.
 """

@@ -17,7 +17,6 @@ def _case(tasks, design="final", pus=2, **overrides):
         design=design,
         tasks=tuple(tasks),
         geometry=bound_geometry(Bounds(pus=pus)),
-        schedule="script",
         checker=True,
         check_invariants=True,
         n_caches=pus,

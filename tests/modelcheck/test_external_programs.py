@@ -90,7 +90,6 @@ def test_external_program_outcome_keeps_original_addresses():
         design="final",
         tasks=tasks,
         geometry=bound_geometry(bounds),
-        schedule="script",
         checker=True,
         check_invariants=True,
         n_caches=bounds.pus,
@@ -109,7 +108,6 @@ def test_witness_schedules_replay_to_their_outcomes():
         design="final",
         tasks=tasks,
         geometry=bound_geometry(bounds),
-        schedule="script",
         checker=True,
         check_invariants=True,
         n_caches=bounds.pus,

@@ -151,7 +151,6 @@ def test_capture_round_trips_tasks_field_for_field(source):
 def _valid_capture():
     case = Case(
         tasks=simple_tasks(),
-        schedule="script",
         n_caches=2,
         script=(("op", 1), ("op", 0)),
     )
@@ -184,10 +183,15 @@ def _unknown_geometry_key(data):
     data["case"]["geometry"]["banks"] = 2
 
 
+def _unknown_schedule(data):
+    del data["case"]["script"]
+    data["case"]["schedule"] = "bogus"
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [_no_addr, _bad_kind, _unknown_action, _string_ops, _short_action,
-     _unknown_geometry_key],
+     _unknown_geometry_key, _unknown_schedule],
 )
 def test_replay_cli_exits_two_on_an_invalid_capture(corrupt, tmp_path, capsys):
     data = _valid_capture()
@@ -203,6 +207,19 @@ def test_replay_cli_accepts_the_uncorrupted_capture(tmp_path, capsys):
     path = tmp_path / "capture.json"
     path.write_text(json.dumps(_valid_capture()))
     # The case passes in this build, so it does not reproduce: exit 1.
+    assert replay_main([str(path)]) == 1
+    assert "NOT REPRODUCED" in capsys.readouterr().out
+
+
+def test_replay_cli_accepts_a_scripted_capture_naming_the_script_schedule(
+    tmp_path, capsys
+):
+    """Scripted captures used to carry ``"schedule": "script"``; the
+    script decides every action, so the field is not checked."""
+    data = _valid_capture()
+    data["case"]["schedule"] = "script"
+    path = tmp_path / "capture.json"
+    path.write_text(json.dumps(data))
     assert replay_main([str(path)]) == 1
     assert "NOT REPRODUCED" in capsys.readouterr().out
 
@@ -257,7 +274,6 @@ class TestScriptedCases:
         params = dict(
             design="final",
             tasks=simple_tasks(),
-            schedule="script",
             n_caches=2,
             check_invariants=True,
             script=tuple(script),

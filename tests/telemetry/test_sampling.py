@@ -1,24 +1,41 @@
-"""Ring-buffer capacity and root sampling keep telemetry cheap *and* honest.
+"""Ring-buffer capacity and memory-op sampling keep telemetry cheap *and*
+honest.
 
-The tracer's two cost bounds (``capacity`` rings out old spans,
-``sample_interval`` keeps 1-in-N subtrees of a sampled root kind) must
-never corrupt what survives: eviction counts are reported, causal links
-are healed on export, the kept/suppressed cadence is deterministic, and
-warning/error instants punch through suppression. The cooperative
-``next_root_kept``/``skip_root`` protocol the timing simulator uses
-must consume exactly the same sampling slots as uncooperative
-``begin`` calls, so both styles see the same roots.
+The tracer's ring (``capacity``) must never corrupt what survives:
+eviction counts are reported and causal links are healed on export.
+The one sampler is the timing simulator's countdown, which traces the
+first memory-op attempt of a run and every ``sample_interval``-th after
+it: the number of ``mem_op`` spans follows from the run's attempts, the
+sampled trace is deterministic, and a checker violation raised inside
+an untraced op is still recorded.
 """
+
+import hashlib
+import json
+import math
 
 import pytest
 
+import repro.svc.vcl as vcl_module
+from repro.arb.system import ARBSystem
+from repro.check import InvariantChecker
+from repro.common.config import ARBConfig, SVCConfig
+from repro.common.errors import InvariantViolation
+from repro.svc.designs import final_design
+from repro.svc.system import SVCSystem
 from repro.telemetry import (
+    COMMIT,
+    INVARIANT_VIOLATION,
     MEM_OP,
     PRODUCTION_SAMPLE_INTERVAL,
     PRODUCTION_TRACE_CAPACITY,
+    RUN,
+    TASK_BEGIN,
     Telemetry,
 )
-from repro.telemetry.tracer import Tracer, _SuppressedSpan
+from repro.telemetry.tracer import Tracer
+from repro.timing.simulator import TimingSimulator
+from repro.workloads.spec95 import spec95_tasks
 
 
 # -- ring buffer -------------------------------------------------------------
@@ -66,184 +83,94 @@ class TestRingBuffer:
         assert len(snap["spans"]) == 5
 
 
-# -- root sampling -----------------------------------------------------------
+# -- memory-op sampling in the timing simulator ------------------------------
+
+SCALE = 0.05
+
+MACHINES = {
+    "svc_final": lambda tel, **kw: SVCSystem(
+        final_design(SVCConfig.paper_32kb()), telemetry=tel, **kw
+    ),
+    "arb32k_1c": lambda tel, **kw: ARBSystem(
+        ARBConfig.paper_32kb(hit_cycles=1), telemetry=tel, **kw
+    ),
+}
+
+#: (machine, model) -> (traced ops at N = 1, 3, 128; leading 16 hex
+#: digits of the sha256 of the N = 3 run's exported spans).
+CADENCE_PINS = {
+    ("svc_final", "compress"): ((1265, 422, 10), "1d2b60a228a35f51"),
+    ("svc_final", "mgrid"): ((2156, 719, 17), "e38a260ddc024cb3"),
+    ("arb32k_1c", "compress"): ((1257, 419, 10), "0aa666e3aba1e94d"),
+    ("arb32k_1c", "mgrid"): ((2156, 719, 17), "04de7aee05678e46"),
+}
 
 
-def run_roots(tracer, n, children=1):
-    """n MEM_OP roots, each with ``children`` nested protocol spans."""
-    for i in range(n):
-        root = tracer.begin(MEM_OP, f"root {i}")
-        for c in range(children):
-            child = tracer.begin("bus_txn", f"txn {i}.{c}")
-            tracer.instant("event", f"ev {i}.{c}")
-            tracer.end(child)
-        tracer.end(root)
+def _outermost_kinds(spans):
+    """Kinds of the outermost spans under the run envelope: a span that
+    an untraced op leaked would show up here as its own root."""
+    by_id = {span["id"]: span for span in spans}
+    kinds = set()
+    for span in spans:
+        if span["kind"] == RUN:
+            continue
+        while by_id[span["parent"]]["kind"] != RUN:
+            span = by_id[span["parent"]]
+        kinds.add(span["kind"])
+    return kinds
 
 
-class TestRootSampling:
-    def test_first_root_always_kept_then_one_in_n(self):
-        tracer = Tracer(sample_interval=4, sample_kinds=(MEM_OP,))
-        run_roots(tracer, 10)
-        kept = [s.name for s in tracer.of_kind(MEM_OP)]
-        assert kept == ["root 0", "root 4", "root 8"]
-
-    def test_suppressed_root_drops_entire_subtree(self):
-        tracer = Tracer(sample_interval=2, sample_kinds=(MEM_OP,))
-        run_roots(tracer, 4, children=2)
-        # Roots 0 and 2 kept, each with 2 children + 2 instants.
-        assert len(tracer.of_kind(MEM_OP)) == 2
-        assert len(tracer.of_kind("bus_txn")) == 4
-        assert len(tracer.of_kind("event")) == 4
-
-    def test_sampling_is_deterministic(self):
-        def trace():
-            tracer = Tracer(sample_interval=3, sample_kinds=(MEM_OP,))
-            run_roots(tracer, 20, children=2)
-            return [s.to_dict() for s in tracer.spans]
-
-        assert trace() == trace()
-
-    def test_unsampled_kinds_unaffected(self):
-        tracer = Tracer(sample_interval=4, sample_kinds=(MEM_OP,))
-        for i in range(8):
-            tracer.end(tracer.begin("commit", f"commit {i}"))
-        assert len(tracer.of_kind("commit")) == 8
-
-    def test_warning_and_error_instants_punch_through(self):
-        tracer = Tracer(sample_interval=2, sample_kinds=(MEM_OP,))
-        outer = tracer.begin("campaign")
-        for i in range(4):
-            root = tracer.begin(MEM_OP, f"root {i}")
-            tracer.instant("violation", f"bad {i}", level="error")
-            tracer.instant("note", f"note {i}", level="info")
-            tracer.end(root)
-        tracer.end(outer)
-        errors = tracer.of_kind("violation")
-        assert [s.name for s in errors] == [f"bad {i}" for i in range(4)]
-        # Suppressed-subtree errors reparent to the innermost recorded
-        # span; info instants vanish with their subtree.
-        campaign_id = tracer.of_kind("campaign")[0].span_id
-        suppressed_errors = [s for s in errors if s.name in ("bad 1", "bad 3")]
-        assert all(s.parent_id == campaign_id for s in suppressed_errors)
-        assert [s.name for s in tracer.of_kind("note")] == ["note 0", "note 2"]
-
-    def test_depth_tracks_suppressed_spans_and_double_end_is_safe(self):
-        tracer = Tracer(sample_interval=2, sample_kinds=(MEM_OP,))
-        tracer.end(tracer.begin(MEM_OP, "kept"))
-        root = tracer.begin(MEM_OP, "suppressed")
-        assert isinstance(root, _SuppressedSpan)
-        child = tracer.begin("bus_txn")
-        assert isinstance(child, _SuppressedSpan)
-        assert tracer.depth == 2
-        tracer.end(child)
-        tracer.end(child)  # double end: no-op
-        assert tracer.depth == 1
-        tracer.end(root)
-        assert tracer.depth == 0
-        # Suppression cleared: the next root (slot 2, even) is recorded.
-        kept = tracer.begin(MEM_OP, "kept 2")
-        assert not isinstance(kept, _SuppressedSpan)
-        tracer.end(kept)
-
-    def test_real_span_end_closes_suppressed_descendants(self):
-        """An exception unwind that ends only the outer real span must
-        clear suppression state along with the stack."""
-        tracer = Tracer(sample_interval=2, sample_kinds=(MEM_OP,))
-        outer = tracer.begin("campaign")
-        tracer.end(tracer.begin(MEM_OP, "kept"))
-        tracer.begin(MEM_OP, "suppressed")  # never ended
-        tracer.begin("bus_txn")  # never ended
-        tracer.end(outer)
-        assert tracer.depth == 0
-        kept = tracer.begin(MEM_OP, "kept 2")
-        assert not isinstance(kept, _SuppressedSpan)
-        tracer.end(kept)
+@pytest.mark.parametrize("machine,model", sorted(CADENCE_PINS))
+def test_simulator_traces_the_first_attempt_and_every_nth(machine, model):
+    counts, digest = CADENCE_PINS[machine, model]
+    commits = set()
+    for interval, pinned in zip((1, 3, 128), counts):
+        tel = Telemetry(sample_interval=interval)
+        system = MACHINES[machine](tel)
+        report = TimingSimulator(system, spec95_tasks(model, SCALE)).run()
+        spans = tel.snapshot()["spans"]
+        traced = sum(1 for span in spans if span["kind"] == MEM_OP)
+        # Every probe attempt is a sampling slot, stalled ones included.
+        attempts = report.executed_memory_ops + report.replacement_stall_retries
+        assert traced == math.ceil(attempts / interval) == pinned
+        assert _outermost_kinds(spans) <= {MEM_OP, COMMIT, TASK_BEGIN}
+        commits.add(sum(1 for span in spans if span["kind"] == COMMIT))
+        if interval == 3:
+            payload = json.dumps(spans, sort_keys=True).encode()
+            assert hashlib.sha256(payload).hexdigest()[:16] == digest
+    # Commit waves are recorded whatever the interval.
+    assert len(commits) == 1
 
 
-# -- cooperative peek/skip protocol ------------------------------------------
+def _arm_cyclic_repair(monkeypatch, after):
+    """Seed the cyclic VOL-repair bug of tests/repro/test_checker.py,
+    armed only after ``after`` repairs, so it fires mid-run."""
+    original = vcl_module.rewrite_pointers
+    repairs = [0]
+
+    def cyclic_repair(entries, vol):
+        original(entries, vol)
+        repairs[0] += 1
+        if repairs[0] > after and len(vol) >= 2:
+            entries[vol[-1]].pointer = vol[0]
+
+    monkeypatch.setattr(vcl_module, "rewrite_pointers", cyclic_repair)
 
 
-class TestCooperativeSampling:
-    def test_peek_consumes_nothing(self):
-        tracer = Tracer(sample_interval=3, sample_kinds=(MEM_OP,))
-        for _ in range(5):
-            assert tracer.next_root_kept(MEM_OP)
-        tracer.end(tracer.begin(MEM_OP, "root 0"))
-        assert not tracer.next_root_kept(MEM_OP)
-
-    def test_skip_root_consumes_one_slot(self):
-        tracer = Tracer(sample_interval=3, sample_kinds=(MEM_OP,))
-        decisions = []
-        for i in range(9):
-            kept = tracer.next_root_kept(MEM_OP)
-            decisions.append(kept)
-            if kept:
-                tracer.end(tracer.begin(MEM_OP, f"root {i}"))
-            else:
-                tracer.skip_root(MEM_OP)
-        assert decisions == [True, False, False] * 3
-
-    def test_cooperative_matches_uncooperative_cadence(self):
-        """Peek/skip and plain begin/end must keep the same roots."""
-        interval = 4
-
-        coop = Tracer(sample_interval=interval, sample_kinds=(MEM_OP,))
-        kept_coop = []
-        for i in range(17):
-            if coop.next_root_kept(MEM_OP):
-                kept_coop.append(i)
-                coop.end(coop.begin(MEM_OP, f"root {i}"))
-            else:
-                coop.skip_root(MEM_OP)
-
-        plain = Tracer(sample_interval=interval, sample_kinds=(MEM_OP,))
-        run_roots(plain, 17)
-        kept_plain = [int(s.name.split()[1]) for s in plain.of_kind(MEM_OP)]
-
-        assert kept_coop == kept_plain
-
-    def test_batched_skip_roots_matches_cadence(self):
-        """A countdown loop that batch-syncs via ``skip_roots`` (the
-        timing simulator's protocol) keeps the same roots as plain
-        begin/end."""
-        interval = 4
-
-        batched = Tracer(sample_interval=interval, sample_kinds=(MEM_OP,))
-        countdown = 0
-        pending = 0
-        kept_batched = []
-        for i in range(17):
-            if countdown:
-                countdown -= 1
-                pending += 1
-            else:
-                batched.skip_roots(MEM_OP, pending)
-                pending = 0
-                countdown = interval - 1
-                kept_batched.append(i)
-                batched.end(batched.begin(MEM_OP, f"root {i}"))
-
-        plain = Tracer(sample_interval=interval, sample_kinds=(MEM_OP,))
-        run_roots(plain, 17)
-        kept_plain = [int(s.name.split()[1]) for s in plain.of_kind(MEM_OP)]
-
-        assert kept_batched == kept_plain
-        # Both tracers consumed the same number of sampling slots.
-        batched.skip_roots(MEM_OP, pending)
-        assert batched._sample_seen[MEM_OP] == plain._sample_seen[MEM_OP]
-
-    def test_peek_false_inside_suppressed_subtree(self):
-        tracer = Tracer(sample_interval=2, sample_kinds=(MEM_OP,))
-        tracer.end(tracer.begin(MEM_OP, "kept"))
-        root = tracer.begin(MEM_OP, "suppressed")
-        assert not tracer.next_root_kept("anything")
-        tracer.end(root)
-
-    def test_interval_one_keeps_everything(self):
-        tracer = Tracer(sample_interval=1, sample_kinds=(MEM_OP,))
-        run_roots(tracer, 6)
-        assert len(tracer.of_kind(MEM_OP)) == 6
-        assert tracer.next_root_kept(MEM_OP)
+@pytest.mark.parametrize("interval", [1, PRODUCTION_SAMPLE_INTERVAL])
+def test_sampled_trace_keeps_checker_violations(monkeypatch, interval):
+    """The checker reports through the telemetry it took at wiring time,
+    so a violation raised inside an untraced op is still an error
+    instant and a counted violation."""
+    _arm_cyclic_repair(monkeypatch, after=300)
+    tel = Telemetry(sample_interval=interval)
+    system = MACHINES["svc_final"](tel, checker=InvariantChecker())
+    with pytest.raises(InvariantViolation, match="vol-acyclic"):
+        TimingSimulator(system, spec95_tasks("compress", SCALE)).run()
+    snap = tel.snapshot()
+    violations = [s for s in snap["spans"] if s["kind"] == INVARIANT_VIOLATION]
+    assert [s["level"] for s in violations] == ["error"]
+    assert snap["metrics"]["counters"]["check.violations"]["value"] == 1
 
 
 # -- production wiring -------------------------------------------------------
@@ -260,11 +187,11 @@ class TestProductionConfig:
             sample_interval=PRODUCTION_SAMPLE_INTERVAL,
         )
         assert tel.tracer.capacity == PRODUCTION_TRACE_CAPACITY
-        assert tel.tracer.sample_interval == PRODUCTION_SAMPLE_INTERVAL
+        assert tel.sample_interval == PRODUCTION_SAMPLE_INTERVAL
         snap = tel.snapshot()
         assert snap["sample_interval"] == PRODUCTION_SAMPLE_INTERVAL
 
     def test_default_telemetry_records_everything(self):
         tel = Telemetry()
         assert tel.tracer.capacity is None
-        assert tel.tracer.sample_interval == 1
+        assert tel.sample_interval == 1
