@@ -24,7 +24,8 @@ dangling pointer or a conservatively stale T bit. The checker therefore
 verifies only the properties that must hold in every quiescent state —
 the safe direction of each invariant. ``SVCSystem.verify()`` remains the
 strict post-repair audit. The full catalogue, with paper citations,
-lives in docs/INVARIANTS.md.
+lives in docs/INVARIANTS.md; the per-line rules run in its order, in
+one loop per line, so a line that breaks two rules reports the earlier.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from repro.common.errors import InvariantViolation, ProtocolError
 from repro.common.events import ProtocolEvent
 from repro.svc.cache import scan_cache
 from repro.svc.line import SVCLine
+from repro.svc.vol import build_vol
 from repro.telemetry import INVARIANT_VIOLATION
 
 #: Event kinds that trigger a check, per system family.
@@ -232,17 +234,86 @@ class InvariantChecker:
                 )
 
     def _svc_lines(self, system, items, ranks: Dict[int, int]) -> None:
-        """The per-line rules, in catalogue order, for each
-        ``(line_addr, entries)`` of ``items``, entries ascending by cache
-        id. A rule builds its diagnostic only when it breaks."""
-        from repro.svc.vol import build_vol
-
+        """Every per-line rule, in catalogue order, for each ``(line_addr,
+        entries)`` of ``items``, entries ascending by cache id: one loop
+        per line, each rule's condition next to its failure. A rule builds
+        its diagnostic only when it breaks."""
         features = system.features
-        full = system.amap.full_mask
+        lazy_commit = features.lazy_commit
+        stale_bit = features.stale_bit
+        architectural_bit = features.architectural_bit
+        amap = system.amap
+        full = amap.full_mask
+        outside = ~full
+        blocks_in = amap.blocks_in_mask
         memory_stamps = system.vcl._memory_stamps
-        zero_stamps = [0] * system.amap.blocks_per_line
+        zero_stamps = [0] * amap.blocks_per_line
         for line_addr, entries in items:
-            self._svc_bits(features, full, line_addr, entries)
+            # Bit legality for the design tier: the C, T and A bits exist
+            # only from the level that introduces them (Figures 6, 11, 16).
+            for cache_id, line in entries.items():
+                if not lazy_commit and line.committed:
+                    self._fail(
+                        "c-requires-ec",
+                        f"line {line_addr:#x} has C set but the design has no C "
+                        "bit (base design commits write back eagerly, section "
+                        "3.2.6)",
+                        subject=line_addr,
+                        cache=cache_id,
+                        state=line.describe(),
+                    )
+                if not stale_bit and line.stale:
+                    self._fail(
+                        "t-requires-ec",
+                        f"line {line_addr:#x} has T set but the design has no T bit",
+                        subject=line_addr,
+                        cache=cache_id,
+                        state=line.describe(),
+                    )
+                if not architectural_bit and line.architectural:
+                    self._fail(
+                        "a-requires-ecs",
+                        f"line {line_addr:#x} has A set but the design has no A bit",
+                        subject=line_addr,
+                        cache=cache_id,
+                        state=line.describe(),
+                    )
+                valid = line.valid_mask
+                store = line.store_mask
+                if (valid | store | line.load_mask) & outside:
+                    name, mask = next(
+                        (name, mask)
+                        for name, mask in (
+                            ("valid", valid), ("store", store), ("load", line.load_mask)
+                        )
+                        if mask & outside
+                    )
+                    self._fail(
+                        "mask-in-range",
+                        f"line {line_addr:#x} {name}_mask {mask:#x} exceeds the "
+                        f"line's block mask {full:#x}",
+                        subject=line_addr,
+                        cache=cache_id,
+                        state=line.describe(),
+                    )
+                if store & ~valid:
+                    self._fail(
+                        "stores-are-valid",
+                        f"line {line_addr:#x} in cache {cache_id} owns blocks "
+                        f"{store:#x} without valid data (valid {valid:#x})",
+                        subject=line_addr,
+                        cache=cache_id,
+                        state=line.describe(),
+                    )
+                if line.written_back and not line.committed:
+                    self._fail(
+                        "writeback-implies-committed",
+                        f"line {line_addr:#x} in cache {cache_id} is marked "
+                        "written-back while still active",
+                        subject=line_addr,
+                        cache=cache_id,
+                        state=line.describe(),
+                    )
 
             # VOL reconstruction itself enforces "active line implies a
             # running task"; surface its complaint as a structured
@@ -252,195 +323,115 @@ class InvariantChecker:
             except ProtocolError as exc:
                 self._fail("vol-buildable", str(exc), subject=line_addr)
 
-            self._svc_pointer_chain(line_addr, entries)
-            self._svc_version_order(line_addr, entries, vol)
-            self._svc_exclusivity(line_addr, entries, vol)
-            if features.stale_bit:
-                # Read, not memory_stamps_for(): the audit must not
-                # mutate the VCL it checks.
-                self._svc_stale_bits(
-                    line_addr, entries, vol, memory_stamps.get(line_addr, zero_stamps)
-                )
-
-    def _svc_bits(self, features, full, line_addr, entries) -> None:
-        """Per-line bit-state legality for the configured design tier
-        (the Figure 6/11/16 state bits exist only from the design level
-        that introduces them)."""
-        for cache_id, line in entries.items():
-            if line.committed and not features.lazy_commit:
-                self._fail(
-                    "c-requires-ec",
-                    f"line {line_addr:#x} has C set but the design has no C bit "
-                    "(base design commits write back eagerly, section 3.2.6)",
-                    subject=line_addr,
-                    cache=cache_id,
-                    state=line.describe(),
-                )
-            if line.stale and not features.stale_bit:
-                self._fail(
-                    "t-requires-ec",
-                    f"line {line_addr:#x} has T set but the design has no T bit",
-                    subject=line_addr,
-                    cache=cache_id,
-                    state=line.describe(),
-                )
-            if line.architectural and not features.architectural_bit:
-                self._fail(
-                    "a-requires-ecs",
-                    f"line {line_addr:#x} has A set but the design has no A bit",
-                    subject=line_addr,
-                    cache=cache_id,
-                    state=line.describe(),
-                )
-            if (line.valid_mask | line.store_mask | line.load_mask) & ~full:
-                for name, mask in (
-                    ("valid", line.valid_mask),
-                    ("store", line.store_mask),
-                    ("load", line.load_mask),
-                ):
-                    if mask & ~full:
+            # Pointers may dangle between repairs (Figure 17) but never
+            # cycle. A walk that stays among the n holders for n steps has
+            # revisited one; only then is the chain walked again, to name
+            # the revisit.
+            n_holders = len(entries)
+            for start, line in entries.items():
+                pointer = line.pointer
+                steps = 0
+                while pointer in entries:  # None or a dangling id ends it
+                    steps += 1
+                    if steps == n_holders:
+                        visited = {start}
+                        pointer = line.pointer
+                        while pointer not in visited:
+                            visited.add(pointer)
+                            pointer = entries[pointer].pointer
                         self._fail(
-                            "mask-in-range",
-                            f"line {line_addr:#x} {name}_mask {mask:#x} exceeds "
-                            f"the line's block mask {full:#x}",
+                            "vol-acyclic",
+                            f"line {line_addr:#x}: VOL pointer chain from cache "
+                            f"{start} revisits cache {pointer} "
+                            f"(chain {sorted(visited)})",
                             subject=line_addr,
-                            cache=cache_id,
-                            state=line.describe(),
                         )
-            if line.store_mask & ~line.valid_mask:
+                    pointer = entries[pointer].pointer
+
+            # One walk of the VOL checks the committed versions' order and
+            # gathers what the exclusivity and T rules read.
+            previous = stamp = owner = None
+            owners = 0
+            # Read, not memory_stamps_for(): the audit must not mutate the
+            # VCL it checks.
+            tail = memory_stamps.get(line_addr, zero_stamps)
+            for cache_id in vol:
+                line = entries[cache_id]
+                # Committed versions keep a total order by version stamp
+                # even after silent evictions punch holes in the chain.
+                # They are the VOL's prefix in stamp order, so a shared
+                # stamp sits next to its twin.
+                if line.committed and line.store_mask:
+                    if line.version_seq == stamp:
+                        self._fail(
+                            "version-order-total",
+                            f"line {line_addr:#x}: committed versions in caches "
+                            f"{previous} and {cache_id} share stamp {stamp}; "
+                            "their writeback order is undefined",
+                            subject=line_addr,
+                        )
+                    previous, stamp = cache_id, line.version_seq
+                if line.exclusive:
+                    owner = cache_id
+                    owners += 1
+                # The tail-of-VOL stamps: each block takes its newest
+                # writer's stamp, else memory's.
+                if stale_bit:
+                    writes = line.store_mask & line.valid_mask
+                    if writes == full:
+                        tail = line.block_content
+                    elif writes:
+                        tail = list(tail)
+                        for block in blocks_in(writes):
+                            tail[block] = line.block_content[block]
+
+            # X (section 3.8.1) authorizes bus-free stores, so it must
+            # mean sole holder of the line's data: a silent store changes
+            # the tail of the VOL with no bus event to snoop, and another
+            # cache's valid blocks would keep a clear T on stale data.
+            # Husks (no valid block, kept for their L bits) are harmless.
+            if owners > 1:
                 self._fail(
-                    "stores-are-valid",
-                    f"line {line_addr:#x} in cache {cache_id} owns blocks "
-                    f"{line.store_mask:#x} without valid data "
-                    f"(valid {line.valid_mask:#x})",
-                    subject=line_addr,
-                    cache=cache_id,
-                    state=line.describe(),
-                )
-            if line.written_back and not line.committed:
-                self._fail(
-                    "writeback-implies-committed",
-                    f"line {line_addr:#x} in cache {cache_id} is marked "
-                    "written-back while still active",
-                    subject=line_addr,
-                    cache=cache_id,
-                    state=line.describe(),
-                )
-
-    def _svc_pointer_chain(self, line_addr, entries) -> None:
-        """VOL pointers may dangle between repairs (Figure 17) but must
-        never cycle and must point at other caches, not at themselves.
-
-        A walk that stays among the n holders for n steps has revisited
-        one; only then is the chain walked again, to name the revisit."""
-        n_holders = len(entries)
-        for start, line in entries.items():
-            pointer = line.pointer
-            steps = 0
-            while pointer in entries:  # None or a dangling id ends the chain
-                steps += 1
-                if steps == n_holders:
-                    visited = {start}
-                    nxt = entries[start].pointer
-                    while nxt not in visited:
-                        visited.add(nxt)
-                        nxt = entries[nxt].pointer
-                    self._fail(
-                        "vol-acyclic",
-                        f"line {line_addr:#x}: VOL pointer chain from cache "
-                        f"{start} revisits cache {nxt} "
-                        f"(chain {sorted(visited)})",
-                        subject=line_addr,
-                    )
-                pointer = entries[pointer].pointer
-
-    def _svc_version_order(self, line_addr, entries, vol) -> None:
-        """Committed versions stay totally ordered by version stamp even
-        after silent evictions punch holes in the pointer chain."""
-        seen: Dict[int, int] = {}
-        for cache_id in vol:
-            line = entries[cache_id]
-            if line.committed and line.store_mask:
-                if line.version_seq in seen:
-                    self._fail(
-                        "version-order-total",
-                        f"line {line_addr:#x}: committed versions in caches "
-                        f"{seen[line.version_seq]} and {cache_id} share stamp "
-                        f"{line.version_seq}; their writeback order is "
-                        "undefined",
-                        subject=line_addr,
-                    )
-                seen[line.version_seq] = cache_id
-
-    def _svc_exclusivity(self, line_addr, entries, vol) -> None:
-        """The X bit (section 3.8.1) authorizes bus-free stores, so it
-        must mean *sole holder of the line's data*: a silent store
-        changes the tail-of-VOL with no bus event to snoop, so any
-        other cache holding valid blocks would be left with a T bit
-        that is clear on genuinely stale data — the exact state the
-        T machinery exists to prevent. Entries with no valid block
-        (husks kept resident for their L bits) are harmless: they
-        cover nothing and can never be reused. At most one entry can
-        hold X."""
-        holders = [cid for cid in vol if entries[cid].exclusive]
-        if len(holders) > 1:
-            self._fail(
-                "x-unique",
-                f"line {line_addr:#x}: caches {holders} all claim "
-                "exclusivity",
-                subject=line_addr,
-            )
-        if not holders:
-            return
-        for cache_id in vol:
-            line = entries[cache_id]
-            if cache_id != holders[0] and line.valid_mask:
-                self._fail(
-                    "x-implies-sole-holder",
-                    f"line {line_addr:#x}: cache {holders[0]} holds X but "
-                    f"cache {cache_id} holds valid blocks "
-                    f"{line.valid_mask:#x} (VOL {vol}); a silent store "
-                    "would leave that copy's T bit clear on stale data",
+                    "x-unique",
+                    f"line {line_addr:#x}: caches "
+                    f"{[cid for cid in vol if entries[cid].exclusive]} all "
+                    "claim exclusivity",
                     subject=line_addr,
                 )
+            if owner is not None:
+                for cache_id in vol:
+                    line = entries[cache_id]
+                    if cache_id != owner and line.valid_mask:
+                        self._fail(
+                            "x-implies-sole-holder",
+                            f"line {line_addr:#x}: cache {owner} holds X but "
+                            f"cache {cache_id} holds valid blocks "
+                            f"{line.valid_mask:#x} (VOL {vol}); a silent store "
+                            "would leave that copy's T bit clear on stale data",
+                            subject=line_addr,
+                        )
 
-    def _svc_stale_bits(self, line_addr, entries, vol, memory_stamps) -> None:
-        """T may be conservatively *set* between repairs, but a *clear* T
-        on genuinely stale data authorizes a wrong local reuse (section
-        3.4.3): always a bug. The tail-of-VOL stamps come from one pass
-        over the VOL: each block takes the newest writer's stamp, else
-        memory's (:func:`repro.svc.vol.tail_stamps`)."""
-        tail = list(memory_stamps)
-        for cache_id in vol:
-            line = entries[cache_id]
-            writes = line.store_mask & line.valid_mask
-            content = line.block_content
-            block = 0
-            while writes:
-                if writes & 1:
-                    tail[block] = content[block]
-                writes >>= 1
-                block += 1
-        for cache_id in vol:
-            line = entries[cache_id]
-            if line.stale:
+            if not stale_bit:
                 continue
-            valid = line.valid_mask
-            content = line.block_content
-            block = 0
-            while valid:
-                if valid & 1 and content[block] != tail[block]:
+            # T may be conservatively set between repairs, but a clear T on
+            # stale data authorizes a wrong local reuse (section 3.4.3).
+            for cache_id in vol:
+                line = entries[cache_id]
+                content = line.block_content
+                # A line equal to the tail in every block is fresh.
+                if (
+                    not line.stale
+                    and content != tail
+                    and any(content[b] != tail[b] for b in blocks_in(line.valid_mask))
+                ):
                     self._fail(
                         "t-clear-implies-fresh",
                         f"line {line_addr:#x} in cache {cache_id} has T clear "
-                        f"but its valid blocks do not match the tail-of-VOL "
-                        f"composition (stamps {line.block_content} vs tail "
-                        f"{tail})",
+                        "but its valid blocks do not match the tail-of-VOL "
+                        f"composition (stamps {content} vs tail {tail})",
                         subject=line_addr,
                         cache=cache_id,
                     )
-                valid >>= 1
-                block += 1
 
     # -- ARB ---------------------------------------------------------------
 

@@ -119,14 +119,14 @@ class SpeculativeExecutionDriver:
             )
         self.system = system
         self.tasks = [_TaskState(program=t) for t in tasks]
-        self.rng = random.Random(seed)
+        #: The RNG and the step bound are built by :meth:`run`, their only
+        #: reader (the model checker steps a driver per node and never
+        #: runs one); ``max_steps=None`` bounds the run by the task sizes.
+        self.seed = seed
+        self.rng: Optional[random.Random] = None
         self.schedule = schedule
         self.squash_probability = squash_probability
-        self.max_steps = (
-            max_steps
-            if max_steps is not None
-            else 2000 + 400 * sum(len(t.memory_ops) + 1 for t in tasks)
-        )
+        self.max_steps = max_steps
         self.fault_injector = (
             FaultInjector(fault_plan) if fault_plan is not None else None
         )
@@ -390,14 +390,21 @@ class SpeculativeExecutionDriver:
         return report
 
     def _run_impl(self, script: Sequence[Action]) -> DriverReport:
+        if self.rng is None:
+            self.rng = random.Random(self.seed)
+        max_steps = self.max_steps
+        if max_steps is None:
+            max_steps = 2000 + 400 * sum(
+                len(state.program.memory_ops) + 1 for state in self.tasks
+            )
         for action in script:
             self.apply(tuple(action), lenient=True)
         last_progress = self._progress
         stalled_rounds = 0
         while not self.terminal:
-            if self._steps >= self.max_steps:
+            if self._steps >= max_steps:
                 raise SimulationError(
-                    f"driver exceeded {self.max_steps} steps; "
+                    f"driver exceeded {max_steps} steps; "
                     "likely livelock in the protocol or the schedule"
                 )
             if self._progress == last_progress:

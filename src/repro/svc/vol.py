@@ -42,7 +42,8 @@ def build_vol(
     Parameters
     ----------
     entries:
-        ``cache_id -> line`` for every cache currently holding the line.
+        ``cache_id -> line`` for every cache currently holding the line,
+        in ascending cache id (as every holder read passes them).
     task_rank_of_cache:
         ``cache_id -> rank`` of the task currently assigned to each PU;
         smaller rank means older in program order. Caches holding only
@@ -50,30 +51,28 @@ def build_vol(
 
     Returns
     -------
-    Cache ids in VOL order (oldest first).
+    Cache ids in VOL order (oldest first): committed versions by version
+    stamp, tied stamps in ascending cache id; then committed copies, by
+    the stamp of the version they copied (0 for architectural copies)
+    and cache id, since their order is immaterial; then active entries
+    by task rank. Each entry is keyed by a ``(group, stamp or rank,
+    cache_id)`` tuple, so one native sort orders them all and a sole
+    holder is not sorted.
     """
-    committed_versions = []
-    committed_copies = []
-    active = []
+    keys = []
     for cache_id, line in entries.items():
         if line.committed:
-            if line.dirty:
-                committed_versions.append(cache_id)
-            else:
-                committed_copies.append(cache_id)
+            keys.append((0 if line.store_mask else 1, line.version_seq, cache_id))
+        elif cache_id in task_rank_of_cache:
+            keys.append((2, task_rank_of_cache[cache_id], cache_id))
         else:
-            if cache_id not in task_rank_of_cache:
-                raise ProtocolError(
-                    f"cache {cache_id} holds an active line but runs no task"
-                )
-            active.append(cache_id)
-
-    committed_versions.sort(key=lambda cid: entries[cid].version_seq)
-    # Committed copies: order is immaterial; keep deterministic by the
-    # sequence of the version they copied (0 for architectural copies).
-    committed_copies.sort(key=lambda cid: (entries[cid].version_seq, cid))
-    active.sort(key=lambda cid: task_rank_of_cache[cid])
-    return committed_versions + committed_copies + active
+            raise ProtocolError(
+                f"cache {cache_id} holds an active line but runs no task"
+            )
+    if len(keys) == 1:
+        return [keys[0][2]]
+    keys.sort()
+    return [key[2] for key in keys]
 
 
 def rewrite_pointers(entries: Dict[int, SVCLine], vol: List[int]) -> None:

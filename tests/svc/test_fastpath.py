@@ -25,6 +25,7 @@ from repro.common.errors import ProtocolError
 from repro.faults import random_fault_plan
 from repro.harness.differential import TIERS, differential_workload, observe_run
 from repro.hier.driver import SpeculativeExecutionDriver
+from repro.svc.cache import scan_holders
 from repro.svc.designs import design_config
 from repro.svc.fastpath import FastpathKernel
 from repro.svc.line import SVCLine
@@ -317,15 +318,29 @@ def test_snapshots_stay_fresh_through_a_driver_run(tier, workload):
 @pytest.mark.parametrize("tier", TIERS)
 def test_snapshots_stay_fresh_through_a_timing_run(tier, workload):
     """The timing path adds bus contention, MSHR retries, replacement
-    stalls and misprediction squashes to the interleavings."""
+    stalls and misprediction squashes to the interleavings. The end-of-run
+    audit sees the machine the run leaves: ``verify()`` runs just before
+    the simulator drains it. Base flash-invalidates at every commit, so
+    it ends with no line; every later tier ends with some."""
     seed = 9
     system = make_svc(tier)
     audits = _audit_snapshots_like_the_checker(system)
     tasks = WORKLOADS[workload](seed)
     plan, _ = _fault_plan(tier, seed, tasks)
+    resident = []
+    drain = system.drain
+
+    def verify_then_drain():
+        resident.append(len(scan_holders(system.caches)))
+        system.verify()
+        drain()
+
+    system.drain = verify_then_drain
     TimingSimulator(system, tasks, fault_plan=plan).run()
     assert audits.count("bus") > 20
-    system.verify()
+    assert len(resident) == 1
+    if tier != "base":
+        assert resident[0] > 0
 
 
 def test_warm_snarf_fill_rebuilds_no_snapshot():

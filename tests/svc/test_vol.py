@@ -1,6 +1,7 @@
 """Version Ordering List: construction, search, repair primitives."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.common.errors import ProtocolError
 from repro.svc.line import SVCLine
@@ -50,6 +51,62 @@ class TestBuildVOL:
     def test_active_without_task_is_error(self):
         with pytest.raises(ProtocolError):
             build_vol({0: line()}, {})
+
+
+def key_sorted_vol(entries, task_rank_of_cache):
+    """The VOL as three stable key-function sorts built it, so ties keep
+    the order of ``entries``: the reference for :func:`build_vol`."""
+    committed_versions = []
+    committed_copies = []
+    active = []
+    for cache_id, held in entries.items():
+        if held.committed:
+            if held.dirty:
+                committed_versions.append(cache_id)
+            else:
+                committed_copies.append(cache_id)
+        else:
+            if cache_id not in task_rank_of_cache:
+                raise ProtocolError(
+                    f"cache {cache_id} holds an active line but runs no task"
+                )
+            active.append(cache_id)
+    committed_versions.sort(key=lambda cid: entries[cid].version_seq)
+    committed_copies.sort(key=lambda cid: (entries[cid].version_seq, cid))
+    active.sort(key=lambda cid: task_rank_of_cache[cid])
+    return committed_versions + committed_copies + active
+
+
+def _vol_outcome(build, entries, ranks):
+    try:
+        return "vol", build(entries, ranks)
+    except ProtocolError as exc:
+        return "raised", str(exc)
+
+
+#: One holder's (committed, store mask, version stamp); stamps and ranks
+#: come from a few values, so ties are common. A cache's rank is ``None``
+#: about one time in five: it runs no task.
+_HOLDER = st.tuples(st.booleans(), st.integers(0, 1), st.integers(0, 2))
+_RANKS = st.lists(st.sampled_from([None, 0, 1, 2, 3]), min_size=8, max_size=8)
+
+
+@settings(max_examples=400)
+@given(
+    holders=st.dictionaries(st.integers(0, 7), _HOLDER, min_size=1, max_size=6),
+    ranks=_RANKS,
+)
+@example(holders={3: (False, 1, 0)}, ranks=[None] * 8)  # a sole unranked holder
+def test_build_vol_matches_the_key_sorted_reconstruction(holders, ranks):
+    """For holders in ascending cache id, as every caller passes them."""
+    entries = {
+        cache_id: line(store=store, committed=committed, seq=seq)
+        for cache_id, (committed, store, seq) in sorted(holders.items())
+    }
+    rank_of = {cid: rank for cid, rank in enumerate(ranks) if rank is not None}
+    assert _vol_outcome(build_vol, entries, rank_of) == _vol_outcome(
+        key_sorted_vol, entries, rank_of
+    )
 
 
 class TestPointers:
