@@ -48,16 +48,6 @@ class EventLog:
     def __init__(self) -> None:
         self._events: List[ProtocolEvent] = []
         self._observers: List[Callable[[ProtocolEvent], None]] = []
-        #: Per-kind index so of_kind/last stop re-scanning the whole log
-        #: on every worked-example assertion. Maintained *lazily*: emit
-        #: and extend only append to ``_events``; the index catches up
-        #: to the ``_indexed_count`` watermark the first time a per-kind
-        #: query needs it. Emission — the protocol hot path — therefore
-        #: pays one list append per event, batched appends pay a single
-        #: pre-sized ``list.extend``, and runs that never query by kind
-        #: never build the index at all.
-        self._by_kind: Dict[str, List[ProtocolEvent]] = {}
-        self._indexed_count = 0
 
     def attach(self, observer: Callable[[ProtocolEvent], None]) -> None:
         """Register an observer called with every event as it is emitted.
@@ -83,12 +73,11 @@ class EventLog:
     def extend(self, events: Iterable[ProtocolEvent]) -> None:
         """Append a batch of already-built events in order.
 
-        The batch lands in one pre-sized ``list.extend`` (per-kind index
-        updates stay deferred, as with :meth:`emit`); observers still
-        see every event individually, in order, after the whole batch is
-        appended — batch emitters use this exactly because observers
-        must not see half-applied protocol state between the batch's
-        events.
+        The batch lands in one pre-sized ``list.extend``; observers
+        still see every event individually, in order, after the whole
+        batch is appended — batch emitters use this exactly because
+        observers must not see half-applied protocol state between the
+        batch's events.
         """
         events = list(events)
         self._events.extend(events)
@@ -98,21 +87,6 @@ class EventLog:
                 for observer in observers:
                     observer(event)
 
-    def _sync_index(self) -> None:
-        """Catch the per-kind index up to the event list (lazy)."""
-        events = self._events
-        watermark = self._indexed_count
-        if watermark == len(events):
-            return
-        by_kind = self._by_kind
-        for event in events[watermark:]:
-            index = by_kind.get(event.kind)
-            if index is None:
-                by_kind[event.kind] = [event]
-            else:
-                index.append(event)
-        self._indexed_count = len(events)
-
     def __len__(self) -> int:
         return len(self._events)
 
@@ -120,28 +94,17 @@ class EventLog:
         return iter(self._events)
 
     def of_kind(self, kind: str) -> List[ProtocolEvent]:
-        self._sync_index()
-        return list(self._by_kind.get(kind, ()))
+        return [event for event in self._events if event.kind == kind]
 
     def last(self, kind: Optional[str] = None) -> Optional[ProtocolEvent]:
-        if kind is None:
-            return self._events[-1] if self._events else None
-        self._sync_index()
-        index = self._by_kind.get(kind)
-        return index[-1] if index else None
+        for event in reversed(self._events):
+            if kind is None or event.kind == kind:
+                return event
+        return None
 
     def clear(self) -> None:
-        """Drop all events, keeping observers attached.
-
-        The per-kind index MUST be cleared together with the event list
-        (and the lazy-index watermark reset): a stale index would keep
-        serving pre-clear events from :meth:`of_kind`/:meth:`last` while
-        ``__iter__``/``__len__`` say the log is empty
-        (tests/common/test_events.py pins this).
-        """
+        """Drop all events, keeping observers attached."""
         self._events.clear()
-        self._by_kind.clear()
-        self._indexed_count = 0
 
     def describe(self) -> str:
         """Multi-line rendering of the whole log."""

@@ -17,9 +17,8 @@ names where two observations diverge, and
 pure observer: the same case with spans recorded and fully unwired
 must be byte-identical (``tests/telemetry/test_differential.py``).
 :func:`differential_workload` is the small sharing-heavy workload those
-tests, the oracle property test
-(``tests/integration/test_property_differential.py``) and the tier
-bench in ``tools/bench_perf.py`` drive.
+tests and the oracle property test
+(``tests/integration/test_property_differential.py``) drive.
 """
 
 from __future__ import annotations

@@ -244,7 +244,7 @@ def figure_specs(
     scale: Optional[float] = None,
     telemetry: bool = False,
 ) -> List[PointSpec]:
-    """The point list of one figure sweep (shared with tools/bench_perf)."""
+    """The point list of one figure sweep."""
     specs = []
     for name in benchmarks:
         specs.append(

@@ -20,7 +20,7 @@ serial loop, because
 so single-point callers and restricted environments pay nothing.
 
 Two engines share these specs: :func:`parallel_map` is the bare fan-out
-(kept for the model checker and as the bench baseline), while
+(kept for the model checker and the litmus runner), while
 :func:`run_points` routes campaigns through the supervised engine in
 :mod:`repro.harness.supervisor` — per-point timeouts, seeded-backoff
 retries, quarantine, broken-pool recovery and content-addressed resume.

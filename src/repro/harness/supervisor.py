@@ -53,7 +53,7 @@ Invariants
    backoff is monotone non-decreasing and capped, so a campaign always
    terminates.
 4. **Near-zero overhead.** The no-fault supervised path must stay
-   within 3% of the bare fan-out (gated by ``tools/bench_perf.py``).
+   within 3% of the bare fan-out.
 
 docs/RESILIENCE.md documents the user-facing semantics: CLI flags and
 environment knobs, exit codes, the result-store keying rule, and the
@@ -193,12 +193,11 @@ class SupervisorConfig:
     Observability knobs: ``stream`` is a caller-owned
     :class:`repro.telemetry.stream.CampaignStream` that the engine
     narrates the campaign into (the CLI builds one for ``--stream``,
-    ``--progress`` and ``--report``, and closes it). ``flight`` controls
-    per-attempt flight-recorder dumps: ``None`` (default) auto-enables
-    them whenever a post-mortem is plausible — chaos, timeouts, a
-    stream, or an explicit ``flight_dir`` — so the plain no-fault fast
-    path stays file-free; ``flight_dir=None`` uses a temp directory
-    cleaned at campaign end (quarantine dumps are collected first).
+    ``--progress`` and ``--report``, and closes it). Per-attempt
+    flight-recorder dumps are on exactly when a post-mortem is
+    plausible — chaos, a point timeout or a stream — so the plain
+    no-fault fast path stays file-free; they go to a temp directory
+    purged at campaign end (quarantine dumps are collected first).
     """
 
     workers: Optional[int] = None
@@ -211,8 +210,6 @@ class SupervisorConfig:
     store_root: Optional[str] = None
     telemetry: object = None
     stream: object = None
-    flight: Optional[bool] = None
-    flight_dir: Optional[str] = None
 
 
 _DEFAULT_CONFIG = SupervisorConfig()
@@ -383,27 +380,17 @@ class _Engine:
         self.store = ResultStore(config.store_root) if config.resume else None
         self.telemetry = config.telemetry
         self.stream = config.stream
-        # Flight recording: None = auto (on whenever a post-mortem is
-        # plausible); the plain fast path stays file-free.
-        flight = config.flight
-        if flight is None:
-            flight = bool(
-                self.chaos is not None
-                or self.timeout is not None
-                or self.stream is not None
-                or config.flight_dir
-            )
+        # Flight recording is on whenever a post-mortem is plausible;
+        # the plain fast path stays file-free.
         self.flight_root: Optional[str] = None
-        self._owns_flight = False
-        if flight:
-            if config.flight_dir:
-                self.flight_root = os.path.abspath(config.flight_dir)
-                os.makedirs(self.flight_root, exist_ok=True)
-            else:
-                import tempfile
+        if (
+            self.chaos is not None
+            or self.timeout is not None
+            or self.stream is not None
+        ):
+            import tempfile
 
-                self.flight_root = tempfile.mkdtemp(prefix="repro-flight-")
-                self._owns_flight = True
+            self.flight_root = tempfile.mkdtemp(prefix="repro-flight-")
         self.outcomes: Dict[int, PointOutcome] = {}
         self.counters: Dict[str, int] = {
             key: 0
@@ -762,7 +749,7 @@ class _Engine:
                 # stream consumers can rely on the event being present.
                 self.stream.heartbeat(force=True)
                 self.stream.campaign_finished(dict(self.counters))
-            if self._owns_flight and self.flight_root is not None:
+            if self.flight_root is not None:
                 from repro.telemetry.flight import purge
 
                 purge(self.flight_root)

@@ -111,7 +111,6 @@ class SpeculativeExecutionDriver:
         max_steps: Optional[int] = None,
         schedule: str = "random",
         fault_plan: Optional[FaultPlan] = None,
-        watchdog_rounds: Optional[int] = None,
     ) -> None:
         if schedule not in self.SCHEDULES:
             raise SimulationError(
@@ -132,9 +131,6 @@ class SpeculativeExecutionDriver:
         )
         if self.fault_injector is not None:
             self.fault_injector.install(system)
-        self.watchdog_rounds = (
-            watchdog_rounds if watchdog_rounds is not None else self.WATCHDOG_ROUNDS
-        )
         #: The first tasks are dispatched by the first stepping call, so
         #: that ``run()`` dispatches them inside its telemetry span.
         self._started = False
@@ -409,7 +405,7 @@ class SpeculativeExecutionDriver:
                 )
             if self._progress == last_progress:
                 stalled_rounds += 1
-                if stalled_rounds > self.watchdog_rounds:
+                if stalled_rounds > self.WATCHDOG_ROUNDS:
                     raise SimulationError(self._stall_report(stalled_rounds))
             else:
                 last_progress = self._progress

@@ -172,8 +172,7 @@ def metrics_document(
     payloads: Sequence[Dict], meta: Optional[Dict] = None
 ) -> Dict:
     """Metrics JSON: per-payload snapshots, a merged aggregate, and a
-    flat ``{"counters.<name>": value}`` view for simple consumers
-    (``tools/bench_perf.py`` reads the flat section)."""
+    flat ``{"counters.<name>": value}`` view for simple consumers."""
     merged = merge_metric_snapshots(
         [payload.get("metrics", {}) for payload in payloads]
     )

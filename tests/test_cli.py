@@ -161,49 +161,6 @@ def test_spec95_name_accepted_as_workload(capsys):
     assert "gcc" in capsys.readouterr().out
 
 
-# -- the bench tool ----------------------------------------------------------
-
-
-def _bench_perf(*args):
-    """Run ``tools/bench_perf.py`` as CI does, in a subprocess."""
-    import os
-    import subprocess
-    import sys
-
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    return subprocess.run(
-        [sys.executable, os.path.join(root, "tools", "bench_perf.py"), *args],
-        capture_output=True,
-        text=True,
-        timeout=600,
-    )
-
-
-def test_bench_smoke_run_writes_payload(tmp_path):
-    import json
-
-    out = tmp_path / "bench.json"
-    done = _bench_perf(
-        "--scale", "0.02", "--benchmarks", "compress",
-        "--experiments", "fig19", "--repeats", "1",
-        "--skip-telemetry", "--skip-supervisor", "--skip-tiers",
-        "--output", str(out),
-    )
-    assert done.returncode == 0, done.stderr
-    payload = json.loads(out.read_text())
-    assert payload["experiments"]["fig19"]["events_per_sec"] > 0
-    assert payload["meta"]["scale"] == 0.02
-
-
-def test_bench_unknown_experiment_is_usage_error(tmp_path):
-    done = _bench_perf(
-        "--experiments", "nope", "--skip-telemetry", "--skip-supervisor",
-        "--skip-tiers", "--output", str(tmp_path / "b.json"),
-    )
-    assert done.returncode == 2
-    assert "unknown experiment" in done.stderr
-
-
 # -- campaign event stream flags --------------------------------------------
 
 
@@ -253,7 +210,7 @@ def test_quarantine_mentions_flight_records(capsys):
 @pytest.mark.parametrize("subcommand", ["report", "trace", "bench"])
 def test_removed_subcommands_exit_two(subcommand, capsys):
     """``report`` and ``trace`` are ``--report DIR`` on the experiment
-    command now, and the bench is ``python tools/bench_perf.py``."""
+    command now, and the benchmark is ``python3 bench/run.py``."""
     with pytest.raises(SystemExit) as exc:
         main([subcommand, "fig19"])
     assert exc.value.code == 2

@@ -77,6 +77,18 @@ class TestValidation:
         assert len(findings) == 1
         assert "missing.md" in findings[0]
 
+    def test_missing_script_path_detected(self, check_docs, tmp_path):
+        page = tmp_path / "page.md"
+        page.write_text(
+            "Run `python tools/no_such_tool.py --quick`, then\n"
+            "`python3 bench/run.py` and `python tools/check_docs.py`.\n"
+        )
+        findings = list(
+            check_docs.check_script_paths(str(page), page.read_text())
+        )
+        assert len(findings) == 1
+        assert "page.md:1: missing script -> tools/no_such_tool.py" in findings[0]
+
 
 class TestLiveRepo:
     def test_repository_docs_are_clean(self, check_docs, capsys):

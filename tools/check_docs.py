@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""Docs lint: intra-repo links must resolve, quoted commands must parse.
+"""Docs lint: intra-repo links and script paths must resolve, quoted
+commands must parse.
 
 Documentation rots in two characteristic ways: a file gets renamed and
 every ``[link](docs/OLD.md)`` pointing at it dangles, or a CLI flag
@@ -9,7 +10,9 @@ mechanical, so CI checks them mechanically over ``README.md`` and
 ``docs/*.md``:
 
 * every relative Markdown link target (``[text](path)`` /
-  ``![alt](path)``, anchors stripped) must exist on disk, and
+  ``![alt](path)``, anchors stripped) must exist on disk,
+* every ``tools/<name>.py`` and ``bench/<name>.py`` script path the
+  docs name must exist under the repository root, and
 * every ``python -m repro ...`` command quoted in a code fence or
   inline code span must parse against the *real* argument parsers —
   the top-level experiment CLI (``repro.cli.build_parser``) and the
@@ -53,6 +56,9 @@ CMD_RE = re.compile(r"python -m repro(?![\w.])")
 #: mentions the command in a diagram or sample output.
 FENCE_CMD_RE = re.compile(r"^(\$\s+)?([A-Za-z_]+=\S+\s+)*python -m repro(?![\w.])")
 PLACEHOLDER_RE = re.compile(r"<[^<>\s]+>")
+#: A repository script named from the root (a relative link such as
+#: ``../tools/x.py`` is the link check's job).
+SCRIPT_RE = re.compile(r"(?<![\w./-])((?:tools|bench)/\w+\.py)\b")
 
 
 def doc_files():
@@ -83,6 +89,18 @@ def check_links(path, text):
         if not os.path.exists(resolved):
             line = text.count("\n", 0, match.start()) + 1
             yield f"{os.path.relpath(path, REPO)}:{line}: broken link -> {target}"
+
+
+def check_script_paths(path, text):
+    """Yield findings for ``tools/``/``bench/`` script paths that do not
+    exist: a deleted script must not stay in the docs."""
+    for match in SCRIPT_RE.finditer(text):
+        if not os.path.exists(os.path.join(REPO, match.group(1))):
+            line = text.count("\n", 0, match.start()) + 1
+            yield (
+                f"{os.path.relpath(path, REPO)}:{line}: "
+                f"missing script -> {match.group(1)}"
+            )
 
 
 # -- command extraction ------------------------------------------------------
@@ -209,6 +227,7 @@ def main() -> int:
         rel = os.path.relpath(path, REPO)
         before = len(findings)
         findings.extend(check_links(path, text))
+        findings.extend(check_script_paths(path, text))
         checked_links += len(LINK_RE.findall(text))
         for lineno, command in extract_commands(text):
             checked_commands += 1
