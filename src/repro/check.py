@@ -23,7 +23,8 @@ VOL pointers and T bits lazily, on each line's next bus request
 dangling pointer or a conservatively stale T bit. The checker therefore
 verifies only the properties that must hold in every quiescent state —
 the safe direction of each invariant. ``SVCSystem.verify()`` remains the
-strict post-repair audit. The full catalogue, with paper citations,
+strict post-repair audit, and ends with this checker's full scan
+(:meth:`InvariantChecker.scan_svc`). The full catalogue, with paper citations,
 lives in docs/INVARIANTS.md; the per-line rules run in its order, in
 one loop per line, so a line that breaks two rules reports the earlier.
 """
@@ -160,17 +161,25 @@ class InvariantChecker:
         is still audited."""
         self.checks += 1
         system = self.system
-        ranks = self._svc_task_assignment(system)
-        if line_addr is not None:
-            for cache in system.caches:
-                self._svc_cache_occupancy(
-                    cache,
-                    {addr: line for addr, line in cache.lines() if not line.committed},
-                )
-            entries = system.vcl._entries(line_addr)
-            if entries:
-                self._svc_lines(system, ((line_addr, entries),), ranks)
+        if line_addr is None:
+            self.scan_svc(system)
             return
+        ranks = self._svc_task_assignment(system)
+        for cache in system.caches:
+            self._svc_cache_occupancy(
+                cache,
+                {addr: line for addr, line in cache.lines() if not line.committed},
+            )
+        entries = system.vcl._entries(line_addr)
+        if entries:
+            self._svc_lines(system, ((line_addr, entries),), ranks)
+
+    def scan_svc(self, system) -> None:
+        """Every SVC rule over every resident line of ``system``: the
+        full scan, read-only, and usable without :meth:`bind` (it counts
+        no check). :meth:`repro.svc.system.SVCSystem.verify` runs it after
+        its repairs, so an end-of-run audit covers the whole catalogue."""
+        ranks = self._svc_task_assignment(system)
         holders: Dict[int, Dict[int, SVCLine]] = {}
         for cache in system.caches:
             self._svc_cache_occupancy(cache, scan_cache(cache, holders))

@@ -124,7 +124,8 @@ def _point_telemetry(
 
     Campaign points record under the production bounded/sampled
     configuration — a span ring plus 1-in-N memory-op subtrees — which
-    is what keeps enabled-mode overhead inside the bench gate's budget.
+    bounds what enabled mode records and costs (measured in
+    docs/OBSERVABILITY.md, "The budget").
     Code that needs every span (unit tests, the exporter round-trips)
     builds its own full-recording ``Telemetry()``.
     """

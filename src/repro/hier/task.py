@@ -65,7 +65,7 @@ class MemOp:
         return MemOp(kind=OpKind.COMPUTE, latency=latency, depends_on=depends_on)
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskProgram:
     """One task: an ordered list of operations.
 
@@ -73,16 +73,24 @@ class TaskProgram:
     predictor would have gotten wrong: the timing sequencer dispatches
     it, later detects the misprediction, and squashes it and everything
     younger (section 2.1's task squash).
+
+    Slotted: a workload holds thousands of tasks for the life of a run.
+    The two derived values below are computed on first use and never
+    invalidated: build a new TaskProgram rather than change ``ops``.
     """
 
     ops: List[MemOp] = field(default_factory=list)
     name: Optional[str] = None
     mispredicted: bool = False
-    #: Lazily computed filter of ``ops``; the drivers index into it on
-    #: every step, so it must not be rebuilt per access. It is never
-    #: invalidated: build a new TaskProgram rather than change ``ops``.
+    #: Filter of ``ops`` the functional driver indexes on every step, so
+    #: it must not be rebuilt per access.
     _memory_ops: Optional[List[MemOp]] = field(
-        default=None, repr=False, compare=False
+        default=None, init=False, repr=False, compare=False
+    )
+    #: ``len(memory_ops)`` without building the list: all the timing
+    #: simulator needs.
+    _memory_op_count: Optional[int] = field(
+        default=None, init=False, repr=False, compare=False
     )
 
     @property
@@ -92,6 +100,14 @@ class TaskProgram:
                 op for op in self.ops if op.kind != OpKind.COMPUTE
             ]
         return self._memory_ops
+
+    @property
+    def memory_op_count(self) -> int:
+        """How many of ``ops`` are loads or stores."""
+        if self._memory_op_count is None:
+            compute = OpKind.COMPUTE
+            self._memory_op_count = sum(1 for op in self.ops if op.kind != compute)
+        return self._memory_op_count
 
     def __len__(self) -> int:
         return len(self.ops)

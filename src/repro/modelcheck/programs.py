@@ -99,7 +99,7 @@ def bounds_for_programs(
     for program in programs:
         if not program:
             raise ConfigError("cannot bound an empty program")
-        ops = sum(len(task.memory_ops) for task in program)
+        ops = sum(task.memory_op_count for task in program)
         lines = {
             op.addr // LINE_SIZE for task in program for op in task.memory_ops
         }

@@ -172,7 +172,7 @@ class Case:
         )
 
     def describe(self) -> str:
-        ops = sum(len(t.memory_ops) for t in self.tasks)
+        ops = sum(t.memory_op_count for t in self.tasks)
         schedule = (
             f"script[{len(self.script)}]" if self.script is not None
             else self.schedule

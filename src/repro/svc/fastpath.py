@@ -167,7 +167,8 @@ class FastpathKernel:
 
     def audit(self) -> None:
         """Cross-check every cached column set against the materialized
-        ``SVCLine`` state (the new ``--verify`` invariant).
+        ``SVCLine`` state (invariant 1, snapshot freshness;
+        ``SVCSystem.verify()`` runs this audit).
 
         Re-derives each snapshot the slow way — a fresh
         :meth:`~repro.svc.vcl.VersionControlLogic._entries` read of the

@@ -399,9 +399,12 @@ class SVCSystem:
         next bus request would do; idempotent and
         semantics-preserving), then checks every invariant, raising
         :class:`repro.common.errors.ProtocolError` on the first
-        violation. The same checks run automatically after each bus
-        request when ``config.check_invariants`` is set.
+        violation: the post-repair checks that also run after each bus
+        request when ``config.check_invariants`` is set, then the
+        :class:`repro.check.InvariantChecker` catalogue's full scan
+        (:class:`repro.common.errors.InvariantViolation` names the rule).
         """
+        from repro.check import InvariantChecker
         from repro.svc.vol import (
             build_vol,
             check_invariants,
@@ -427,6 +430,9 @@ class SVCSystem:
             check_invariants(
                 entries, vol, ranks, stamps, check_stale=self.features.stale_bit
             )
+        # The checks above cover what the repairs produce; the catalogue
+        # adds the state rules (X, S and C bits, stamps, active sets).
+        InvariantChecker().scan_svc(self)
 
     def _audit_task_maps(self) -> None:
         """Cross-check the incremental rank maps against the caches."""

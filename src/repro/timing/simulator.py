@@ -541,7 +541,7 @@ class TimingSimulator:
         self.system.drain()
 
         committed_instructions = sum(len(t.ops) for t in self.tasks)
-        committed_memory = sum(len(t.memory_ops) for t in self.tasks)
+        committed_memory = sum(t.memory_op_count for t in self.tasks)
         return TimingReport(
             cycles=max(self._last_commit_end, 1),
             committed_instructions=committed_instructions,

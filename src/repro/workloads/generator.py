@@ -177,7 +177,10 @@ def generate_tasks(
     """Deterministically build the task list for ``spec``.
 
     Equal loads and equal compute ops in the result are one shared,
-    immutable :class:`MemOp`; two calls share no op.
+    immutable :class:`MemOp`. So are equal non-empty ``depends_on``
+    tuples and equal addresses: one tuple per distinct dependence list
+    and one int per distinct address. Every field keeps its value; only
+    identity is shared, and two calls share none of it.
     """
     rng = make_rng(spec.seed if seed is None else seed, spec.name)
     streams = _AddressStreams(spec)
@@ -189,6 +192,14 @@ def generate_tasks(
     # each carries its own ``store_counter`` value.
     interned: Dict[tuple, MemOp] = {}
     intern = interned.get
+    # One tuple per distinct dependence list and one int per distinct
+    # address: a stream repeats both far more often than it repeats an
+    # op (every store is its own op), and each copy held costs memory
+    # for the life of the stream.
+    dep_tuples: Dict[tuple, tuple] = {}
+    share_deps = dep_tuples.setdefault
+    addresses: Dict[int, int] = {}
+    share_addr = addresses.setdefault
 
     # Hot-loop constants hoisted out of the per-op path; the RNG draw
     # sequence is untouched, so generated workloads are bit-identical.
@@ -217,12 +228,19 @@ def generate_tasks(
         last_load: Optional[int] = None
 
         for _ in range(n_ops):
-            depends = []
+            # The two draws, in order: a dependence on the last load,
+            # then one on the previous op.
             if last_load is not None and random() < p_load_dep:
-                depends.append(last_load)
-            if ops and random() < ilp_chain:
-                depends.append(len(ops) - 1)
-            deps = tuple(depends)
+                if ops and random() < ilp_chain:
+                    deps = (last_load, len(ops) - 1)
+                else:
+                    deps = (last_load,)
+            elif ops and random() < ilp_chain:
+                deps = (len(ops) - 1,)
+            else:
+                deps = ()
+            if deps:
+                deps = share_deps(deps, deps)
 
             if random() < memory_fraction:
                 region = random()
@@ -241,6 +259,7 @@ def generate_tasks(
                 else:
                     addr = streams.stream_addr(rng)
                     is_store = random() < store_fraction
+                addr = share_addr(addr, addr)
                 # Only stream addresses feed the temporal-reuse pool:
                 # the other regions carry their own reuse structure, and
                 # replaying a read-only address as a store would break

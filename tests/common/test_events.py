@@ -32,9 +32,9 @@ def test_clear():
     assert len(log) == 0
 
 
-def test_clear_invalidates_per_kind_index():
-    """clear() must drop the by-kind index with the event list — a stale
-    index would keep serving pre-clear events from of_kind()/last()."""
+def test_clear_empties_kind_queries():
+    """clear() drops every event, so of_kind() and last() serve nothing
+    from before it."""
     log = EventLog()
     log.emit("squash", source="svc", rank=1)
     log.emit("commit", source="svc", rank=0)
@@ -91,23 +91,23 @@ def test_extend_notifies_observers_per_event_in_order():
     assert [e.kind for e in seen] == ["a", "b"]
 
 
-def test_lazy_index_catches_up_across_interleaved_queries():
-    """Per-kind index updates are deferred to query time; interleaving
-    emits, batched extends, and queries must never lose or double-count
-    events."""
+def test_kind_queries_see_interleaved_emits_and_extends():
+    """of_kind() scans the log when asked; interleaving emits, batched
+    extends, and queries must never lose or double-count events."""
     log = EventLog()
     log.emit("squash", source="svc", rank=1)
-    assert len(log.of_kind("squash")) == 1  # index built at watermark 1
+    assert len(log.of_kind("squash")) == 1  # a query between emits
     log.emit("squash", source="svc", rank=2)
     log.extend([ProtocolEvent(kind="squash", source="svc", detail={"rank": 3})])
     assert [e.detail["rank"] for e in log.of_kind("squash")] == [1, 2, 3]
     assert [e.detail["rank"] for e in log.of_kind("squash")] == [1, 2, 3]
 
 
-def test_clear_resets_lazy_index_watermark():
+def test_kind_query_after_clear_sees_only_new_events():
+    """A query before clear() leaves nothing behind for one after it."""
     log = EventLog()
     log.emit("squash", source="svc", rank=1)
-    assert log.last("squash") is not None  # force index build
+    assert log.last("squash") is not None  # a query before clear()
     log.clear()
     log.emit("squash", source="svc", rank=9)
     assert [e.detail["rank"] for e in log.of_kind("squash")] == [9]

@@ -35,3 +35,19 @@ def test_from_compact_tuples():
 def test_from_tuples_rejects_unknown_kind():
     with pytest.raises(ValueError):
         task_program_from_ops([("fence", 0)])
+
+
+def test_memory_op_count_matches_the_list_without_building_it():
+    program = TaskProgram(
+        ops=[MemOp.compute(), MemOp.load(0x100), MemOp.store(0x104, 1)]
+    )
+    assert program.memory_op_count == 2
+    assert program._memory_ops is None
+    assert program.memory_op_count == len(program.memory_ops)
+
+
+def test_task_program_is_slotted():
+    program = TaskProgram(ops=[MemOp.load(0x100)], name="t")
+    assert not hasattr(program, "__dict__")
+    with pytest.raises(AttributeError):
+        program.label = "x"

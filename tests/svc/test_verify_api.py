@@ -3,7 +3,9 @@
 import pytest
 
 from conftest import make_svc
-from repro.common.errors import ProtocolError
+from repro.common.errors import InvariantViolation, ProtocolError
+
+A = 0x100
 
 
 def test_verify_passes_on_live_system(svc):
@@ -48,6 +50,63 @@ def test_verify_detects_corruption(svc):
     svc.caches[1].current_task = None  # cache claims to be idle
     with pytest.raises(ProtocolError):
         svc.verify()
+
+
+def _two_holders(svc):
+    svc.store(0, A, 1)
+    svc.load(1, A)
+    return svc.vcl._entries(A)
+
+
+def _two_exclusive_holders(svc):
+    for line in _two_holders(svc).values():
+        line.exclusive = True
+
+
+def _store_bits_outside_valid_mask(svc):
+    line = _two_holders(svc)[1]
+    line.store_mask |= 0x1
+    line.valid_mask &= ~0x1
+
+
+def _written_back_active_line(svc):
+    _two_holders(svc)[1].written_back = True
+
+
+def _committed_versions_sharing_a_stamp(svc):
+    svc.store(0, A, 1)
+    svc.commit_head(0)
+    svc.begin_task(0, 4)
+    svc.store(1, A + 4, 2)
+    svc.commit_head(1)
+    older, newer = (svc.line_in(cache_id, A) for cache_id in (0, 1))
+    assert older.committed and newer.committed
+    newer.version_seq = older.version_seq
+
+
+def _active_line_missing_from_active_set(svc):
+    svc.store(0, A, 1)
+    svc.caches[0].active_lines.discard(A)
+
+
+@pytest.mark.parametrize(
+    "invariant, plant",
+    [
+        ("x-unique", _two_exclusive_holders),
+        ("stores-are-valid", _store_bits_outside_valid_mask),
+        ("writeback-implies-committed", _written_back_active_line),
+        ("version-order-total", _committed_versions_sharing_a_stamp),
+        ("active-set-agreement", _active_line_missing_from_active_set),
+    ],
+)
+def test_verify_audits_the_checker_catalogue(svc, invariant, plant):
+    """States the repairs and their post-repair checks accept but the
+    InvariantChecker's catalogue rejects: verify() runs its full scan
+    after repairing, so each fails the end-of-run audit by name."""
+    plant(svc)
+    with pytest.raises(InvariantViolation) as excinfo:
+        svc.verify()
+    assert excinfo.value.invariant == invariant
 
 
 def test_verify_empty_system():

@@ -228,9 +228,9 @@ def test_parallel_timeout_leaves_attempt_started_breadcrumb(tmp_path):
 
 
 def test_plain_campaign_keeps_flight_recorder_off(tmp_path, monkeypatch):
-    """No chaos, no timeout, no stream: the no-fault fast path must not
-    touch the filesystem (this is what the <3% overhead gate times when
-    streaming is off)."""
+    """No chaos, no timeout, no stream: the plain campaign path, which
+    every sweep without those options takes, must not touch the
+    filesystem."""
     import repro.telemetry.flight as flight_module
     from repro.harness.experiments import figure19_specs
 

@@ -1,4 +1,5 @@
-"""The docs stay wired to reality: links resolve, quoted commands parse.
+"""The docs stay wired to reality: links resolve, quoted commands parse,
+quoted flags exist.
 
 tools/check_docs.py is CI's docs gate; these tests pin its extraction
 rules (fences vs. inline code, continuations, placeholders, prose
@@ -88,6 +89,18 @@ class TestValidation:
         )
         assert len(findings) == 1
         assert "page.md:1: missing script -> tools/no_such_tool.py" in findings[0]
+
+    def test_unknown_flag_detected(self, check_docs, tmp_path):
+        page = tmp_path / "page.md"
+        page.write_text(
+            "Smoke with `--seeds 5` and `--trace 1`, then\n"
+            "audit with `--no-such-flag` (`fig19 --bogus` is prose).\n"
+        )
+        flags = check_docs.defined_flags()
+        assert {"--seeds", "--trace", "--workload"} <= flags
+        findings = list(check_docs.check_flags(str(page), page.read_text(), flags))
+        assert len(findings) == 1
+        assert "page.md:2: unknown flag -> --no-such-flag" in findings[0]
 
 
 class TestLiveRepo:

@@ -7,6 +7,7 @@ from repro.arb.system import ARBSystem
 from repro.common.config import ARBConfig, CacheGeometry
 from repro.hier.task import MemOp, TaskProgram
 from repro.timing.simulator import TimingSimulator
+from repro.workloads.generator import WorkloadSpec, generate_tasks
 
 
 def make_arb(hit_cycles=1):
@@ -94,3 +95,18 @@ def test_faster_memory_means_fewer_cycles():
     fast = TimingSimulator(make_arb(hit_cycles=1), loads).run()
     slow = TimingSimulator(make_arb(hit_cycles=4), loads).run()
     assert slow.cycles > fast.cycles
+
+
+@pytest.mark.parametrize("system", ["svc", "arb"])
+def test_run_counts_memory_ops_without_building_the_lists(system):
+    """``committed_memory_ops`` is each program's cached count; a timing
+    run never materializes ``TaskProgram.memory_ops``."""
+    tasks = generate_tasks(
+        WorkloadSpec(name="count", n_tasks=24, ops_per_task_mean=16, seed=3)
+    )
+    memory = make_svc("final") if system == "svc" else make_arb()
+    report = TimingSimulator(memory, tasks).run()
+    assert all(task._memory_ops is None for task in tasks)
+    expected = sum(len(task.memory_ops) for task in tasks)
+    assert expected > 0
+    assert report.committed_memory_ops == expected

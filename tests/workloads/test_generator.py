@@ -149,3 +149,52 @@ def test_calls_share_no_op():
     b = generate_tasks(spec())
     ids_a = {id(op) for task in a for op in task.ops}
     assert all(id(op) not in ids_a for task in b for op in task.ops)
+
+
+def _shared_values(tasks):
+    """Non-empty ``depends_on`` tuples and memory-op addresses of ``tasks``."""
+    ops = [op for task in tasks for op in task.ops]
+    deps = [op.depends_on for op in ops if op.depends_on]
+    addrs = [op.addr for op in ops if op.kind != OpKind.COMPUTE]
+    return deps, addrs
+
+
+def test_equal_dependence_lists_and_addresses_are_one_object():
+    deps, addrs = _shared_values(generate_tasks(spec(n_tasks=200)))
+    for values in (deps, addrs):
+        first = {}
+        for value in values:
+            assert first.setdefault(value, value) is value
+        # The stream repeats both, so sharing saves objects.
+        assert len(first) < len(values)
+
+
+def test_calls_share_no_dependence_tuple_or_address():
+    deps_a, addrs_a = _shared_values(generate_tasks(spec()))
+    deps_b, addrs_b = _shared_values(generate_tasks(spec()))
+    assert deps_a == deps_b and addrs_a == addrs_b
+    ids_a = {id(value) for value in deps_a + addrs_a}
+    assert all(id(value) not in ids_a for value in deps_b + addrs_b)
+
+
+def test_svc_paper_streams_hold_one_object_per_distinct_value():
+    """The seed-0 streams of the benchmark's ``svc-paper`` workload (every
+    SPEC95 model at scale 0.5) hold one op per distinct load or compute op
+    plus every store, and one dependence tuple and one address int per
+    distinct value per stream. The counts are deterministic: a change that
+    stops sharing fails here, not in a memory measurement."""
+    streams = [
+        generate_tasks(SPEC95_PROFILES[name].scaled(0.5))
+        for name in SPEC95_PROFILES
+    ]
+    ops, deps, addrs = set(), set(), set()
+    distinct_deps = distinct_addrs = 0
+    for tasks in streams:
+        ops.update(id(op) for task in tasks for op in task.ops)
+        stream_deps, stream_addrs = _shared_values(tasks)
+        deps.update(map(id, stream_deps))
+        addrs.update(map(id, stream_addrs))
+        distinct_deps += len(set(stream_deps))
+        distinct_addrs += len(set(stream_addrs))
+    assert (len(ops), len(deps), len(addrs)) == (94_873, 6_836, 30_814)
+    assert (distinct_deps, distinct_addrs) == (len(deps), len(addrs))

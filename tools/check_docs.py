@@ -1,6 +1,6 @@
 #!/usr/bin/env python
 """Docs lint: intra-repo links and script paths must resolve, quoted
-commands must parse.
+commands must parse, quoted flags must exist.
 
 Documentation rots in two characteristic ways: a file gets renamed and
 every ``[link](docs/OLD.md)`` pointing at it dangles, or a CLI flag
@@ -12,7 +12,10 @@ mechanical, so CI checks them mechanically over ``README.md`` and
 * every relative Markdown link target (``[text](path)`` /
   ``![alt](path)``, anchors stripped) must exist on disk,
 * every ``tools/<name>.py`` and ``bench/<name>.py`` script path the
-  docs name must exist under the repository root, and
+  docs name must exist under the repository root,
+* every inline code span that starts with a ``--name`` flag must name
+  one that some ``add_argument`` call in ``src/``, ``bench/`` or
+  ``tools/`` defines, and
 * every ``python -m repro ...`` command quoted in a code fence or
   inline code span must parse against the *real* argument parsers —
   the top-level experiment CLI (``repro.cli.build_parser``) and the
@@ -59,6 +62,13 @@ PLACEHOLDER_RE = re.compile(r"<[^<>\s]+>")
 #: A repository script named from the root (a relative link such as
 #: ``../tools/x.py`` is the link check's job).
 SCRIPT_RE = re.compile(r"(?<![\w./-])((?:tools|bench)/\w+\.py)\b")
+#: The trees whose argument parsers define the flags docs may quote.
+FLAG_SOURCES = ["src", "bench", "tools"]
+#: The option strings an ``add_argument(...)`` call starts with.
+ADD_ARGUMENT_RE = re.compile(
+    r"add_argument\(\s*((?:[\"']-[\w-]*[\"']\s*,\s*)*[\"']-[\w-]*[\"'])"
+)
+FLAG_RE = re.compile(r"--\w[\w-]*")
 
 
 def doc_files():
@@ -100,6 +110,37 @@ def check_script_paths(path, text):
             yield (
                 f"{os.path.relpath(path, REPO)}:{line}: "
                 f"missing script -> {match.group(1)}"
+            )
+
+
+def defined_flags():
+    """Every ``--name`` flag an ``add_argument`` call under
+    ``FLAG_SOURCES`` defines."""
+    flags = set()
+    for top in FLAG_SOURCES:
+        for dirpath, _dirnames, filenames in os.walk(os.path.join(REPO, top)):
+            for name in filenames:
+                if not name.endswith(".py"):
+                    continue
+                with open(os.path.join(dirpath, name), encoding="utf-8") as handle:
+                    source = handle.read()
+                for match in ADD_ARGUMENT_RE.finditer(source):
+                    flags.update(FLAG_RE.findall(match.group(1)))
+    return flags
+
+
+def check_flags(path, text, flags):
+    """Yield findings for inline code spans that start with a ``--name``
+    flag not in ``flags``: a deleted or renamed option must not stay in
+    the docs."""
+    text = _without_fences(text)
+    for match in INLINE_CODE_RE.finditer(text):
+        flag = FLAG_RE.match(match.group(1))
+        if flag is not None and flag.group(0) not in flags:
+            line = text.count("\n", 0, match.start()) + 1
+            yield (
+                f"{os.path.relpath(path, REPO)}:{line}: "
+                f"unknown flag -> {flag.group(0)}"
             )
 
 
@@ -219,6 +260,7 @@ def check_command(command):
 
 def main() -> int:
     findings = []
+    flags = defined_flags()
     checked_links = 0
     checked_commands = 0
     for path in doc_files():
@@ -228,6 +270,7 @@ def main() -> int:
         before = len(findings)
         findings.extend(check_links(path, text))
         findings.extend(check_script_paths(path, text))
+        findings.extend(check_flags(path, text, flags))
         checked_links += len(LINK_RE.findall(text))
         for lineno, command in extract_commands(text):
             checked_commands += 1
