@@ -22,17 +22,22 @@ VOL pointers and T bits lazily, on each line's next bus request
 (docs/PROTOCOL.md), so between requests a line may legitimately carry a
 dangling pointer or a conservatively stale T bit. The checker therefore
 verifies only the properties that must hold in every quiescent state —
-the safe direction of each invariant. ``SVCSystem.verify()`` remains the
-strict post-repair audit, and ends with this checker's full scan
-(:meth:`InvariantChecker.scan_svc`). The full catalogue, with paper citations,
-lives in docs/INVARIANTS.md; the per-line rules run in its order, in
-one loop per line, so a line that breaks two rules reports the earlier.
+the safe direction of each invariant — except on the line of a BusRead
+or BusWrite, which the VCL repairs just before the bus event: there
+``vol-pointers-repaired`` and ``t-set-implies-stale`` also require the
+repair's exact result. This catalogue is the SVC's one audit:
+``SVCSystem.verify()`` checks the VCL's accelerator structures and then
+runs the full scan (:meth:`InvariantChecker.scan_svc`), changing no
+state. The full catalogue, with paper citations, lives in
+docs/INVARIANTS.md; the per-line rules run in its order, in one loop per
+line, so a line that breaks two rules reports the earlier.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.bus.requests import BusRequestKind
 from repro.common.errors import InvariantViolation, ProtocolError
 from repro.common.events import ProtocolEvent
 from repro.svc.cache import scan_cache
@@ -45,6 +50,10 @@ _SVC_LINE_KINDS = frozenset({"bus"})
 _SVC_SCAN_KINDS = frozenset({"commit", "squash", "begin_task"})
 _ARB_SCAN_KINDS = frozenset({"commit", "squash"})
 _SMP_LINE_KINDS = frozenset({"bus"})
+#: Bus requests whose line the VCL repairs just before it reserves the
+#: bus, so their line check also holds the repair to its result. A
+#: base-tier commit reserves BusWback with no repair.
+_REPAIRED_REQUESTS = frozenset({BusRequestKind.READ, BusRequestKind.WRITE})
 
 
 class InvariantChecker:
@@ -104,7 +113,11 @@ class InvariantChecker:
                     self._deferred_scan = False
                     self.check_svc()
                 if event.kind in _SVC_LINE_KINDS:
-                    self.check_svc(line_addr=event.detail.get("line_addr"))
+                    detail = event.detail
+                    self.check_svc(
+                        line_addr=detail.get("line_addr"),
+                        repaired=detail.get("request") in _REPAIRED_REQUESTS,
+                    )
                 elif event.kind in _SVC_SCAN_KINDS:
                     if in_transaction:
                         # A squash fired from inside a bus transaction (e.g.
@@ -148,9 +161,14 @@ class InvariantChecker:
 
     # -- SVC ---------------------------------------------------------------
 
-    def check_svc(self, line_addr: Optional[int] = None) -> None:
+    def check_svc(
+        self, line_addr: Optional[int] = None, repaired: bool = False
+    ) -> None:
         """Audit the SVC: one line when ``line_addr`` is given (post-bus),
-        every resident line otherwise (post-commit/squash).
+        every resident line otherwise (post-commit/squash). A line check
+        with ``repaired`` set (the line of a BusRead or BusWrite, which
+        the VCL has just repaired) also requires the repair's result:
+        pointers along the VOL and T set exactly on stale lines.
 
         Each check reads every cache array once. That pass yields each
         cache's uncommitted lines for the occupancy rules and, on a full
@@ -172,13 +190,13 @@ class InvariantChecker:
             )
         entries = system.vcl._entries(line_addr)
         if entries:
-            self._svc_lines(system, ((line_addr, entries),), ranks)
+            self._svc_lines(system, ((line_addr, entries),), ranks, repaired)
 
     def scan_svc(self, system) -> None:
         """Every SVC rule over every resident line of ``system``: the
         full scan, read-only, and usable without :meth:`bind` (it counts
-        no check). :meth:`repro.svc.system.SVCSystem.verify` runs it after
-        its repairs, so an end-of-run audit covers the whole catalogue."""
+        no check). :meth:`repro.svc.system.SVCSystem.verify` ends with
+        it, so an end-of-run audit covers the whole catalogue."""
         ranks = self._svc_task_assignment(system)
         holders: Dict[int, Dict[int, SVCLine]] = {}
         for cache in system.caches:
@@ -242,11 +260,14 @@ class InvariantChecker:
                     subject=addr,
                 )
 
-    def _svc_lines(self, system, items, ranks: Dict[int, int]) -> None:
+    def _svc_lines(
+        self, system, items, ranks: Dict[int, int], repaired: bool = False
+    ) -> None:
         """Every per-line rule, in catalogue order, for each ``(line_addr,
         entries)`` of ``items``, entries ascending by cache id: one loop
         per line, each rule's condition next to its failure. A rule builds
-        its diagnostic only when it breaks."""
+        its diagnostic only when it breaks. ``repaired`` adds the two
+        rules that hold only right after a repair."""
         features = system.features
         lazy_commit = features.lazy_commit
         stale_bit = features.stale_bit
@@ -357,6 +378,20 @@ class InvariantChecker:
                         )
                     pointer = entries[pointer].pointer
 
+            # Right after a repair every pointer names its VOL successor.
+            if repaired:
+                for cache_id, expected in zip(vol, vol[1:] + [None]):
+                    pointer = entries[cache_id].pointer
+                    if pointer != expected:
+                        self._fail(
+                            "vol-pointers-repaired",
+                            f"line {line_addr:#x}: pointer of cache {cache_id} "
+                            f"is {pointer} right after a repair, expected "
+                            f"{expected} (VOL {vol})",
+                            subject=line_addr,
+                            cache=cache_id,
+                        )
+
             # One walk of the VOL checks the committed versions' order and
             # gathers what the exclusivity and T rules read.
             previous = stamp = owner = None
@@ -422,22 +457,35 @@ class InvariantChecker:
 
             if not stale_bit:
                 continue
-            # T may be conservatively set between repairs, but a clear T on
-            # stale data authorizes a wrong local reuse (section 3.4.3).
+            # A clear T on stale data authorizes a wrong local reuse
+            # (section 3.4.3). T may be conservatively set between
+            # repairs, but right after one it is set exactly on stale data.
             for cache_id in vol:
                 line = entries[cache_id]
+                stale = line.stale
+                if stale and not repaired:
+                    continue
                 content = line.block_content
                 # A line equal to the tail in every block is fresh.
-                if (
-                    not line.stale
-                    and content != tail
-                    and any(content[b] != tail[b] for b in blocks_in(line.valid_mask))
-                ):
+                fresh = content == tail or all(
+                    content[b] == tail[b] for b in blocks_in(line.valid_mask)
+                )
+                if not stale and not fresh:
                     self._fail(
                         "t-clear-implies-fresh",
                         f"line {line_addr:#x} in cache {cache_id} has T clear "
                         "but its valid blocks do not match the tail-of-VOL "
                         f"composition (stamps {content} vs tail {tail})",
+                        subject=line_addr,
+                        cache=cache_id,
+                    )
+                if stale and fresh:
+                    self._fail(
+                        "t-set-implies-stale",
+                        f"line {line_addr:#x} in cache {cache_id} has T set "
+                        "right after a repair, but its valid blocks match the "
+                        f"tail-of-VOL composition (stamps {content} vs tail "
+                        f"{tail})",
                         subject=line_addr,
                         cache=cache_id,
                     )

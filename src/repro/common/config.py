@@ -159,7 +159,6 @@ class SVCConfig:
     miss_penalty_cycles: int = 10
     n_mshrs: int = 8
     mshr_combining: int = 4
-    check_invariants: bool = False
 
     def __post_init__(self) -> None:
         if self.n_caches < 2:

@@ -123,7 +123,6 @@ def check_shape(
         tasks=tasks,
         geometry=bound_geometry(bounds),
         checker=True,
-        check_invariants=True,
         n_caches=bounds.pus,
     )
     result = explore_case(case, max_nodes=max_nodes, max_counterexamples=1)

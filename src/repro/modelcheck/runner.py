@@ -106,7 +106,6 @@ def _check_unit(payload: Dict) -> Dict:
         tasks=tuple(decode_task(t) for t in payload["tasks"]),
         geometry=CacheGeometry(**payload["geometry"]),
         checker=True,
-        check_invariants=True,
         n_caches=payload["n_caches"],
         mutation=payload["mutation"],
     )

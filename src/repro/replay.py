@@ -71,9 +71,6 @@ class Case:
     #: over however many units the system reports, so this also bounds
     #: concurrency.
     n_caches: int = 4
-    #: Per-access invariant auditing inside SVCSystem (expensive; the
-    #: model checker turns it on, fuzzing leaves it to the event checker).
-    check_invariants: bool = False
     #: An explicit schedule from repro.modelcheck: a tuple of
     #: ("op"|"commit", rank) actions the driver replays with
     #: ``run_script`` instead of choosing them by ``schedule``.
@@ -132,7 +129,6 @@ class Case:
             "checker": self.checker,
             "arb_rows": self.arb_rows,
             "n_caches": self.n_caches,
-            "check_invariants": self.check_invariants,
         }
         if self.script is not None:
             data["script"] = [[kind, rank] for kind, rank in self.script]
@@ -144,6 +140,8 @@ class Case:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "Case":
+        # Keys no field reads are ignored, so captures that carry a
+        # retired field's key still load.
         tasks = []
         for rank, record in enumerate(data.get("tasks", [])):
             try:
@@ -161,7 +159,6 @@ class Case:
             checker=data.get("checker", True),
             arb_rows=data.get("arb_rows", 32),
             n_caches=data.get("n_caches", 4),
-            check_invariants=data.get("check_invariants", False),
             script=(
                 tuple(map(tuple, data["script"]))
                 if data.get("script") is not None
@@ -214,11 +211,7 @@ def build_system(case: Case):
 
         config = design_config(
             case.design,
-            SVCConfig(
-                geometry=case.geometry,
-                n_caches=case.n_caches,
-                check_invariants=case.check_invariants,
-            ),
+            SVCConfig(geometry=case.geometry, n_caches=case.n_caches),
         )
         system = SVCSystem(config, checker=checker, telemetry=telemetry)
     if case.mutation is not None:

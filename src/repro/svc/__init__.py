@@ -18,13 +18,12 @@ from repro.svc.designs import DESIGNS, design_config
 from repro.svc.line import LineState, SVCLine
 from repro.svc.system import AccessResult, SVCSystem
 from repro.svc.vcl import BusOutcome, VersionControlLogic
-from repro.svc.vol import build_vol, check_invariants
+from repro.svc.vol import build_vol
 
 __all__ = [
     "AccessResult",
     "BusOutcome",
     "build_vol",
-    "check_invariants",
     "DESIGNS",
     "design_config",
     "LineState",

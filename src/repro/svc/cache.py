@@ -330,12 +330,3 @@ def scan_cache(cache, holders: Dict[int, Dict[int, SVCLine]]) -> Dict[int, SVCLi
             held[cache_id] = line
     return active
 
-
-def scan_holders(caches) -> Dict[int, Dict[int, SVCLine]]:
-    """The holder map of every resident line, read from the arrays in
-    one pass. Each holder dict is ascending by cache id when ``caches``
-    is, as the system's cache list is."""
-    holders: Dict[int, Dict[int, SVCLine]] = {}
-    for cache in caches:
-        scan_cache(cache, holders)
-    return holders

@@ -26,7 +26,7 @@ from repro.common.errors import ProtocolError
 from repro.common.events import EventLog, ProtocolEvent
 from repro.common.stats import StatsRegistry
 from repro.mem.main_memory import MainMemory
-from repro.svc.cache import ProbeOutcome, SVCCache, scan_holders
+from repro.svc.cache import ProbeOutcome, SVCCache
 from repro.svc.line import LineState, SVCLine
 from repro.svc.vcl import VersionControlLogic
 from repro.telemetry import COMMIT, SQUASH, TASK_BEGIN, WB_DRAIN
@@ -390,48 +390,23 @@ class SVCSystem:
         return " ".join(parts)
 
     def verify(self) -> None:
-        """Audit every resident line against the protocol invariants.
+        """Audit the whole SVC, read-only: raise
+        :class:`repro.common.errors.ProtocolError` on the first violation
+        and change no state.
 
-        Pointer chains and T bits are repaired *lazily* — on each line's
-        next bus request — so between requests a line may legitimately
-        carry a dangling pointer or a conservatively-stale T bit. This
-        method first completes those pending repairs (exactly what the
-        next bus request would do; idempotent and
-        semantics-preserving), then checks every invariant, raising
-        :class:`repro.common.errors.ProtocolError` on the first
-        violation: the post-repair checks that also run after each bus
-        request when ``config.check_invariants`` is set, then the
-        :class:`repro.check.InvariantChecker` catalogue's full scan
-        (:class:`repro.common.errors.InvariantViolation` names the rule).
+        The incremental rank maps, then every cached ``(entries, VOL)``
+        snapshot, are audited against the cache arrays before anything
+        trusts them. Then the :class:`repro.check.InvariantChecker`
+        catalogue's full scan runs (its
+        :class:`repro.common.errors.InvariantViolation` names the rule).
+        Like every full scan it is repair-aware: a pointer may dangle and
+        a T bit may be conservatively set until the line's next bus
+        request repairs it.
         """
         from repro.check import InvariantChecker
-        from repro.svc.vol import (
-            build_vol,
-            check_invariants,
-            refresh_stale_bits,
-            rewrite_pointers,
-        )
 
-        # The accelerator structures are audited against the ground truth
-        # (the cache arrays themselves) before anything trusts them: a
-        # desynced rank map or snapshot is itself a protocol violation.
         self._audit_task_maps()
-        holders = scan_holders(self.caches)
-        # Every cached (entries, VOL) snapshot must match a fresh
-        # reconstruction from the arrays.
         self.vcl.fastpath.audit()
-        ranks = self.current_ranks()
-        for line_addr, entries in sorted(holders.items()):
-            vol = build_vol(entries, ranks)
-            stamps = self.vcl.memory_stamps_for(line_addr)
-            rewrite_pointers(entries, vol)
-            if self.features.stale_bit:
-                refresh_stale_bits(entries, vol, stamps)
-            check_invariants(
-                entries, vol, ranks, stamps, check_stale=self.features.stale_bit
-            )
-        # The checks above cover what the repairs produce; the catalogue
-        # adds the state rules (X, S and C bits, stamps, active sets).
         InvariantChecker().scan_svc(self)
 
     def _audit_task_maps(self) -> None:

@@ -35,7 +35,6 @@ from repro.svc.vol import (
     CLEAN,
     MEMORY,
     build_vol,
-    check_invariants,
     rewrite_pointers,
     supply_sources,
 )
@@ -352,15 +351,17 @@ class VersionControlLogic:
         return self.cast_out(requestor, victim_addr, now)
 
     def _finalize(self, line_addr: int) -> None:
-        """Post-transaction VOL repair: rewrite pointers, refresh T bits,
-        and (in debug builds) check every protocol invariant."""
+        """Post-transaction VOL repair: rewrite pointers and refresh T
+        bits. The ``InvariantChecker`` audits the result at the bus
+        event of a BusRead or BusWrite (docs/INVARIANTS.md)."""
         telemetry = self.system.telemetry
         if telemetry is None:
             self._finalize_impl(line_addr)
             return
         # try/finally because _finalize also runs outside any bus_txn
-        # span (silent evictions): a check_invariants raise must not
-        # leave this span open to adopt unrelated later spans.
+        # span (silent evictions): a raise (say, ``build_vol`` finding an
+        # active line with no task) must not leave this span open to
+        # adopt unrelated later spans.
         span = telemetry.begin(
             VOL_REPAIR, f"repair {line_addr:#x}", line_addr=line_addr
         )
@@ -374,9 +375,9 @@ class VersionControlLogic:
         the line's snapshot: pointers mirror the VOL, the tail stamp of
         each block is its newest ``store_mask & valid_mask`` writer's
         (else memory's), and a line is stale iff any valid block's stamp
-        differs from the tail stamp (``refresh_stale_bits``' rule, which
-        ``SVCSystem.verify`` and ``check_invariants`` apply on their
-        own)."""
+        differs from the tail stamp. The checker's
+        ``t-clear-implies-fresh`` and ``t-set-implies-stale`` rules hold
+        the result to that definition."""
         system = self.system
         entries, vol = self._snapshot(line_addr)
         # Read from the module namespace at every call: the checker's
@@ -422,14 +423,6 @@ class VersionControlLogic:
                             stale = True
                             break
                     line.stale = stale
-        if system.config.check_invariants:
-            check_invariants(
-                entries,
-                vol,
-                system._active_ranks,
-                self.memory_stamps_for(line_addr),
-                check_stale=stale_bit,
-            )
 
     @staticmethod
     def _clear_supplier_exclusivity(

@@ -83,62 +83,6 @@ def rewrite_pointers(entries: Dict[int, SVCLine], vol: List[int]) -> None:
         successor = cache_id
 
 
-def last_version_index(entries: Dict[int, SVCLine], vol: List[int]) -> Optional[int]:
-    """Index in ``vol`` of the most recent version, or ``None`` if no
-    cache holds a version (all entries are copies)."""
-    for index in range(len(vol) - 1, -1, -1):
-        if entries[vol[index]].dirty:
-            return index
-    return None
-
-
-def tail_stamps(
-    entries: Dict[int, SVCLine],
-    vol: List[int],
-    memory_stamps: List[int],
-) -> List[int]:
-    """The per-block content stamps a brand-new tail task's fill would
-    receive: the closest previous writer's stamp for each block, falling
-    back to the stamp of the bytes last written back to memory."""
-    n_blocks = len(memory_stamps)
-    stamps = list(memory_stamps)
-    for block in range(n_blocks):
-        writer = closest_previous_writer(entries, vol, len(vol), block)
-        if writer is not None:
-            stamps[block] = entries[writer].block_content[block]
-    return stamps
-
-
-def is_fresh(line: SVCLine, tail: List[int]) -> bool:
-    """Whether every valid block of ``line`` holds the data a tail-task
-    fill would be supplied — the reuse-safety condition behind T."""
-    for block, stamp in enumerate(tail):
-        if line.valid_mask & (1 << block) and line.block_content[block] != stamp:
-            return False
-    return True
-
-
-def refresh_stale_bits(
-    entries: Dict[int, SVCLine],
-    vol: List[int],
-    memory_stamps: List[int],
-) -> None:
-    """Enforce the T-bit invariant of section 3.4.3.
-
-    The paper's statement — the most recent version and its copies have
-    T clear, all other versions and copies have T set — generalizes
-    under versioning blocks to: a line is *not stale* exactly when every
-    valid block matches the state a tail-of-VOL composition would
-    supply. With one block per line the two statements coincide; with
-    several, block-accurate stamps are required because a write-update
-    patch can freshen one block of a copy while the rest stay old.
-    """
-    tail = tail_stamps(entries, vol, memory_stamps)
-    for cache_id in vol:
-        line = entries[cache_id]
-        line.stale = not is_fresh(line, tail)
-
-
 def closest_previous_writer(
     entries: Dict[int, SVCLine],
     vol: List[int],
@@ -243,54 +187,3 @@ def supply_sources(
         block += 1
     return sources
 
-
-def check_invariants(
-    entries: Dict[int, SVCLine],
-    vol: List[int],
-    task_rank_of_cache: Dict[int, int],
-    memory_stamps: List[int],
-    check_stale: bool = True,
-) -> None:
-    """Debug-mode consistency checks run after every bus request.
-
-    ``check_stale`` is cleared for designs below EC, which have no T
-    bit to audit (Figure 11)."""
-    if sorted(vol) != sorted(entries):
-        raise ProtocolError("VOL does not cover exactly the valid entries")
-    # Committed prefix property.
-    seen_active = False
-    for cache_id in vol:
-        if entries[cache_id].committed:
-            if seen_active:
-                raise ProtocolError("committed entry after an active entry in VOL")
-        else:
-            seen_active = True
-    # Active entries ascend in task rank.
-    active_ranks = [
-        task_rank_of_cache[cid] for cid in vol if not entries[cid].committed
-    ]
-    if active_ranks != sorted(active_ranks):
-        raise ProtocolError("active VOL entries out of task order")
-    # Committed versions ascend in stamp order.
-    stamps = [
-        entries[cid].version_seq
-        for cid in vol
-        if entries[cid].committed and entries[cid].dirty
-    ]
-    if stamps != sorted(stamps):
-        raise ProtocolError("committed versions out of stamp order")
-    # Pointer chain mirrors the order.
-    for index, cache_id in enumerate(vol):
-        expected = vol[index + 1] if index + 1 < len(vol) else None
-        if entries[cache_id].pointer != expected:
-            raise ProtocolError(
-                f"pointer of cache {cache_id} is {entries[cache_id].pointer}, "
-                f"expected {expected}"
-            )
-    # T-bit invariant.
-    if check_stale:
-        tail = tail_stamps(entries, vol, memory_stamps)
-        for cache_id in vol:
-            line = entries[cache_id]
-            if line.stale != (not is_fresh(line, tail)):
-                raise ProtocolError(f"T bit wrong on cache {cache_id}")

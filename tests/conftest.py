@@ -21,15 +21,10 @@ def small_geometry(**overrides) -> CacheGeometry:
 
 
 def make_svc(design: str = "final", n_caches: int = 4, **overrides) -> SVCSystem:
-    """An SVC with invariant checking on — both the strict post-repair
-    debug audit and the runtime InvariantChecker — sized for unit tests."""
+    """An SVC audited by the runtime InvariantChecker after every bus
+    transaction, commit, squash and task dispatch, sized for unit tests."""
     config = design_config(
-        design,
-        SVCConfig(
-            n_caches=n_caches,
-            geometry=small_geometry(),
-            check_invariants=True,
-        ),
+        design, SVCConfig(n_caches=n_caches, geometry=small_geometry())
     )
     if overrides:
         config = dataclasses.replace(config, **overrides)

@@ -48,14 +48,17 @@ def test_adversarial_schedule_survives_capacity_pressure():
     """Youngest-first plus a tiny cache: stalled speculative tasks must
     not livelock the scheduler."""
     from conftest import small_geometry
+    from repro.check import InvariantChecker
     from repro.common.config import SVCConfig
     from repro.svc.designs import design_config
     from repro.svc.system import SVCSystem
 
-    system = SVCSystem(design_config("final", SVCConfig(
-        geometry=small_geometry(size_bytes=64, associativity=2),
-        check_invariants=True,
-    )))
+    system = SVCSystem(
+        design_config("final", SVCConfig(
+            geometry=small_geometry(size_bytes=64, associativity=2),
+        )),
+        checker=InvariantChecker(),
+    )
     stride = system.geometry.n_sets * system.geometry.line_size
     tasks = [
         TaskProgram(ops=[MemOp.store(0x1000 + w * stride, i) for w in range(3)])

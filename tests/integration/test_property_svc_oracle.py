@@ -20,6 +20,7 @@ import dataclasses
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.check import InvariantChecker
 from repro.common.config import CacheGeometry, SVCConfig
 from repro.common.events import EventLog
 from repro.hier.driver import SpeculativeExecutionDriver
@@ -63,10 +64,9 @@ def run_and_verify(design, tasks, seed, squash_probability):
         design,
         SVCConfig(
             geometry=CacheGeometry(size_bytes=256, associativity=2, line_size=16),
-            check_invariants=True,
         ),
     )
-    system = SVCSystem(config, event_log=EventLog())
+    system = SVCSystem(config, event_log=EventLog(), checker=InvariantChecker())
 
     def audit_snapshots(event):
         if event.kind == "bus":
@@ -120,10 +120,9 @@ def test_tiny_cache_with_evictions(tasks, seed):
         "final",
         SVCConfig(
             geometry=CacheGeometry(size_bytes=64, associativity=2, line_size=16),
-            check_invariants=True,
         ),
     )
-    system = SVCSystem(config)
+    system = SVCSystem(config, checker=InvariantChecker())
     report = SpeculativeExecutionDriver(system, tasks, seed=seed).run()
     oracle = SequentialOracle().run(tasks)
     problems = verify_run(report, oracle, system.memory)

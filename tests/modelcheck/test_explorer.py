@@ -18,7 +18,6 @@ def _case(tasks, design="final", pus=2, **overrides):
         tasks=tuple(tasks),
         geometry=bound_geometry(Bounds(pus=pus)),
         checker=True,
-        check_invariants=True,
         n_caches=pus,
         **overrides,
     )

@@ -91,7 +91,6 @@ def test_external_program_outcome_keeps_original_addresses():
         tasks=tasks,
         geometry=bound_geometry(bounds),
         checker=True,
-        check_invariants=True,
         n_caches=bounds.pus,
     )
     result = explore_case(case)
@@ -109,7 +108,6 @@ def test_witness_schedules_replay_to_their_outcomes():
         tasks=tasks,
         geometry=bound_geometry(bounds),
         checker=True,
-        check_invariants=True,
         n_caches=bounds.pus,
     )
     result = explore_case(case)

@@ -137,6 +137,11 @@ def _pointer_cycle(system, holders):
         entries[cache_id].pointer = ids[(index + 1) % len(ids)]
 
 
+def _dangling_pointer(system, holders):
+    """The newest holder points at idle cache 3, which holds no copy."""
+    _victim(system, holders).pointer = 3
+
+
 def _stale_block_with_clear_t(system, holders):
     line = _victim(system, holders)
     line.stale = False
@@ -185,7 +190,10 @@ def _set_attr(name, value):
 
 #: (invariant, design, setup, corruption, holder counts, scopes). Every
 #: SVC rule of docs/INVARIANTS.md; per-line rules run with one holder
-#: and with several. Both scopes read holders from the cache arrays, so
+#: and with several. The scopes are the line check, the full scan and
+#: the line check of a just-repaired line (``repaired=True``, a BusRead
+#: or BusWrite), the only scope of the two rules that hold only right
+#: after a repair. Every scope reads holders from the cache arrays, so
 #: a line planted there behind the protocol's back is audited by each.
 #: A rule's later rows (lines planted on the array side) add their
 #: corruption's name to the case id.
@@ -218,10 +226,14 @@ SVC_RULES = [
     ("vol-buildable", "final", _line_setup, _phantom_active_holder,
      (1, 2), ("line", "scan")),
     ("vol-acyclic", "final", _line_setup, _pointer_cycle, (1, 2), ("line", "scan")),
+    ("vol-pointers-repaired", "final", _line_setup, _dangling_pointer,
+     (1, 2), ("repaired",)),
     ("version-order-total", "final", _versions_setup,
      lambda s, h: setattr(_victim(s, 2), "version_seq", 1), (2,), ("line", "scan")),
     ("t-clear-implies-fresh", "final", _line_setup, _stale_block_with_clear_t,
      (1, 2), ("line", "scan")),
+    ("t-set-implies-stale", "final", _line_setup, _set_attr("stale", True),
+     (1, 2), ("repaired",)),
     ("x-unique", "final", _line_setup, _both_exclusive, (2,), ("line", "scan")),
     ("x-implies-sole-holder", "final", _line_setup, _shared_exclusive,
      (2,), ("line", "scan")),
@@ -261,14 +273,43 @@ def test_rule_table_covers_every_documented_svc_rule():
 def test_every_svc_rule_fires(invariant, design, setup, corrupt, holders, scope):
     system = setup(design, holders)
     assert len(system.vcl._entries(A)) == holders
+    check = {
+        "line": lambda: system.checker.check_svc(line_addr=A),
+        "scan": system.checker.check_svc,
+        "repaired": lambda: system.checker.check_svc(line_addr=A, repaired=True),
+    }[scope]
     system.checker.check_svc(line_addr=A)  # healthy before the corruption
     system.checker.check_svc()
+    check()
     corrupt(system, holders)
     with pytest.raises(InvariantViolation) as excinfo:
-        if scope == "line":
-            system.checker.check_svc(line_addr=A)
-        else:
-            system.checker.check_svc()
+        check()
+    assert excinfo.value.invariant == invariant
+
+
+@pytest.mark.parametrize("holders", [1, 2])
+@pytest.mark.parametrize(
+    "corrupt, invariant",
+    [
+        (_dangling_pointer, "vol-pointers-repaired"),
+        (_set_attr("stale", True), "t-set-implies-stale"),
+    ],
+    ids=["dangling-pointer", "t-set-on-fresh-data"],
+)
+def test_pending_repairs_pass_the_repair_aware_checks(corrupt, invariant, holders):
+    """A dangling pointer and a T bit set on fresh data are what a line
+    may carry until its next bus request repairs it: the plain line
+    check and the full scan accept them, and so does a bus event whose
+    request the VCL reserves with no repair (a base-tier commit's
+    BusWback). The line check of a BusRead or BusWrite, which follows
+    a repair, rejects them."""
+    system = _line_setup("final", holders)
+    corrupt(system, holders)
+    system.checker.check_svc(line_addr=A)
+    system.checker.check_svc()
+    system.event_log.emit("bus", "test", request="BusWback", line_addr=A)
+    with pytest.raises(InvariantViolation) as excinfo:
+        system.event_log.emit("bus", "test", request="BusRead", line_addr=A)
     assert excinfo.value.invariant == invariant
 
 

@@ -1,16 +1,21 @@
 """The checker's one-pass per-line audit against a model of the five
-per-line rule methods it replaced.
+per-line rule methods it replaced and of the retired post-repair audit.
 
 ``CheckerModel`` is those methods as they were: the six bit rules,
 ``vol-buildable``, ``vol-acyclic``, ``version-order-total``, the two X
 rules and ``t-clear-implies-fresh``, each in its own method, run in that
-order. Hypothesis draws one line's holder state under each design tier,
-and ``InvariantChecker._svc_lines`` must raise the same violation (rule,
-message, subject and detail) as the model, or both must pass. A line
-that breaks several rules therefore still reports the earliest one.
-The model orders the VOL with :func:`repro.svc.vol.build_vol`, which
-``tests/svc/test_vol.py`` holds to the key-sorted reconstruction it
-replaced.
+order. For a just-repaired line (``repaired=True``) it adds the pointer
+and T conditions of the debug audit ``repro.svc.vol`` used to run after
+every repair: each pointer names its VOL successor
+(``vol-pointers-repaired``, after ``vol-acyclic``), and T equals "not
+fresh" (``t-set-implies-stale``, in the T walk).
+Hypothesis draws one line's holder state under each design tier, and
+``InvariantChecker._svc_lines`` must raise the same violation (rule,
+message, subject and detail) as the model in both scopes, or both must
+pass. A line that breaks several rules therefore still reports the
+earliest one. The model orders the VOL with
+:func:`repro.svc.vol.build_vol`, which ``tests/svc/test_vol.py`` holds
+to the key-sorted reconstruction it replaced.
 """
 
 from typing import Dict
@@ -23,7 +28,7 @@ from repro.common.errors import InvariantViolation, ProtocolError
 from repro.svc.designs import DESIGNS, design_config
 from repro.svc.line import SVCLine
 from repro.svc.system import SVCSystem
-from repro.svc.vol import build_vol, refresh_stale_bits, rewrite_pointers
+from repro.svc.vol import build_vol, closest_previous_writer, rewrite_pointers
 
 A = 0x1000
 #: A pointer to a cache that holds no copy of the line.
@@ -37,7 +42,9 @@ class CheckerModel:
     def _fail(self, invariant: str, message: str, subject=None, **detail):
         raise InvariantViolation(invariant, message, subject=subject, **detail)
 
-    def _svc_lines(self, system, items, ranks: Dict[int, int]) -> None:
+    def _svc_lines(
+        self, system, items, ranks: Dict[int, int], repaired: bool = False
+    ) -> None:
         features = system.features
         full = system.amap.full_mask
         memory_stamps = system.vcl._memory_stamps
@@ -49,11 +56,17 @@ class CheckerModel:
             except ProtocolError as exc:
                 self._fail("vol-buildable", str(exc), subject=line_addr)
             self._svc_pointer_chain(line_addr, entries)
+            if repaired:
+                self._svc_pointers_repaired(line_addr, entries, vol)
             self._svc_version_order(line_addr, entries, vol)
             self._svc_exclusivity(line_addr, entries, vol)
             if features.stale_bit:
                 self._svc_stale_bits(
-                    line_addr, entries, vol, memory_stamps.get(line_addr, zero_stamps)
+                    line_addr,
+                    entries,
+                    vol,
+                    memory_stamps.get(line_addr, zero_stamps),
+                    repaired,
                 )
 
     def _svc_bits(self, features, full, line_addr, entries) -> None:
@@ -140,6 +153,20 @@ class CheckerModel:
                     )
                 pointer = entries[pointer].pointer
 
+    def _svc_pointers_repaired(self, line_addr, entries, vol) -> None:
+        """The retired debug audit's pointer check."""
+        for index, cache_id in enumerate(vol):
+            expected = vol[index + 1] if index + 1 < len(vol) else None
+            if entries[cache_id].pointer != expected:
+                self._fail(
+                    "vol-pointers-repaired",
+                    f"line {line_addr:#x}: pointer of cache {cache_id} is "
+                    f"{entries[cache_id].pointer} right after a repair, "
+                    f"expected {expected} (VOL {vol})",
+                    subject=line_addr,
+                    cache=cache_id,
+                )
+
     def _svc_version_order(self, line_addr, entries, vol) -> None:
         seen: Dict[int, int] = {}
         for cache_id in vol:
@@ -179,7 +206,9 @@ class CheckerModel:
                     subject=line_addr,
                 )
 
-    def _svc_stale_bits(self, line_addr, entries, vol, memory_stamps) -> None:
+    def _svc_stale_bits(
+        self, line_addr, entries, vol, memory_stamps, repaired
+    ) -> None:
         tail = list(memory_stamps)
         for cache_id in vol:
             line = entries[cache_id]
@@ -194,6 +223,17 @@ class CheckerModel:
         for cache_id in vol:
             line = entries[cache_id]
             if line.stale:
+                # The retired debug audit's T check: T == not fresh.
+                if repaired and _is_fresh(line, tail):
+                    self._fail(
+                        "t-set-implies-stale",
+                        f"line {line_addr:#x} in cache {cache_id} has T set "
+                        "right after a repair, but its valid blocks match the "
+                        f"tail-of-VOL composition (stamps {line.block_content} "
+                        f"vs tail {tail})",
+                        subject=line_addr,
+                        cache=cache_id,
+                    )
                 continue
             valid = line.valid_mask
             content = line.block_content
@@ -211,6 +251,27 @@ class CheckerModel:
                     )
                 valid >>= 1
                 block += 1
+
+
+def _tail_stamps(entries, vol, memory):
+    """The stamps a new tail task's fill would receive: each block's
+    closest previous writer's, else memory's (the retired
+    ``repro.svc.vol.tail_stamps``)."""
+    stamps = list(memory)
+    for block in range(len(memory)):
+        writer = closest_previous_writer(entries, vol, len(vol), block)
+        if writer is not None:
+            stamps[block] = entries[writer].block_content[block]
+    return stamps
+
+
+def _is_fresh(line: SVCLine, tail) -> bool:
+    """Every valid block holds the tail's stamp (the retired
+    ``repro.svc.vol.is_fresh``)."""
+    for block, stamp in enumerate(tail):
+        if line.valid_mask & (1 << block) and line.block_content[block] != stamp:
+            return False
+    return True
 
 
 def _system(tier: str, memory) -> SVCSystem:
@@ -287,7 +348,9 @@ def _repair(stale_bit, fields, ranks, memory) -> None:
         return
     rewrite_pointers(entries, vol)
     if stale_bit:
-        refresh_stale_bits(entries, vol, memory)
+        tail = _tail_stamps(entries, vol, memory)
+        for line in entries.values():
+            line.stale = not _is_fresh(line, tail)
     for cache_id, line in entries.items():
         fields[cache_id].update(pointer=line.pointer, stale=line.stale)
 
@@ -299,11 +362,13 @@ def _entries(fields) -> Dict[int, SVCLine]:
     }
 
 
-def _audit(checker, tier, fields, ranks, memory):
+def _audit(checker, tier, fields, ranks, memory, repaired):
     """The violation ``checker`` raises on the line, or ``None``."""
     system = _system(tier, memory)
     try:
-        checker._svc_lines(system, ((A, _entries(fields)),), dict(ranks))
+        checker._svc_lines(
+            system, ((A, _entries(fields)),), dict(ranks), repaired
+        )
     except InvariantViolation as violation:
         return violation.invariant, str(violation), violation.subject, violation.detail
     return None
@@ -344,5 +409,9 @@ def _committed_version(seq, exclusive=False):
 ))
 def test_one_pass_reports_what_the_rule_methods_report(state):
     tier, fields, ranks, memory = state
-    expected = _audit(CheckerModel(), tier, fields, ranks, memory)
-    assert _audit(InvariantChecker(), tier, fields, ranks, memory) == expected
+    for repaired in (False, True):
+        expected = _audit(CheckerModel(), tier, fields, ranks, memory, repaired)
+        assert (
+            _audit(InvariantChecker(), tier, fields, ranks, memory, repaired)
+            == expected
+        )

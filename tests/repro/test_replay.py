@@ -224,6 +224,27 @@ def test_replay_cli_accepts_a_scripted_capture_naming_the_script_schedule(
     assert "NOT REPRODUCED" in capsys.readouterr().out
 
 
+def test_capture_with_a_retired_case_key_loads_and_replays(tmp_path, capsys):
+    """Captures written before a case field was retired still carry its
+    key, as the model checker's captures carry the per-access audit
+    switch. They still load, and a failing one still reproduces."""
+    case = Case(
+        tasks=simple_tasks(),
+        n_caches=2,
+        script=(("op", 1), ("op", 0)),
+        mutation="no_violation_squash",
+    )
+    result = run_case(case)
+    assert result.signature == ("oracle", "mismatch")
+    data = FailureCapture.from_result(case, result).to_dict()
+    data["case"]["check_invariants"] = True
+    assert FailureCapture.from_dict(data).case == case
+    path = tmp_path / "capture.json"
+    path.write_text(json.dumps(data))
+    assert replay_main([str(path)]) == 0
+    assert "reproduced: oracle mismatch" in capsys.readouterr().out
+
+
 class TestShrink:
     """Shrink mechanics on the pure helpers; the full capture-shrink-
     replay loop on a live protocol bug is exercised in test_checker.py."""
@@ -275,7 +296,6 @@ class TestScriptedCases:
             design="final",
             tasks=simple_tasks(),
             n_caches=2,
-            check_invariants=True,
             script=tuple(script),
         )
         params.update(overrides)

@@ -25,7 +25,6 @@ from repro.common.errors import ProtocolError
 from repro.faults import random_fault_plan
 from repro.harness.differential import TIERS, differential_workload, observe_run
 from repro.hier.driver import SpeculativeExecutionDriver
-from repro.svc.cache import scan_holders
 from repro.svc.designs import design_config
 from repro.svc.fastpath import FastpathKernel
 from repro.svc.line import SVCLine
@@ -289,6 +288,11 @@ WORKLOADS = {
 }
 
 
+def _resident_lines(system):
+    """How many distinct line addresses the caches hold."""
+    return len({addr for cache in system.caches for addr, _line in cache.lines()})
+
+
 def _fault_plan(tier, seed, tasks):
     allow_squashes = tier != "ec"
     plan = random_fault_plan(seed, len(tasks), 10, allow_squashes=allow_squashes)
@@ -310,7 +314,7 @@ def test_snapshots_stay_fresh_through_a_driver_run(tier, workload):
     verify = system.verify
 
     def record_then_verify():
-        resident.append(len(scan_holders(system.caches)))
+        resident.append(_resident_lines(system))
         verify()
 
     system.verify = record_then_verify
@@ -344,7 +348,7 @@ def test_snapshots_stay_fresh_through_a_timing_run(tier, workload):
     drain = system.drain
 
     def verify_then_drain():
-        resident.append(len(scan_holders(system.caches)))
+        resident.append(_resident_lines(system))
         system.verify()
         drain()
 

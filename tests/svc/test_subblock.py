@@ -102,15 +102,15 @@ def test_byte_level_disambiguation_with_byte_blocks():
     disambiguation: byte stores by different tasks never alias."""
     from conftest import small_geometry
     import dataclasses
+    from repro.check import InvariantChecker
     from repro.common.config import SVCConfig
     from repro.svc.designs import final_design
     from repro.svc.system import SVCSystem
 
     config = final_design(SVCConfig(
         geometry=small_geometry(versioning_block_size=1),
-        check_invariants=True,
     ))
-    system = SVCSystem(config)
+    system = SVCSystem(config, checker=InvariantChecker())
     for cache_id in range(4):
         system.begin_task(cache_id, cache_id)
     system.store(0, LINE, 0x11, size=1)

@@ -13,14 +13,14 @@ def make_policy_system(policy):
     import dataclasses
 
     from conftest import small_geometry
+    from repro.check import InvariantChecker
     from repro.common.config import SVCConfig, SVCFeatures
     from repro.svc.system import SVCSystem
 
     config = final_design(
-        SVCConfig(geometry=small_geometry(), check_invariants=True),
-        update_policy=policy,
+        SVCConfig(geometry=small_geometry()), update_policy=policy
     )
-    system = SVCSystem(config)
+    system = SVCSystem(config, checker=InvariantChecker())
     for cache_id in range(4):
         system.begin_task(cache_id, cache_id)
     return system

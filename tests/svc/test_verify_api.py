@@ -25,17 +25,20 @@ def test_verify_passes_after_commits_and_squashes(svc):
     svc.verify()
 
 
-def test_verify_repairs_lazy_state_instead_of_flagging_it(svc):
+def test_verify_accepts_lazy_state_and_leaves_it_unrepaired(svc):
     """Dangling pointers and conservative T bits are pending repairs,
-    not corruption: verify() completes them like a bus request would."""
+    not corruption: verify() accepts them and, being read-only, leaves
+    them for the line's next bus request to repair."""
     svc.store(0, 0x100, 1)
     svc.store(2, 0x100, 2)
     svc.squash_from_rank(2)           # leaves a dangling pointer
     svc.begin_task(2, 2)
     svc.begin_task(3, 3)
-    assert svc.line_in(0, 0x100).pointer is not None
+    dangling = svc.line_in(0, 0x100).pointer
+    assert dangling is not None
+    assert svc.line_in(dangling, 0x100) is None
     svc.verify()
-    assert svc.line_in(0, 0x100).pointer is None  # repaired
+    assert svc.line_in(0, 0x100).pointer == dangling  # not repaired
 
 
 def test_verify_detects_corruption(svc):
@@ -100,9 +103,8 @@ def _active_line_missing_from_active_set(svc):
     ],
 )
 def test_verify_audits_the_checker_catalogue(svc, invariant, plant):
-    """States the repairs and their post-repair checks accept but the
-    InvariantChecker's catalogue rejects: verify() runs its full scan
-    after repairing, so each fails the end-of-run audit by name."""
+    """Corrupt states the end-of-run audit rejects by name: verify()
+    ends with the InvariantChecker catalogue's full scan."""
     plant(svc)
     with pytest.raises(InvariantViolation) as excinfo:
         svc.verify()

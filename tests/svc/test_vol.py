@@ -1,21 +1,24 @@
-"""Version Ordering List: construction, search, repair primitives."""
+"""Version Ordering List: construction, search, repair primitives, and
+the T bits and pointers the VCL's repair leaves."""
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.common.errors import ProtocolError
+from conftest import small_geometry
+from repro.check import InvariantChecker
+from repro.common.config import SVCConfig
+from repro.common.errors import InvariantViolation, ProtocolError
+from repro.svc.designs import design_config
 from repro.svc.line import SVCLine
+from repro.svc.system import SVCSystem
 from repro.svc.vol import (
     build_vol,
-    check_invariants,
     clean_supplier,
     closest_previous_writer,
-    is_fresh,
-    last_version_index,
-    refresh_stale_bits,
     rewrite_pointers,
-    tail_stamps,
 )
+
+A = 0x100
 
 
 def line(store=0, valid=0b1111, committed=False, seq=0, stamps=None):
@@ -121,17 +124,6 @@ class TestPointers:
 
 
 class TestSearch:
-    def test_last_version_index(self):
-        entries = {0: line(store=1), 1: line(), 2: line(store=1), 3: line()}
-        ranks = {0: 0, 1: 1, 2: 2, 3: 3}
-        vol = build_vol(entries, ranks)
-        assert last_version_index(entries, vol) == 2
-
-    def test_last_version_none_for_copies_only(self):
-        entries = {0: line(), 1: line()}
-        vol = build_vol(entries, {0: 0, 1: 1})
-        assert last_version_index(entries, vol) is None
-
     def test_closest_previous_writer_respects_blocks(self):
         entries = {
             0: line(store=0b0001),
@@ -155,58 +147,86 @@ class TestSearch:
         assert clean_supplier(entries, 0, [6, 0, 0, 0]) is None
 
 
+def repaired(holders, ranks, memory):
+    """A final-design system whose caches hold ``holders`` (cache id ->
+    line) of line ``A`` and run the tasks ``ranks`` (cache id -> rank),
+    with ``memory`` as the block stamps last written back, after the
+    VCL's repair of the line (``VersionControlLogic._finalize_impl``)."""
+    system = SVCSystem(
+        design_config("final", SVCConfig(geometry=small_geometry())),
+        checker=InvariantChecker(),
+    )
+    for cache_id, rank in ranks.items():
+        system.begin_task(cache_id, rank)
+    for cache_id, held in holders.items():
+        if not held.committed:
+            held.task_id = ranks[cache_id]
+        system.caches[cache_id].install(A, held)
+    system.vcl._memory_stamps[A] = list(memory)
+    system.vcl._finalize_impl(A)
+    return system
+
+
 class TestStaleBits:
+    """T as the repair sets it: stale exactly when a valid block's stamp
+    differs from the tail-of-VOL composition (section 3.4.3)."""
+
     def test_tail_stamps_prefer_versions_over_memory(self):
-        entries = {0: line(store=0b0001, stamps=[9, 0, 0, 0])}
-        vol = build_vol(entries, {0: 0})
-        assert tail_stamps(entries, vol, [1, 2, 3, 4]) == [9, 2, 3, 4]
+        version = line(store=0b0001, stamps=[9, 2, 3, 4])
+        fresh_copy = line(stamps=[9, 2, 3, 4])
+        memory_copy = line(stamps=[1, 2, 3, 4])
+        repaired({0: version, 1: fresh_copy, 2: memory_copy},
+                 {0: 0, 1: 1, 2: 2}, [1, 2, 3, 4])
+        assert not version.stale
+        assert not fresh_copy.stale
+        assert memory_copy.stale  # block 0 is the version's, not memory's
 
     def test_is_fresh_checks_only_valid_blocks(self):
-        stale_block = line(valid=0b0001, stamps=[7, 99, 99, 99])
-        assert is_fresh(stale_block, [7, 0, 0, 0])
-        assert not is_fresh(stale_block, [8, 0, 0, 0])
+        for memory, stale in (([7, 0, 0, 0], False), ([8, 0, 0, 0], True)):
+            copy = line(valid=0b0001, stamps=[7, 99, 99, 99])
+            repaired({0: copy}, {0: 0}, memory)
+            assert copy.stale is stale
 
     def test_refresh_marks_copies_of_old_states(self):
         old_copy = line(stamps=[1, 1, 1, 1])
         version = line(store=0b1111, stamps=[2, 2, 2, 2])
-        entries = {0: old_copy, 1: version}
-        vol = build_vol(entries, {0: 0, 1: 1})
-        refresh_stale_bits(entries, vol, [0, 0, 0, 0])
+        repaired({0: old_copy, 1: version}, {0: 0, 1: 1}, [0, 0, 0, 0])
         assert old_copy.stale
         assert not version.stale
 
     def test_refresh_clears_when_no_version(self):
         copy = line(stamps=[3, 3, 3, 3])
-        entries = {0: copy}
-        vol = build_vol(entries, {0: 0})
-        refresh_stale_bits(entries, vol, [3, 3, 3, 3])
+        copy.stale = True
+        repaired({0: copy}, {0: 0}, [3, 3, 3, 3])
         assert not copy.stale
 
 
 class TestInvariants:
-    def test_accepts_consistent_state(self):
+    """The repair's result against the checker's rules for a line just
+    repaired (``check_svc(repaired=True)``, as at a BusRead or BusWrite)."""
+
+    def _system(self):
         entries = {0: line(store=1, committed=True, seq=1), 1: line()}
-        ranks = {1: 4}
-        vol = build_vol(entries, ranks)
-        rewrite_pointers(entries, vol)
-        refresh_stale_bits(entries, vol, [0, 0, 0, 0])
-        check_invariants(entries, vol, ranks, [0, 0, 0, 0])
+        return repaired(entries, {1: 4}, [0, 0, 0, 0])
+
+    def test_accepts_consistent_state(self):
+        system = self._system()
+        assert system.line_in(0, A).pointer == 1
+        system.checker.check_svc(line_addr=A, repaired=True)
 
     def test_rejects_bad_pointer(self):
-        entries = {0: line(store=1, committed=True, seq=1), 1: line()}
-        ranks = {1: 4}
-        vol = build_vol(entries, ranks)
-        rewrite_pointers(entries, vol)
-        refresh_stale_bits(entries, vol, [0, 0, 0, 0])
-        entries[0].pointer = None  # break the chain
-        with pytest.raises(ProtocolError):
-            check_invariants(entries, vol, ranks, [0, 0, 0, 0])
+        system = self._system()
+        system.line_in(0, A).pointer = None  # break the chain
+        with pytest.raises(InvariantViolation) as excinfo:
+            system.checker.check_svc(line_addr=A, repaired=True)
+        assert excinfo.value.invariant == "vol-pointers-repaired"
 
     def test_rejects_wrong_stale_bit(self):
-        entries = {0: line(store=1, stamps=[1, 0, 0, 0])}
-        ranks = {0: 0}
-        vol = build_vol(entries, ranks)
-        rewrite_pointers(entries, vol)
-        entries[0].stale = True  # a lone version is never stale
-        with pytest.raises(ProtocolError):
-            check_invariants(entries, vol, ranks, [0, 0, 0, 0])
+        version = line(store=1, stamps=[1, 0, 0, 0])
+        version.stale = True
+        system = repaired({0: version}, {0: 0}, [0, 0, 0, 0])
+        assert not version.stale  # a lone version is never stale
+        version.stale = True
+        with pytest.raises(InvariantViolation) as excinfo:
+            system.checker.check_svc(line_addr=A, repaired=True)
+        assert excinfo.value.invariant == "t-set-implies-stale"

@@ -1,5 +1,5 @@
-"""The docs stay wired to reality: links resolve, quoted commands parse,
-quoted flags exist.
+"""The docs stay wired to reality: links and ``repro.`` names resolve,
+quoted commands parse, quoted flags exist.
 
 tools/check_docs.py is CI's docs gate; these tests pin its extraction
 rules (fences vs. inline code, continuations, placeholders, prose
@@ -101,6 +101,23 @@ class TestValidation:
         findings = list(check_docs.check_flags(str(page), page.read_text(), flags))
         assert len(findings) == 1
         assert "page.md:2: unknown flag -> --no-such-flag" in findings[0]
+
+    def test_unresolved_repro_name_detected(self, check_docs, tmp_path):
+        page = tmp_path / "page.md"
+        page.write_text(
+            "`repro.svc.vol.build_vol` and `repro.telemetry.exporters` resolve,\n"
+            "`repro.svc.cache.scan_holders` and `repro.no_such_module.x` do\n"
+            "not, and `repro.svc.vol.build_vol()` is not a bare name.\n"
+        )
+        findings = list(check_docs.check_names(str(page), page.read_text()))
+        assert len(findings) == 2
+        assert findings[0].endswith(
+            "page.md:2: unresolved name -> repro.svc.cache.scan_holders"
+        )
+        assert findings[1].endswith(
+            "page.md:2: unresolved name -> repro.no_such_module.x "
+            "(no repro.no_such_module)"
+        )
 
 
 class TestLiveRepo:

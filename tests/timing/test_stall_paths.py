@@ -7,6 +7,7 @@ import json
 import pytest
 
 from conftest import make_svc, small_geometry, stall_pressure
+from repro.check import InvariantChecker
 from repro.common.config import SVCConfig
 from repro.common.errors import ReplacementStall, SimulationError
 from repro.hier.task import MemOp, TaskProgram
@@ -21,9 +22,8 @@ def test_replacement_stalls_retry_and_finish():
     retry (non-head), yet the run completes with correct totals."""
     config = final_design(SVCConfig(
         geometry=small_geometry(size_bytes=64, associativity=2),
-        check_invariants=True,
     ))
-    system = SVCSystem(config)
+    system = SVCSystem(config, checker=InvariantChecker())
     stride = system.geometry.n_sets * system.geometry.line_size
     tasks = []
     for i in range(6):

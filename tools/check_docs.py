@@ -1,6 +1,6 @@
 #!/usr/bin/env python
-"""Docs lint: intra-repo links and script paths must resolve, quoted
-commands must parse, quoted flags must exist.
+"""Docs lint: intra-repo links, script paths and ``repro.`` names must
+resolve, quoted commands must parse, quoted flags must exist.
 
 Documentation rots in two characteristic ways: a file gets renamed and
 every ``[link](docs/OLD.md)`` pointing at it dangles, or a CLI flag
@@ -15,7 +15,11 @@ mechanical, so CI checks them mechanically over ``README.md`` and
   docs name must exist under the repository root,
 * every inline code span that starts with a ``--name`` flag must name
   one that some ``add_argument`` call in ``src/``, ``bench/`` or
-  ``tools/`` defines, and
+  ``tools/`` defines,
+* every inline code span that is a dotted ``repro.`` name (say
+  ``repro.svc.vol.build_vol``) must import and resolve attribute by
+  attribute, so a deleted or moved module, class or function does not
+  stay in the docs, and
 * every ``python -m repro ...`` command quoted in a code fence or
   inline code span must parse against the *real* argument parsers —
   the top-level experiment CLI (``repro.cli.build_parser``) and the
@@ -34,6 +38,7 @@ Usage::
 
 from __future__ import annotations
 
+import importlib
 import io
 import os
 import re
@@ -69,6 +74,8 @@ ADD_ARGUMENT_RE = re.compile(
     r"add_argument\(\s*((?:[\"']-[\w-]*[\"']\s*,\s*)*[\"']-[\w-]*[\"'])"
 )
 FLAG_RE = re.compile(r"--\w[\w-]*")
+#: An inline code span that is exactly a dotted ``repro`` name.
+NAME_RE = re.compile(r"repro(?:\.\w+)+")
 
 
 def doc_files():
@@ -141,6 +148,42 @@ def check_flags(path, text, flags):
             yield (
                 f"{os.path.relpath(path, REPO)}:{line}: "
                 f"unknown flag -> {flag.group(0)}"
+            )
+
+
+def unresolved_prefix(name):
+    """The shortest dotted prefix of ``name`` that neither an attribute
+    nor an importable submodule provides, or ``None`` when the whole
+    name resolves."""
+    parts = name.split(".")
+    obj = importlib.import_module(parts[0])
+    for index, part in enumerate(parts[1:], start=2):
+        if hasattr(obj, part):
+            obj = getattr(obj, part)
+            continue
+        prefix = ".".join(parts[:index])
+        try:
+            obj = importlib.import_module(prefix)
+        except ModuleNotFoundError:
+            return prefix
+    return None
+
+
+def check_names(path, text):
+    """Yield findings for inline code spans that are ``repro.`` names
+    that do not resolve."""
+    text = _without_fences(text)
+    for match in INLINE_CODE_RE.finditer(text):
+        name = match.group(1)
+        if NAME_RE.fullmatch(name) is None:
+            continue
+        missing = unresolved_prefix(name)
+        if missing is not None:
+            line = text.count("\n", 0, match.start()) + 1
+            where = "" if missing == name else f" (no {missing})"
+            yield (
+                f"{os.path.relpath(path, REPO)}:{line}: "
+                f"unresolved name -> {name}{where}"
             )
 
 
@@ -271,6 +314,7 @@ def main() -> int:
         findings.extend(check_links(path, text))
         findings.extend(check_script_paths(path, text))
         findings.extend(check_flags(path, text, flags))
+        findings.extend(check_names(path, text))
         checked_links += len(LINK_RE.findall(text))
         for lineno, command in extract_commands(text):
             checked_commands += 1
