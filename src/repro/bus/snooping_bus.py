@@ -44,36 +44,17 @@ class SnoopingBus:
         #: Fault injection (repro.faults): extra occupancy per request
         #: kind, e.g. ``{"wback": 2}`` models a slow next-level path.
         self.fault_extra_cycles: dict = {}
-        #: Telemetry histograms, resolved once at wiring time so
-        #: :meth:`reserve` pays only an ``is not None`` when unwired.
-        self._tel_wait = self._tel_occupancy = None
-        self._wait_batch = self._occupancy_batch = None
+        #: Wait/occupancy histogram tallies (value -> count), bound once
+        #: at wiring time: :meth:`reserve` pays two dict increments when
+        #: wired and only an ``is not None`` when unwired.
+        self._wait_tally = self._occupancy_tally = None
         if telemetry is not None:
-            self._tel_wait = telemetry.histogram(
+            self._wait_tally = telemetry.histogram(
                 "bus.wait_cycles", CYCLE_EDGES, unit="cycles"
-            )
-            self._tel_occupancy = telemetry.histogram(
+            ).tally
+            self._occupancy_tally = telemetry.histogram(
                 "bus.occupancy_cycles", CYCLE_EDGES, unit="cycles"
-            )
-            #: Batched per-transaction observations (value -> count):
-            #: :meth:`reserve` pays two dict increments instead of two
-            #: histogram calls; the flush hook drains before every
-            #: snapshot, so the metrics stay exact.
-            self._wait_batch = {}
-            self._occupancy_batch = {}
-            telemetry.on_snapshot(self._flush_cycle_batches)
-
-    def _flush_cycle_batches(self) -> None:
-        """Drain batched wait/occupancy counts into the histograms
-        (idempotent: batches are cleared as they flush)."""
-        for batch, hist in (
-            (self._wait_batch, self._tel_wait),
-            (self._occupancy_batch, self._tel_occupancy),
-        ):
-            if batch:
-                for value, count in batch.items():
-                    hist.observe_many(value, count)
-                batch.clear()
+            ).tally
 
     def reserve(
         self,
@@ -109,11 +90,11 @@ class SnoopingBus:
         counters["bus_wait_cycles"] += start - now
         if cache_to_cache:
             counters["bus_cache_to_cache"] += 1
-        batch = self._wait_batch
-        if batch is not None:
+        waits = self._wait_tally
+        if waits is not None:
             wait = start - now
-            batch[wait] = batch.get(wait, 0) + 1
-            occupancy = self._occupancy_batch
+            waits[wait] = waits.get(wait, 0) + 1
+            occupancy = self._occupancy_tally
             occupancy[cycles] = occupancy.get(cycles, 0) + 1
 
         transaction = BusTransaction(

@@ -68,7 +68,7 @@ class InvariantChecker:
         self.system = None
         self._family: Optional[str] = None
         #: The system's telemetry, taken at wiring time like the bus's
-        #: and VCL's metric handles: a violation is reported even while
+        #: and VCL's metric tallies: a violation is reported even while
         #: the timing simulator has ``system.telemetry`` detached for
         #: an untraced memory op.
         self._telemetry = None
@@ -96,12 +96,6 @@ class InvariantChecker:
         else:
             self._family = "smp"
         system.event_log.attach(self.on_event)
-
-    def unbind(self) -> None:
-        if self.system is not None and self.system.event_log is not None:
-            self.system.event_log.detach(self.on_event)
-        self.system = None
-        self._telemetry = None
 
     # -- event dispatch -----------------------------------------------------
 

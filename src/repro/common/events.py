@@ -60,10 +60,6 @@ class EventLog:
         if observer not in self._observers:
             self._observers.append(observer)
 
-    def detach(self, observer: Callable[[ProtocolEvent], None]) -> None:
-        if observer in self._observers:
-            self._observers.remove(observer)
-
     def emit(self, kind: str, source: str, **detail: Any) -> None:
         event = ProtocolEvent(kind=kind, source=source, detail=detail)
         self._events.append(event)

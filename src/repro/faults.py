@@ -25,7 +25,7 @@ and resource exhaustion on purpose, with the invariant checker
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigError
@@ -106,6 +106,9 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "FaultPlan":
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown fault plan key(s): {', '.join(unknown)}")
         return cls(
             seed=data.get("seed", 0),
             squash_rate=data.get("squash_rate", 0.0),

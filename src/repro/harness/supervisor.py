@@ -73,7 +73,6 @@ from repro.common.rng import make_rng
 from repro.harness.chaos import ChaosPlan, random_chaos_plan
 from repro.harness.parallel import _kill_pool, execute_point, resolve_workers
 from repro.harness.resultstore import ResultStore, point_key
-from repro.telemetry import CAMPAIGN, POINT_ATTEMPT, SUPERVISOR_EVENT
 
 #: Per-point wall-clock budget in seconds (unset = no timeout).
 POINT_TIMEOUT_ENV = "REPRO_POINT_TIMEOUT"
@@ -187,13 +186,15 @@ class SupervisorConfig:
     ``REPRO_WORKERS``/``REPRO_POINT_TIMEOUT``/``REPRO_RETRIES``
     environment knobs (validated, never passed through raw). ``chaos``
     is an explicit plan; ``chaos_seed`` draws a survivable random plan
-    sized to the campaign. ``telemetry`` hooks the retry/timeout/crash/
-    quarantine counters and campaign/attempt spans into the PR-4 layer.
+    sized to the campaign.
 
-    Observability knobs: ``stream`` is a caller-owned
+    Observability: ``stream`` is a caller-owned
     :class:`repro.telemetry.stream.CampaignStream` that the engine
     narrates the campaign into (the CLI builds one for ``--stream``,
-    ``--progress`` and ``--report``, and closes it). Per-attempt
+    ``--progress`` and ``--report``, and closes it); the campaign's
+    retry/timeout/crash/quarantine counts are always in
+    :attr:`CampaignReport.counters` and its ``campaign_finished``
+    event. Per-attempt
     flight-recorder dumps are on exactly when a post-mortem is
     plausible — chaos, a point timeout or a stream — so the plain
     no-fault fast path stays file-free; they go to a temp directory
@@ -208,7 +209,6 @@ class SupervisorConfig:
     chaos_seed: Optional[int] = None
     resume: bool = False
     store_root: Optional[str] = None
-    telemetry: object = None
     stream: object = None
 
 
@@ -254,7 +254,7 @@ class PointOutcome:
 class CampaignReport:
     """Partial-result report of one supervised campaign.
 
-    ``counters`` is plain data (independent of telemetry wiring):
+    ``counters`` is plain data:
     ``points/ok/cache_hits/recomputed/quarantined/retries/timeouts/
     crashes/failures/pool_rebuilds``.
     """
@@ -378,7 +378,6 @@ class _Engine:
         if self.chaos is not None and self.chaos.is_noop:
             self.chaos = None
         self.store = ResultStore(config.store_root) if config.resume else None
-        self.telemetry = config.telemetry
         self.stream = config.stream
         # Flight recording is on whenever a post-mortem is plausible;
         # the plain fast path stays file-free.
@@ -403,12 +402,8 @@ class _Engine:
 
     # -- shared bookkeeping --------------------------------------------------
 
-    def _count(self, name: str, point: Optional[int] = None) -> None:
+    def _count(self, name: str) -> None:
         self.counters[name] += 1
-        if self.telemetry is not None:
-            self.telemetry.counter(f"supervisor.{name}").inc()
-            if point is not None:
-                self.telemetry.instant(SUPERVISOR_EVENT, name, point=point)
 
     def _succeed(
         self, work: _Work, result, fresh: bool = True, wall: float = 0.0
@@ -459,7 +454,7 @@ class _Engine:
     def _fail(self, work: _Work, kind: str, note: str) -> bool:
         """Charge one failed attempt; True when the point should retry."""
         work.failures.append(note)
-        self._count(kind, point=work.index)
+        self._count(kind)
         if work.attempts > self.retries:
             flight: List[Dict] = []
             if self.flight_root is not None:
@@ -475,7 +470,7 @@ class _Engine:
                 failures=work.failures,
                 flight=flight or None,
             )
-            self._count("quarantined", point=work.index)
+            self._count("quarantined")
             if self.store is not None and work.key is not None:
                 self.store.put_quarantine(
                     work.key, self._quarantine_record(work, flight)
@@ -488,7 +483,7 @@ class _Engine:
                     flight_records=len(flight),
                 )
             return False
-        self._count("retries", point=work.index)
+        self._count("retries")
         delay = self.backoff.delay(work.key or str(work.index), work.attempts - 1)
         work.not_before = time.monotonic() + delay
         if self.stream is not None:
@@ -527,13 +522,6 @@ class _Engine:
             while True:
                 attempt = work.attempts
                 work.attempts += 1
-                span = None
-                if self.telemetry is not None:
-                    span = self.telemetry.begin(
-                        POINT_ATTEMPT,
-                        f"{work.spec.benchmark}/{work.spec.machine}",
-                        point=work.index, attempt=attempt,
-                    )
                 if self.stream is not None:
                     self.stream.point_started(
                         point=work.index,
@@ -546,13 +534,7 @@ class _Engine:
                         work.index, attempt, work.spec, self.chaos,
                         allow_kill=False, flight_root=self.flight_root,
                     )
-                except KeyboardInterrupt:
-                    if span is not None:
-                        self.telemetry.end(span, level="error", outcome="interrupted")
-                    raise
                 except Exception as exc:
-                    if span is not None:
-                        self.telemetry.end(span, level="error", outcome="failed")
                     from repro.harness.chaos import WorkerKilled
 
                     kind = "crashes" if isinstance(exc, WorkerKilled) else "failures"
@@ -562,8 +544,6 @@ class _Engine:
                     if wait > 0:
                         time.sleep(wait)
                 else:
-                    if span is not None:
-                        self.telemetry.end(span, outcome="ok")
                     self._succeed(work, result, wall=wall)
                     break
             remaining -= 1
@@ -723,9 +703,6 @@ class _Engine:
     # -- entry ---------------------------------------------------------------
 
     def run(self) -> CampaignReport:
-        span = None
-        if self.telemetry is not None:
-            span = self.telemetry.begin(CAMPAIGN, points=len(self.specs))
         if self.stream is not None:
             self.stream.campaign_started(
                 points=len(self.specs), workers=self.workers
@@ -738,12 +715,6 @@ class _Engine:
                 else:
                     self._run_parallel(todo)
         finally:
-            if span is not None:
-                self.telemetry.end(span, **{
-                    key: self.counters[key]
-                    for key in ("ok", "cache_hits", "recomputed",
-                                "retries", "timeouts", "crashes", "quarantined")
-                })
             if self.stream is not None:
                 # Even a sub-second campaign ships one heartbeat, so
                 # stream consumers can rely on the event being present.
@@ -779,16 +750,13 @@ def run_campaign(
 __all__ = [
     "BackoffPolicy",
     "CACHED",
-    "CAMPAIGN",
     "CampaignReport",
     "DEFAULT_RETRIES",
     "OK",
-    "POINT_ATTEMPT",
     "POINT_TIMEOUT_ENV",
     "PointOutcome",
     "QUARANTINED",
     "RETRIES_ENV",
-    "SUPERVISOR_EVENT",
     "SupervisorConfig",
     "default_supervisor",
     "resolve_point_timeout",

@@ -49,6 +49,10 @@ CAPTURE_FORMAT = 2
 #: Designs a Case can name: the paper's six SVC tiers plus the ARB.
 CASE_DESIGNS = tuple(DESIGNS) + ("arb",)
 
+#: Case keys that older captures carry for a field since retired: they
+#: load and are ignored. Any other key no field reads is refused.
+RETIRED_CASE_KEYS = ("check_invariants",)
+
 
 # -- the case ----------------------------------------------------------------
 
@@ -140,8 +144,10 @@ class Case:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "Case":
-        # Keys no field reads are ignored, so captures that carry a
-        # retired field's key still load.
+        known = {f.name for f in dataclasses.fields(cls)}
+        unknown = sorted(set(data) - known - set(RETIRED_CASE_KEYS))
+        if unknown:
+            raise ConfigError(f"unknown case key(s): {', '.join(unknown)}")
         tasks = []
         for rank, record in enumerate(data.get("tasks", [])):
             try:

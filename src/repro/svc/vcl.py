@@ -85,43 +85,18 @@ class VersionControlLogic:
         #: The one accessor for a line's ``(entries, vol)``: the store's
         #: snapshot, shared protocol-wide and so read-only.
         self._snapshot = self.fastpath.acquire
-        #: Telemetry histogram handles, captured at wiring time like the
-        #: bus's: snoop-shape metrics stay *exact* even when the timing
+        #: Snoop-shape histogram tallies, bound at wiring time like the
+        #: bus's: the metrics stay *exact* even when the timing
         #: simulator unwires ``system.telemetry`` for sampled-out
         #: memory-op subtrees (only spans are sampled, never metrics).
-        self._hist_fanout = None
-        self._hist_vol = None
-        self._fanout_batch = None
-        self._vol_batch = None
+        self._fanout_tally = self._vol_tally = None
         if system.telemetry is not None:
-            self._hist_fanout = system.telemetry.histogram(
+            self._fanout_tally = system.telemetry.histogram(
                 "svc.snoop_fanout", FANOUT_EDGES, unit="caches"
-            )
-            self._hist_vol = system.telemetry.histogram(
+            ).tally
+            self._vol_tally = system.telemetry.histogram(
                 "svc.vol_length", FANOUT_EDGES, unit="versions"
-            )
-            #: Batched per-snoop observations (index = fan-out / VOL
-            #: length, both bounded by the cache count): the snoop hot
-            #: path pays one list increment per histogram instead of a
-            #: call; the flush hook drains before every snapshot, so
-            #: the metrics stay exact.
-            self._fanout_batch = [0] * (len(system.caches) + 1)
-            self._vol_batch = [0] * (len(system.caches) + 1)
-            system.telemetry.on_snapshot(self._flush_snoop_shape)
-
-    def _flush_snoop_shape(self) -> None:
-        """Drain batched snoop-shape counts into the histograms
-        (idempotent: counts are zeroed as they flush)."""
-        for batch, hist in (
-            (self._fanout_batch, self._hist_fanout),
-            (self._vol_batch, self._hist_vol),
-        ):
-            if batch is None:
-                continue
-            for value, count in enumerate(batch):
-                if count:
-                    hist.observe_many(value, count)
-                    batch[value] = 0
+            ).tally
 
     def memory_stamps_for(self, line_addr: int) -> List[int]:
         stamps = self._memory_stamps.get(line_addr)
@@ -157,18 +132,22 @@ class VersionControlLogic:
         """Holder snapshot + rank map + VOL for one bus request, traced
         as a single snoop span with fan-out/VOL-length histograms. The
         rank map is the system's live one; no VCL code mutates it.
-        ``telemetry=None`` skips the span; the batched histogram counts
-        accumulate whenever the handles were wired (metrics are exact
-        even when spans are being sampled)."""
+        ``telemetry=None`` skips the span; the histogram tallies count
+        whenever they were bound (metrics are exact even when spans are
+        being sampled)."""
         span = (
             telemetry.begin(SNOOP, f"snoop {line_addr:#x}", line_addr=line_addr)
             if telemetry is not None
             else None
         )
         entries, vol = self._snapshot(line_addr)
-        if self._fanout_batch is not None:
-            self._fanout_batch[len(entries)] += 1
-            self._vol_batch[len(vol)] += 1
+        fanout = self._fanout_tally
+        if fanout is not None:
+            holders = len(entries)
+            fanout[holders] = fanout.get(holders, 0) + 1
+            vol_tally = self._vol_tally
+            length = len(vol)
+            vol_tally[length] = vol_tally.get(length, 0) + 1
         if span is not None:
             telemetry.end(span, holders=len(entries), vol_length=len(vol))
         return entries, self.system._active_ranks, vol

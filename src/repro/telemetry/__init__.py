@@ -7,9 +7,9 @@ The observability substrate for the whole reproduction. One
   parent links around every protocol transaction (bus transactions,
   VCL snoop resolution, VOL walks and repairs, commit/squash waves,
   writeback drains), plus point-in-time instants, and
-* a :class:`~repro.telemetry.metrics.MetricsRegistry` — counters,
-  gauges and bounded histograms (snoop fan-out, VOL length at access,
-  MSHR occupancy, bus wait cycles, ...).
+* a :class:`~repro.telemetry.metrics.MetricsRegistry` — counters and
+  bucketed histograms (snoop fan-out, VOL length at access, MSHR
+  occupancy, bus wait cycles, ...).
 
 Exporters (:mod:`repro.telemetry.exporters`) turn snapshots into Chrome
 ``trace_event`` JSON (loadable in Perfetto / ``chrome://tracing``), a
@@ -24,7 +24,10 @@ Cost model — near-zero when off
 Components take ``telemetry=None`` (the default) or a
 :class:`Telemetry` and keep it as given, so every hot path pays a
 single ``is not None`` test, exactly the pattern the ``event_log=None``
-plumbing already uses.
+plumbing already uses. A hot layer that records a histogram binds the
+histogram's ``tally`` dict once at wiring time and increments it in
+place, so an observation costs one dict increment and a snapshot reads
+it directly.
 
 Determinism
 -----------
@@ -48,7 +51,6 @@ from repro.telemetry.metrics import (
     FANOUT_EDGES,
     OCCUPANCY_EDGES,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
 )
@@ -79,12 +81,6 @@ RUN = "run"
 TASK_BEGIN = "task_begin"
 #: Error-level instant: the runtime invariant checker tripped.
 INVARIANT_VIOLATION = "invariant_violation"
-#: One supervised campaign envelope (:mod:`repro.harness.supervisor`).
-CAMPAIGN = "campaign"
-#: One attempt at one experiment point under the supervisor.
-POINT_ATTEMPT = "point_attempt"
-#: Instant: a supervisor decision (retry, timeout, crash, quarantine).
-SUPERVISOR_EVENT = "supervisor_event"
 
 
 #: Ring capacity / sampling interval used by campaign runners
@@ -107,12 +103,12 @@ class Telemetry:
     the system's telemetry detached for the others. Commit waves,
     misprediction squashes, task begins and checker violations are
     recorded whatever the interval; spans raised inside an untraced op
-    are not. Metrics stay exact regardless.
+    are not. Metrics stay exact regardless: each layer counts into the
+    histogram tallies it bound at wiring time, whether or not the op is
+    traced.
     """
 
-    __slots__ = (
-        "label", "tracer", "metrics", "sample_interval", "_flush_hooks"
-    )
+    __slots__ = ("label", "tracer", "metrics", "sample_interval")
 
     def __init__(
         self,
@@ -124,25 +120,6 @@ class Telemetry:
         self.tracer = Tracer(capacity=capacity)
         self.metrics = MetricsRegistry()
         self.sample_interval = max(1, int(sample_interval))
-        self._flush_hooks = []
-
-    # -- batched observation hooks -------------------------------------------
-
-    def on_snapshot(self, hook) -> None:
-        """Register a flush callback run before every :meth:`snapshot`.
-
-        Hot layers that batch metric observations in local accumulators
-        (the timing simulator's per-op MSHR occupancy) register one so
-        snapshots stay exact while the hot path pays a list increment
-        instead of a histogram call per event. Hooks must be idempotent:
-        flush-then-clear, safe to call any number of times.
-        """
-        self._flush_hooks.append(hook)
-
-    def flush(self) -> None:
-        """Drain every registered batch accumulator into the metrics."""
-        for hook in self._flush_hooks:
-            hook()
 
     # -- tracing passthroughs ------------------------------------------------
 
@@ -165,9 +142,6 @@ class Telemetry:
     def counter(self, name: str, unit: str = "") -> Counter:
         return self.metrics.counter(name, unit)
 
-    def gauge(self, name: str, unit: str = "") -> Gauge:
-        return self.metrics.gauge(name, unit)
-
     def histogram(self, name: str, edges, unit: str = "") -> Histogram:
         return self.metrics.histogram(name, edges, unit)
 
@@ -180,7 +154,6 @@ class Telemetry:
         over workers — the exporters merge a list of these into one
         coherent trace (one Chrome-trace process per payload).
         """
-        self.flush()
         return {
             "label": self.label,
             "clock": self.tracer.clock,
@@ -193,24 +166,20 @@ class Telemetry:
 
 __all__ = [
     "BUS_TXN",
-    "CAMPAIGN",
     "COMMIT",
     "CYCLE_EDGES",
     "FANOUT_EDGES",
     "INVARIANT_VIOLATION",
     "MEM_OP",
     "OCCUPANCY_EDGES",
-    "POINT_ATTEMPT",
     "RUN",
     "SNOOP",
     "SQUASH",
-    "SUPERVISOR_EVENT",
     "TASK_BEGIN",
     "VOL_REPAIR",
     "VOL_WALK",
     "WB_DRAIN",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "PRODUCTION_SAMPLE_INTERVAL",

@@ -180,8 +180,6 @@ def metrics_document(
     flat: Dict[str, float] = {}
     for name, data in merged["counters"].items():
         flat[f"counters.{name}"] = data["value"]
-    for name, data in merged["gauges"].items():
-        flat[f"gauges.{name}"] = data["value"]
     for name, data in merged["histograms"].items():
         flat[f"histograms.{name}.count"] = data["count"]
         flat[f"histograms.{name}.total"] = data["total"]

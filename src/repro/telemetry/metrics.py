@@ -1,4 +1,4 @@
-"""Counters, gauges and bounded histograms for protocol metrics.
+"""Counters and bucketed histograms for protocol metrics.
 
 Deliberately separate from :class:`repro.common.stats.StatsRegistry`:
 the stats registry is part of the *observable protocol surface* (the
@@ -9,10 +9,13 @@ distribution shape — histograms with fixed bucket edges — that flat
 counters cannot express (snoop fan-out, VOL length at access, MSHR
 occupancy, bus wait cycles).
 
-Histograms are *bounded*: edges are fixed at creation, observation is
-an O(log buckets) bisect into preallocated integer counts, and memory
-never grows with the number of observations — safe to leave attached
-to multi-million-event runs.
+A histogram counts each observation into its ``tally`` (value ->
+count), one dict increment. Hot layers bind the tally once at wiring
+time and increment it in place; buckets, count, total, min and max are
+derived at snapshot time. Memory grows with the number of *distinct*
+values observed: at most the cache count + 1 for snoop fan-out and VOL
+length, the MSHR count + 1 for occupancy, and one entry per distinct
+cycle count for the bus's wait and occupancy.
 """
 
 from __future__ import annotations
@@ -50,45 +53,17 @@ class Counter:
         return {"unit": self.unit, "value": self.value}
 
 
-class Gauge:
-    """Last-written value, with min/max/sample-count envelope."""
-
-    __slots__ = ("name", "unit", "value", "vmin", "vmax", "samples")
-
-    def __init__(self, name: str, unit: str = "") -> None:
-        self.name = name
-        self.unit = unit
-        self.value = 0
-        self.vmin = None
-        self.vmax = None
-        self.samples = 0
-
-    def set(self, value) -> None:
-        self.value = value
-        self.vmin = value if self.vmin is None else min(self.vmin, value)
-        self.vmax = value if self.vmax is None else max(self.vmax, value)
-        self.samples += 1
-
-    def to_dict(self) -> Dict:
-        return {
-            "unit": self.unit,
-            "value": self.value,
-            "min": self.vmin,
-            "max": self.vmax,
-            "samples": self.samples,
-        }
-
-
 class Histogram:
-    """Bounded histogram with inclusive upper-bound bucket edges.
+    """Histogram with inclusive upper-bound bucket edges.
 
     ``edges = (a, b, c)`` yields buckets ``v <= a``, ``a < v <= b``,
-    ``b < v <= c`` and an overflow bucket ``v > c`` — ``counts`` always
-    has ``len(edges) + 1`` slots. Totals, min and max ride along so
-    summaries can report a mean without keeping samples.
+    ``b < v <= c`` and an overflow bucket ``v > c`` — ``counts`` in
+    :meth:`to_dict` always has ``len(edges) + 1`` slots. Observations
+    are kept as ``tally`` (value -> count), so totals, min and max come
+    out exact without keeping samples.
     """
 
-    __slots__ = ("name", "unit", "edges", "counts", "count", "total", "vmin", "vmax")
+    __slots__ = ("name", "unit", "edges", "tally")
 
     def __init__(self, name: str, edges: Sequence[int], unit: str = "") -> None:
         edges = tuple(edges)
@@ -101,52 +76,28 @@ class Histogram:
         self.name = name
         self.unit = unit
         self.edges = edges
-        self.counts = [0] * (len(edges) + 1)
-        self.count = 0
-        self.total = 0
-        self.vmin = None
-        self.vmax = None
+        self.tally: Dict[int, int] = {}
 
     def observe(self, value) -> None:
-        self.counts[bisect_left(self.edges, value)] += 1
-        self.count += 1
-        self.total += value
-        vmin = self.vmin
-        if vmin is None or value < vmin:
-            self.vmin = value
-        vmax = self.vmax
-        if vmax is None or value > vmax:
-            self.vmax = value
-
-    def observe_many(self, value, count: int) -> None:
-        """``count`` observations of ``value`` in one call — the flush
-        side of batched hot-path accumulators (identical result to
-        calling :meth:`observe` ``count`` times)."""
-        if count <= 0:
-            return
-        self.counts[bisect_left(self.edges, value)] += count
-        self.count += count
-        self.total += value * count
-        vmin = self.vmin
-        if vmin is None or value < vmin:
-            self.vmin = value
-        vmax = self.vmax
-        if vmax is None or value > vmax:
-            self.vmax = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
+        tally = self.tally
+        tally[value] = tally.get(value, 0) + 1
 
     def to_dict(self) -> Dict:
+        edges = self.edges
+        counts = [0] * (len(edges) + 1)
+        count = total = 0
+        for value, n in self.tally.items():
+            counts[bisect_left(edges, value)] += n
+            count += n
+            total += value * n
         return {
             "unit": self.unit,
-            "edges": list(self.edges),
-            "counts": list(self.counts),
-            "count": self.count,
-            "total": self.total,
-            "min": self.vmin,
-            "max": self.vmax,
+            "edges": list(edges),
+            "counts": counts,
+            "count": count,
+            "total": total,
+            "min": min(self.tally, default=None),
+            "max": max(self.tally, default=None),
         }
 
 
@@ -179,13 +130,6 @@ class MetricsRegistry:
             self._metrics[name] = metric
         return metric
 
-    def gauge(self, name: str, unit: str = "") -> Gauge:
-        metric = self._get(name, Gauge)
-        if metric is None:
-            metric = Gauge(name, unit)
-            self._metrics[name] = metric
-        return metric
-
     def histogram(self, name: str, edges: Sequence[int], unit: str = "") -> Histogram:
         metric = self._get(name, Histogram)
         if metric is None:
@@ -203,13 +147,11 @@ class MetricsRegistry:
 
     def snapshot(self) -> Dict[str, Dict]:
         """JSON-safe dump, grouped by metric type, names sorted."""
-        out: Dict[str, Dict] = {"counters": {}, "gauges": {}, "histograms": {}}
+        out: Dict[str, Dict] = {"counters": {}, "histograms": {}}
         for name in sorted(self._metrics):
             metric = self._metrics[name]
             if isinstance(metric, Counter):
                 out["counters"][name] = metric.to_dict()
-            elif isinstance(metric, Gauge):
-                out["gauges"][name] = metric.to_dict()
             else:
                 out["histograms"][name] = metric.to_dict()
         return out
@@ -218,14 +160,14 @@ class MetricsRegistry:
 def merge_metric_snapshots(snapshots: List[Dict]) -> Dict:
     """Combine per-worker metric snapshots into one aggregate.
 
-    Counters and histogram counts/totals add; gauge and histogram
-    min/max envelopes widen; histogram edges must agree (they come from
-    the same wiring code, so a mismatch means incompatible payloads).
+    Counters and histogram counts/totals add; histogram min/max
+    envelopes widen; histogram edges must agree (they come from the
+    same wiring code, so a mismatch means incompatible payloads).
     Likewise a metric *name* must be the same kind in every snapshot —
-    one worker's counter silently summing into another worker's gauge
-    would corrupt both, so kind conflicts raise.
+    one worker's counter silently summing into another worker's
+    histogram would corrupt both, so kind conflicts raise.
     """
-    merged: Dict[str, Dict] = {"counters": {}, "gauges": {}, "histograms": {}}
+    merged: Dict[str, Dict] = {"counters": {}, "histograms": {}}
     kinds: Dict[str, str] = {}
 
     def claim(name: str, kind: str) -> None:
@@ -238,7 +180,7 @@ def merge_metric_snapshots(snapshots: List[Dict]) -> Dict:
             )
 
     for snap in snapshots:
-        for kind in ("counters", "gauges", "histograms"):
+        for kind in ("counters", "histograms"):
             for name in snap.get(kind, {}):
                 claim(name, kind)
         for name, data in snap.get("counters", {}).items():
@@ -246,26 +188,6 @@ def merge_metric_snapshots(snapshots: List[Dict]) -> Dict:
                 name, {"unit": data.get("unit", ""), "value": 0}
             )
             entry["value"] += data["value"]
-        for name, data in snap.get("gauges", {}).items():
-            entry = merged["gauges"].setdefault(
-                name,
-                {
-                    "unit": data.get("unit", ""),
-                    "value": data["value"],
-                    "min": None,
-                    "max": None,
-                    "samples": 0,
-                },
-            )
-            entry["value"] = data["value"]
-            for key, pick in (("min", min), ("max", max)):
-                if data.get(key) is not None:
-                    entry[key] = (
-                        data[key]
-                        if entry[key] is None
-                        else pick(entry[key], data[key])
-                    )
-            entry["samples"] += data.get("samples", 0)
         for name, data in snap.get("histograms", {}).items():
             entry = merged["histograms"].get(name)
             if entry is None:
@@ -304,7 +226,6 @@ __all__ = [
     "FANOUT_EDGES",
     "OCCUPANCY_EDGES",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "merge_metric_snapshots",

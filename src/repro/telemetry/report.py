@@ -175,11 +175,6 @@ def prometheus_exposition(
         lines.append(f"# HELP {metric} repro counter {name}")
         lines.append(f"# TYPE {metric} counter")
         lines.append(f"{metric} {data['value']}")
-    for name, data in sorted(merged.get("gauges", {}).items()):
-        metric = _prom_name(name)
-        lines.append(f"# HELP {metric} repro gauge {name}")
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {data['value']}")
     for name, data in sorted(merged.get("histograms", {}).items()):
         metric = _prom_name(name)
         lines.append(f"# HELP {metric} repro histogram {name}")

@@ -155,8 +155,9 @@ class TimingSimulator:
         #: Telemetry, resolved once at wiring time from the system, so
         #: the memory-event hot path pays a single ``is not None`` check.
         self._telemetry = getattr(system, "telemetry", None)
-        self._tel_mshr = None
-        self._mshr_occ = None
+        #: The MSHR-occupancy histogram's tally (in-flight MSHRs ->
+        #: count), bound once: each memory op pays one dict increment.
+        self._mshr_tally = None
         #: The one memory-op sampler: the first attempt of a run is
         #: traced, then every ``Telemetry.sample_interval``-th; an
         #: untraced op pays one integer decrement.
@@ -164,27 +165,9 @@ class TimingSimulator:
         self._root_countdown = 0
         if self._telemetry is not None:
             self._sample_window = self._telemetry.sample_interval - 1
-            self._tel_mshr = self._telemetry.histogram(
+            self._mshr_tally = self._telemetry.histogram(
                 "mshr.occupancy", OCCUPANCY_EDGES, unit="entries"
-            )
-            #: Batched occupancy counts (index = in-flight MSHRs): the
-            #: hot path pays one list increment per memory op instead of
-            #: a histogram call; the flush hook drains the batch before
-            #: any snapshot, so the metric stays exact.
-            self._mshr_occ = [0] * (per_unit + 1)
-            self._telemetry.on_snapshot(self._flush_mshr_occupancy)
-
-    def _flush_mshr_occupancy(self) -> None:
-        """Drain the batched MSHR occupancy counts into the histogram
-        (idempotent: counts are zeroed as they flush)."""
-        occ = self._mshr_occ
-        if occ is None:
-            return
-        hist = self._tel_mshr
-        for value, count in enumerate(occ):
-            if count:
-                hist.observe_many(value, count)
-                occ[value] = 0
+            ).tally
 
     # -- event plumbing ---------------------------------------------------------
 
@@ -292,7 +275,9 @@ class TimingSimulator:
         duration and returns its MEM_OP span."""
         # len() of the MSHR dict directly: this per-op increment is the
         # cost of keeping the occupancy metric exact.
-        self._mshr_occ[len(mshrs._entries)] += 1
+        occupancy = len(mshrs._entries)
+        tally = self._mshr_tally
+        tally[occupancy] = tally.get(occupancy, 0) + 1
         countdown = self._root_countdown
         if countdown:
             self._root_countdown = countdown - 1
@@ -507,11 +492,12 @@ class TimingSimulator:
         # always-recorded sections (commit waves with their
         # misprediction squashes, task begins) and around traced memory
         # ops — so an untraced memory op pays nothing beyond the
-        # sampling countdown. Handles taken at wiring time (bus
-        # wait/occupancy, VCL snoop shape, MSHR occupancy, the checker's
-        # violation report) keep observing throughout, so metrics stay
-        # exact; only spans and instants routed through the detached
-        # reference are sampled.
+        # sampling countdown and its MSHR-occupancy increment. What was
+        # bound at wiring time (the bus's wait/occupancy tallies, the
+        # VCL's snoop-shape tallies, this simulator's MSHR tally, the
+        # checker's violation report) keeps counting throughout, so
+        # metrics stay exact; only spans and instants routed through
+        # the detached reference are sampled.
         self.system.telemetry = None
         try:
             report = self._run_impl()
@@ -519,10 +505,6 @@ class TimingSimulator:
             self.system.telemetry = telemetry
             # Closes the span and any descendants a raise left open.
             telemetry.end(span)
-            # Drain every batched-metric accumulator (this simulator's
-            # MSHR occupancy, the VCL's snoop shape) so callers reading
-            # metrics without snapshotting still see exact counts.
-            telemetry.flush()
         telemetry.end(
             span,
             cycles=report.cycles,

@@ -21,10 +21,6 @@ from repro.hier.task import MemOp, TaskProgram
 WORD = 4
 
 
-def array_base(index: int, base: int = 0x10_0000) -> int:
-    return base + WORD * index
-
-
 def histogram_kernel(
     values: Sequence[int],
     n_bins: int,

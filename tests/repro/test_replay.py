@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.common.config import CacheGeometry
-from repro.common.errors import ReproError
+from repro.common.errors import ConfigError, ReproError
 from repro.faults import FaultPlan
 from repro.hier.task import MemOp, TaskProgram
 from repro.litmus.shapes import LITMUS_SHAPES, compile_shape
@@ -243,6 +243,31 @@ def test_capture_with_a_retired_case_key_loads_and_replays(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert replay_main([str(path)]) == 0
     assert "reproduced: oracle mismatch" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "misspell, key",
+    [
+        (lambda case: case.update(squash_probabilty=0.2), "squash_probabilty"),
+        (lambda case: case["fault_plan"].update(squash_rat=0.1), "squash_rat"),
+    ],
+    ids=["case-key", "fault-plan-key"],
+)
+def test_capture_with_a_misspelled_key_is_refused(misspell, key, tmp_path, capsys):
+    """A key no field reads would load as that field's default and
+    replay a different run, so it is refused by name: a misspelled case
+    key or fault-plan key makes an invalid capture (exit 2)."""
+    data = _valid_capture()
+    del data["case"]["script"]
+    misspell(data["case"])
+    with pytest.raises(ConfigError, match=key):
+        FailureCapture.from_dict(data)
+    path = tmp_path / "capture.json"
+    path.write_text(json.dumps(data))
+    assert replay_main([str(path)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("not a valid capture file")
+    assert key in lines[0]
 
 
 class TestShrink:

@@ -1,11 +1,14 @@
 """Metrics: bucket-edge semantics, registry binding, snapshot merging."""
 
+from bisect import bisect_left
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ReproError
 from repro.telemetry.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     merge_metric_snapshots,
@@ -18,28 +21,62 @@ class TestHistogramBucketEdges:
     def test_inclusive_upper_bounds(self):
         hist = Histogram("h", edges=(1, 2, 4))
         for value, bucket in ((1, 0), (2, 1), (3, 2), (4, 2), (5, 3)):
-            before = list(hist.counts)
+            before = hist.to_dict()["counts"]
             hist.observe(value)
-            assert hist.counts[bucket] == before[bucket] + 1, (value, bucket)
-        assert hist.counts == [1, 1, 2, 1]
-        assert hist.count == 5
-        assert hist.total == 1 + 2 + 3 + 4 + 5
-        assert (hist.vmin, hist.vmax) == (1, 5)
-        assert hist.mean == pytest.approx(3.0)
+            after = hist.to_dict()["counts"]
+            assert after[bucket] == before[bucket] + 1, (value, bucket)
+        data = hist.to_dict()
+        assert data["counts"] == [1, 1, 2, 1]
+        assert data["count"] == 5
+        assert data["total"] == 1 + 2 + 3 + 4 + 5
+        assert (data["min"], data["max"]) == (1, 5)
 
     def test_zero_goes_to_first_bucket(self):
         hist = Histogram("h", edges=(0, 1))
         hist.observe(0)
-        assert hist.counts == [1, 0, 0]
+        assert hist.to_dict()["counts"] == [1, 0, 0]
 
     def test_counts_has_one_overflow_slot(self):
-        assert len(Histogram("h", edges=(1, 2, 4)).counts) == 4
+        assert len(Histogram("h", edges=(1, 2, 4)).to_dict()["counts"]) == 4
 
     def test_edges_must_be_strictly_increasing(self):
         with pytest.raises(ReproError):
             Histogram("h", edges=(1, 1, 2))
         with pytest.raises(ReproError):
             Histogram("h", edges=())
+
+
+@settings(deadline=None)
+@given(
+    edges=st.lists(st.integers(-8, 80), min_size=1, max_size=8, unique=True).map(
+        sorted
+    ),
+    values=st.lists(st.integers(-20, 100), max_size=60),
+    by_tally=st.booleans(),
+)
+def test_to_dict_buckets_the_tally_like_a_bisect_loop(edges, values, by_tally):
+    """Whether observations arrive through ``observe`` or through the
+    tally a hot layer binds, ``to_dict`` reports what bucketing each
+    observation on its own gives."""
+    hist = Histogram("h", edges)
+    tally = hist.tally
+    for value in values:
+        if by_tally:
+            tally[value] = tally.get(value, 0) + 1
+        else:
+            hist.observe(value)
+    counts = [0] * (len(edges) + 1)
+    for value in values:
+        counts[bisect_left(edges, value)] += 1
+    assert hist.to_dict() == {
+        "unit": "",
+        "edges": edges,
+        "counts": counts,
+        "count": len(values),
+        "total": sum(values),
+        "min": min(values) if values else None,
+        "max": max(values) if values else None,
+    }
 
 
 class TestRegistry:
@@ -53,7 +90,7 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("x")
         with pytest.raises(ReproError):
-            registry.gauge("x")
+            registry.histogram("x", (1, 2))
 
     def test_histogram_edge_mismatch_raises(self):
         registry = MetricsRegistry()
@@ -64,19 +101,11 @@ class TestRegistry:
     def test_snapshot_groups_by_type(self):
         registry = MetricsRegistry()
         registry.counter("c", unit="events").inc(3)
-        registry.gauge("g").set(7)
         registry.histogram("h", (1, 2)).observe(2)
         snap = registry.snapshot()
+        assert set(snap) == {"counters", "histograms"}
         assert snap["counters"]["c"] == {"unit": "events", "value": 3}
-        assert snap["gauges"]["g"]["value"] == 7
         assert snap["histograms"]["h"]["counts"] == [0, 1, 0]
-
-
-def test_gauge_envelope():
-    gauge = Gauge("g")
-    for value in (5, 2, 9):
-        gauge.set(value)
-    assert (gauge.value, gauge.vmin, gauge.vmax, gauge.samples) == (9, 2, 9, 3)
 
 
 def test_merge_adds_counters_and_histograms_and_widens_envelopes():
@@ -86,7 +115,6 @@ def test_merge_adds_counters_and_histograms_and_widens_envelopes():
         hist = registry.histogram("h", (1, 2), unit="x")
         for value in observations:
             hist.observe(value)
-        registry.gauge("g").set(observations[-1])
         return registry.snapshot()
 
     merged = merge_metric_snapshots([snap(2, [1, 5]), snap(3, [2])])
@@ -96,8 +124,6 @@ def test_merge_adds_counters_and_histograms_and_widens_envelopes():
     assert hist["count"] == 3
     assert hist["total"] == 8
     assert (hist["min"], hist["max"]) == (1, 5)
-    gauge = merged["gauges"]["g"]
-    assert (gauge["min"], gauge["max"], gauge["samples"]) == (2, 5, 2)
 
 
 def test_merge_rejects_mismatched_edges():
@@ -119,11 +145,11 @@ class TestMergeEdgeCases:
 
     def test_empty_list_merges_to_empty_groups(self):
         merged = merge_metric_snapshots([])
-        assert merged == {"counters": {}, "gauges": {}, "histograms": {}}
+        assert merged == {"counters": {}, "histograms": {}}
 
     def test_empty_snapshots_merge_to_empty_groups(self):
         merged = merge_metric_snapshots([{}, {"counters": {}}])
-        assert merged == {"counters": {}, "gauges": {}, "histograms": {}}
+        assert merged == {"counters": {}, "histograms": {}}
 
     def test_single_snapshot_round_trips(self):
         registry = MetricsRegistry()
@@ -136,15 +162,11 @@ class TestMergeEdgeCases:
 
     def test_cross_kind_name_conflict_raises(self):
         counter_snap = {"counters": {"m": {"unit": "", "value": 1}}}
-        gauge_snap = {
-            "gauges": {
-                "m": {"unit": "", "value": 2, "min": 2, "max": 2, "samples": 1}
-            }
-        }
+        histogram_snap = {"histograms": {"m": Histogram("m", (1,)).to_dict()}}
         with pytest.raises(ReproError) as excinfo:
-            merge_metric_snapshots([counter_snap, gauge_snap])
+            merge_metric_snapshots([counter_snap, histogram_snap])
         message = str(excinfo.value)
-        assert "'m'" in message and "counter" in message and "gauge" in message
+        assert "'m'" in message and "counter" in message and "histogram" in message
 
     def test_cross_kind_conflict_within_one_snapshot_raises(self):
         snap = {

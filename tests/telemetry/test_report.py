@@ -58,7 +58,6 @@ def synthetic_report(**overrides):
         ],
         "metrics": {
             "counters": {"check.violations": {"unit": "", "value": 3}},
-            "gauges": {},
             "histograms": {
                 "svc.vol_length": {
                     "unit": "versions",
@@ -124,7 +123,7 @@ def test_empty_campaign_renders_without_sections():
         counters={},
         tiers=[],
         paper=[],
-        metrics={"counters": {}, "gauges": {}, "histograms": {}},
+        metrics={"counters": {}, "histograms": {}},
         dropped_spans=0,
         quarantined=[],
     )
@@ -165,7 +164,6 @@ def test_prometheus_names_are_sanitized():
     text = prometheus_exposition(
         {
             "counters": {"bus/weird-name.x": {"unit": "", "value": 1}},
-            "gauges": {},
             "histograms": {},
         }
     )

@@ -6,8 +6,9 @@ eviction counts are reported and causal links are healed on export.
 The one sampler is the timing simulator's countdown, which traces the
 first memory-op attempt of a run and every ``sample_interval``-th after
 it: the number of ``mem_op`` spans follows from the run's attempts, the
-sampled trace is deterministic, and a checker violation raised inside
-an untraced op is still recorded.
+sampled trace is deterministic, a checker violation raised inside an
+untraced op is still recorded, and the histograms count every
+observation whatever the interval.
 """
 
 import hashlib
@@ -21,7 +22,7 @@ from repro.arb.system import ARBSystem
 from repro.check import InvariantChecker
 from repro.common.config import ARBConfig, SVCConfig
 from repro.common.errors import InvariantViolation
-from repro.svc.designs import final_design
+from repro.svc.designs import base_design, final_design
 from repro.svc.system import SVCSystem
 from repro.telemetry import (
     COMMIT,
@@ -91,8 +92,14 @@ MACHINES = {
     "svc_final": lambda tel, **kw: SVCSystem(
         final_design(SVCConfig.paper_32kb()), telemetry=tel, **kw
     ),
+    "svc_base": lambda tel, **kw: SVCSystem(
+        base_design(SVCConfig.paper_32kb()), telemetry=tel, **kw
+    ),
     "arb32k_1c": lambda tel, **kw: ARBSystem(
         ARBConfig.paper_32kb(hit_cycles=1), telemetry=tel, **kw
+    ),
+    "arb32k_2c": lambda tel, **kw: ARBSystem(
+        ARBConfig.paper_32kb(hit_cycles=2), telemetry=tel, **kw
     ),
 }
 
@@ -140,6 +147,40 @@ def test_simulator_traces_the_first_attempt_and_every_nth(machine, model):
             assert hashlib.sha256(payload).hexdigest()[:16] == digest
     # Commit waves are recorded whatever the interval.
     assert len(commits) == 1
+
+
+#: machine -> (bus transactions, executed memory ops) of compress at
+#: SCALE; the ARB has no bus.
+EXACT_PINS = {
+    "svc_final": (607, 1265),
+    "svc_base": (1165, 1257),
+    "arb32k_2c": (None, 1257),
+}
+
+
+@pytest.mark.parametrize("machine", sorted(EXACT_PINS))
+def test_histograms_are_exact_under_sampling(machine):
+    """Sampling thins spans, never metrics: each layer counts into the
+    histogram tally it bound at wiring time whether or not the op is
+    traced, so 1-in-128 sampling snapshots the same metrics as tracing
+    every op, with one bus observation per transaction and one MSHR
+    observation per executed memory op."""
+    transactions, memory_ops = EXACT_PINS[machine]
+    snapshots = []
+    for interval in (1, PRODUCTION_SAMPLE_INTERVAL):
+        tel = Telemetry(sample_interval=interval)
+        system = MACHINES[machine](tel)
+        report = TimingSimulator(system, spec95_tasks("compress", SCALE)).run()
+        metrics = tel.snapshot()["metrics"]
+        histograms = metrics["histograms"]
+        assert report.memory_stats.get("bus_transactions") == transactions
+        if transactions is not None:
+            assert histograms["bus.wait_cycles"]["count"] == transactions
+            assert histograms["bus.occupancy_cycles"]["count"] == transactions
+        assert report.executed_memory_ops == memory_ops
+        assert histograms["mshr.occupancy"]["count"] == memory_ops
+        snapshots.append(metrics)
+    assert snapshots[0] == snapshots[1]
 
 
 def _arm_cyclic_repair(monkeypatch, after):
