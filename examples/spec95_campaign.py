@@ -2,9 +2,9 @@
 
 Reproduces one benchmark's worth of every table and figure: Table 2
 miss ratios, Table 3 bus utilizations and the Figure 19 IPC series, with
-the paper's published numbers beside the measurements. Use the full
-benchmark harness (`pytest benchmarks/ --benchmark-only`) for all seven
-programs; set REPRO_SCALE to trade time for statistical steadiness.
+the paper's published numbers beside the measurements. Run
+`python -m repro table2` (or table3, fig19) for all seven programs;
+`--scale` trades time for statistical steadiness.
 
 Run:  python examples/spec95_campaign.py [benchmark] [scale]
 """

@@ -15,9 +15,12 @@ Usage (any experiment from the registry)::
 
 Results print in the paper's row/series shape, with the published
 numbers alongside where the paper reports them, and can additionally be
-written to a file with ``--output``. ``--report DIR`` runs the campaign
-with telemetry on and writes a run report, a Chrome trace and a
-Prometheus exposition into ``DIR`` (:mod:`repro.telemetry.report`).
+written to a file with ``--output``, the only writer of the committed
+renderings (``benchmarks/results/``, the golden fixtures). The file
+holds no wall time, so one tree always writes the same bytes.
+``--report DIR`` runs the campaign with telemetry on and writes a run
+report, a Chrome trace and a Prometheus exposition into ``DIR``
+(:mod:`repro.telemetry.report`).
 
 Experiments run under the supervised engine
 (:mod:`repro.harness.supervisor`): ``--workers``, ``--timeout``,
@@ -40,7 +43,7 @@ from typing import List, Optional
 from repro.common.errors import ConfigError, ReproError
 from repro.harness.experiments import EXPERIMENTS, ExperimentResult
 from repro.harness.reporting import format_series, format_table
-from repro.workloads.spec95 import BENCHMARKS
+from repro.workloads.spec95 import BENCHMARKS, scale_factor
 
 #: Standardized exit codes (pinned by tests/test_cli.py).
 EXIT_OK = 0
@@ -67,10 +70,14 @@ def _render(result: ExperimentResult) -> str:
         )
         chart = render_grouped_bars(result, machines, lambda p: p.ipc, "IPC")
         return f"{series}\n\n{chart}"
-    machines = sorted({p.machine for p in result.points})
+    # Ablations: machines in the order their points were built.
+    machines = list(dict.fromkeys(p.machine for p in result.points))
     ipc = format_series(result, machines, lambda p: p.ipc, "IPC")
     miss = format_series(result, machines, lambda p: p.miss_ratio, "miss")
-    return f"{ipc}\n\n{miss}"
+    squashes = format_series(
+        result, machines, lambda p: p.violation_squashes, "squashes", digits=0
+    )
+    return f"{ipc}\n\n{miss}\n\n{squashes}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,7 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--output",
         default=None,
-        help="also write the rendered result to this file",
+        help="also write the rendered result to this file, under a "
+        "'== <experiment> (scale=S) ==' header without wall time",
     )
     parser.add_argument(
         "--workers",
@@ -323,8 +331,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(header)
     print(text)
     if args.output:
+        scale = args.scale if args.scale is not None else scale_factor()
         with open(args.output, "w") as handle:
-            handle.write(f"{header}\n{text}\n")
+            handle.write(f"== {args.experiment} (scale={scale}) ==\n{text}\n")
     if args.report:
         from repro.telemetry.exporters import render_summary
         from repro.telemetry.report import collect_report, write_report_files

@@ -1,11 +1,12 @@
 """Runners for every evaluation artifact (paper section 4).
 
 The paper's published numbers are embedded alongside each experiment so
-reports always show paper-vs-measured; EXPERIMENTS.md records a full
-run. Machine configurations are exactly section 4.2's: 4 PUs, SVC =
-4-way 8KB/16KB per PU in 16-byte lines on a 3-cycle snooping bus with a
-1-cycle hit; ARB = 256 rows x 5 stages over a 32KB/64KB direct-mapped
-data cache, hit time swept 1-4 cycles, contention-free.
+reports always show paper-vs-measured; EXPERIMENTS.md quotes the
+published scale-0.35 renderings in ``benchmarks/results/``. Machine
+configurations are exactly section 4.2's: 4 PUs, SVC = 4-way 8KB/16KB
+per PU in 16-byte lines on a 3-cycle snooping bus with a 1-cycle hit;
+ARB = 256 rows x 5 stages over a 32KB/64KB direct-mapped data cache,
+hit time swept 1-4 cycles, contention-free.
 """
 
 from __future__ import annotations

@@ -48,10 +48,12 @@ def format_series(
     metric: Callable,
     metric_name: str,
     highlight: Optional[str] = None,
+    digits: int = 2,
 ) -> str:
     """A figure as text: per-benchmark series across configurations,
-    optionally marking where ``highlight`` overtakes each other series
-    (the paper's crossover claims)."""
+    each value to ``digits`` decimals, optionally marking where
+    ``highlight`` overtakes each other series (the paper's crossover
+    claims)."""
     benchmarks = []
     for point in result.points:
         if point.benchmark not in benchmarks:
@@ -63,7 +65,7 @@ def format_series(
         row = [name]
         for machine in machines:
             point = result.point(name, machine)
-            row.append("-" if point is None else f"{metric(point):.2f}")
+            row.append("-" if point is None else f"{metric(point):.{digits}f}")
         if highlight is not None:
             target = result.point(name, highlight)
             beats = [

@@ -85,15 +85,13 @@ class VersionControlLogic:
         #: The one accessor for a line's ``(entries, vol)``: the store's
         #: snapshot, shared protocol-wide and so read-only.
         self._snapshot = self.fastpath.acquire
-        #: Snoop-shape histogram tallies, bound at wiring time like the
-        #: bus's: the metrics stay *exact* even when the timing
+        #: VOL-length histogram tally (also the snoop fan-out, as
+        #: ``build_vol`` orders every holder), bound at wiring time like
+        #: the bus's: the metric stays *exact* even when the timing
         #: simulator unwires ``system.telemetry`` for sampled-out
         #: memory-op subtrees (only spans are sampled, never metrics).
-        self._fanout_tally = self._vol_tally = None
+        self._vol_tally = None
         if system.telemetry is not None:
-            self._fanout_tally = system.telemetry.histogram(
-                "svc.snoop_fanout", FANOUT_EDGES, unit="caches"
-            ).tally
             self._vol_tally = system.telemetry.histogram(
                 "svc.vol_length", FANOUT_EDGES, unit="versions"
             ).tally
@@ -130,10 +128,10 @@ class VersionControlLogic:
 
     def _snoop(self, line_addr: int, telemetry):
         """Holder snapshot + rank map + VOL for one bus request, traced
-        as a single snoop span with fan-out/VOL-length histograms. The
+        as a single snoop span with a VOL-length histogram. The
         rank map is the system's live one; no VCL code mutates it.
-        ``telemetry=None`` skips the span; the histogram tallies count
-        whenever they were bound (metrics are exact even when spans are
+        ``telemetry=None`` skips the span; the histogram tally counts
+        whenever it was bound (metrics are exact even when spans are
         being sampled)."""
         span = (
             telemetry.begin(SNOOP, f"snoop {line_addr:#x}", line_addr=line_addr)
@@ -141,11 +139,8 @@ class VersionControlLogic:
             else None
         )
         entries, vol = self._snapshot(line_addr)
-        fanout = self._fanout_tally
-        if fanout is not None:
-            holders = len(entries)
-            fanout[holders] = fanout.get(holders, 0) + 1
-            vol_tally = self._vol_tally
+        vol_tally = self._vol_tally
+        if vol_tally is not None:
             length = len(vol)
             vol_tally[length] = vol_tally.get(length, 0) + 1
         if span is not None:

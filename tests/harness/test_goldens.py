@@ -1,11 +1,11 @@
 """Golden-regeneration smoke test: the experiment pipeline, end to end.
 
-``benchmarks/results/*.txt`` are full-scale renderings committed once;
-nothing would notice if a timing-model or renderer change quietly made
-them unreproducible. This test reruns the same pipeline — workload
-generation, simulation, aggregation, rendering — at a tiny scale and
-compares against pinned fixtures, so any drift fails here first, with a
-pointer to regenerate both the fixtures and the published results.
+The fixtures are written by the same command as the published
+renderings in ``benchmarks/results/``: ``python -m repro <experiment>
+--scale S --output FILE``. This test reruns that command at a tiny
+scale and compares the file it writes with the pinned fixture, so a
+timing-model or renderer change that moves any rendered number fails
+here first.
 """
 
 import difflib
@@ -13,25 +13,30 @@ import os
 
 import pytest
 
-from repro.cli import _render
-from repro.harness.experiments import run_figure19, run_table2
+from repro.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
-#: Must match tools/gen_goldens.py.
-GOLDEN_SCALE = 0.02
+#: Small enough to run in ~1s; large enough that every benchmark emits
+#: non-trivial miss/IPC numbers.
+GOLDEN_SCALE = "0.02"
 
-EXPERIMENTS = {
-    "table2_scale002.txt": run_table2,
-    "fig19_scale002.txt": run_figure19,
+#: fixture file -> the experiment that writes it.
+GOLDENS = {
+    "table2_scale002.txt": "table2",
+    "fig19_scale002.txt": "fig19",
 }
 
 
-@pytest.mark.parametrize("filename", sorted(EXPERIMENTS))
-def test_small_scale_rendering_matches_golden(filename):
+@pytest.mark.parametrize("filename", sorted(GOLDENS))
+def test_small_scale_rendering_matches_golden(filename, tmp_path, capsys):
+    experiment = GOLDENS[filename]
     with open(os.path.join(FIXTURES, filename)) as handle:
-        expected = handle.read().rstrip("\n")
-    actual = _render(EXPERIMENTS[filename](scale=GOLDEN_SCALE))
+        expected = handle.read()
+    written = tmp_path / filename
+    assert main([experiment, "--scale", GOLDEN_SCALE, "--output", str(written)]) == 0
+    capsys.readouterr()
+    actual = written.read_text()
     if actual != expected:
         diff = "\n".join(
             difflib.unified_diff(
@@ -45,15 +50,16 @@ def test_small_scale_rendering_matches_golden(filename):
         pytest.fail(
             f"{filename}: small-scale rendering diverged from the golden.\n"
             f"{diff}\n"
-            "If the change is intentional, regenerate with\n"
-            "  PYTHONPATH=src python tools/gen_goldens.py\n"
-            "and refresh benchmarks/results/ at full scale too."
+            "If the change is intentional, regenerate this fixture with\n"
+            f"  python -m repro {experiment} --scale {GOLDEN_SCALE} "
+            f"--output tests/harness/fixtures/{filename}\n"
+            "and every benchmarks/results/ rendering at --scale 0.35."
         )
 
 
 def test_goldens_cover_the_published_machines():
     """The fixtures exercise the same machine columns the published
-    full-scale results use, so format drift cannot hide."""
+    renderings use, so format drift cannot hide."""
     with open(os.path.join(FIXTURES, "table2_scale002.txt")) as handle:
         table2 = handle.read()
     assert "arb_32k" in table2 and "svc_4x8k" in table2

@@ -48,6 +48,14 @@ def test_format_series_without_highlight():
     assert "beats" not in text
 
 
+def test_format_series_digits():
+    text = format_series(
+        make_result(), ["m1", "m2"], lambda p: p.cycles, "cycles", digits=0
+    )
+    gcc_row = next(l for l in text.splitlines() if l.startswith("gcc"))
+    assert gcc_row.split() == ["gcc", "100", "100"]
+
+
 def test_render_grouped_bars_scales_to_peak():
     chart = render_grouped_bars(
         make_result(), ["m1", "m2"], lambda p: p.ipc, "IPC", width=10

@@ -34,7 +34,7 @@ def example_payloads():
     tel.instant("invariant_violation", "invariant:vol_order", level="error")
     tel.end(run, cycles=12)
     tel.counter("check.violations").inc()
-    tel.histogram("svc.snoop_fanout", (0, 1, 2, 3), unit="caches").observe(2)
+    tel.histogram("svc.vol_length", (0, 1, 2, 3), unit="versions").observe(2)
     return [tel.snapshot()]
 
 
@@ -114,8 +114,8 @@ def test_unfinished_span_exports_as_zero_duration():
 def test_metrics_document_flat_keys():
     document = metrics_document(example_payloads(), meta={"experiment": "x"})
     assert document["flat"]["counters.check.violations"] == 1
-    assert document["flat"]["histograms.svc.snoop_fanout.count"] == 1
-    assert document["flat"]["histograms.svc.snoop_fanout.total"] == 2
+    assert document["flat"]["histograms.svc.vol_length.count"] == 1
+    assert document["flat"]["histograms.svc.vol_length.total"] == 2
     assert document["meta"] == {"experiment": "x"}
     assert "compress/svc_1c" in document["per_point"]
 
@@ -126,7 +126,7 @@ def test_render_summary_digest():
     assert "bus_txn=1" in text
     assert "ERROR-level spans: 1" in text
     assert "check.violations: 1" in text
-    assert "svc.snoop_fanout: n=1" in text
+    assert "svc.vol_length: n=1" in text
 
 
 def dropped_payloads():

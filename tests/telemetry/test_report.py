@@ -280,7 +280,7 @@ def test_report_writes_valid_perfetto_trace_and_metrics(tmp_path, capsys):
     for line in (tmp_path / PROM_FILENAME).read_text().splitlines():
         name, _, value = line.partition(" ")
         counts[name] = value
-    assert int(counts["repro_svc_snoop_fanout_count"]) > 0
+    assert int(counts["repro_svc_vol_length_count"]) > 0
     assert int(counts["repro_bus_wait_cycles_count"]) > 0
 
 

@@ -31,7 +31,42 @@ def test_runs_table2_at_smoke_scale(capsys, tmp_path):
     assert code == 0
     out = capsys.readouterr().out
     assert "gcc" in out and "(paper)" in out
-    assert "gcc" in output.read_text()
+    # Stdout is timed; the file is not, so one tree writes one file.
+    assert out.startswith("== table2 (") and "s) ==" in out.splitlines()[0]
+    written = output.read_text()
+    assert written.splitlines()[0] == "== table2 (scale=0.02) =="
+    assert written[len("== table2 (scale=0.02) ==\n"):] in out
+
+
+def test_output_header_names_the_environment_scale(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_SCALE", "0.02")
+    output = tmp_path / "t2.txt"
+    assert main(["table2", "--benchmarks", "gcc", "--output", str(output)]) == 0
+    capsys.readouterr()
+    assert output.read_text().splitlines()[0] == "== table2 (scale=0.02) =="
+
+
+def test_ablation_rendering_keeps_run_order_and_counts_squashes():
+    from repro.cli import _render
+    from repro.harness.experiments import BenchmarkResult, ExperimentResult
+
+    result = ExperimentResult(experiment="ablation_linesize")
+    for vbs, squashes in ((4, 3), (8, 6), (16, 7)):
+        result.points.append(BenchmarkResult(
+            benchmark="compress", machine=f"svc_vb{vbs}", ipc=1.5,
+            miss_ratio=0.1, bus_utilization=0.5, cycles=100,
+            instructions=150, violation_squashes=squashes,
+            misprediction_squashes=0,
+        ))
+    ipc, miss, squash = _render(result).split("\n\n")
+    for block in (ipc, miss, squash):
+        header = block.splitlines()[0]
+        assert header.index("svc_vb4") < header.index("svc_vb8") < header.index("svc_vb16")
+    assert squash.splitlines()[0].split() == [
+        "benchmark", "svc_vb4", "squashes", "svc_vb8", "squashes",
+        "svc_vb16", "squashes",
+    ]
+    assert squash.splitlines()[2].split() == ["compress", "3", "6", "7"]
 
 
 def test_runs_figure_series(capsys):

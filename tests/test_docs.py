@@ -83,12 +83,14 @@ class TestValidation:
         page.write_text(
             "Run `python tools/no_such_tool.py --quick`, then\n"
             "`python3 bench/run.py` and `python tools/check_docs.py`.\n"
+            "`pytest benchmarks/bench_gone.py` was deleted.\n"
         )
         findings = list(
             check_docs.check_script_paths(str(page), page.read_text())
         )
-        assert len(findings) == 1
+        assert len(findings) == 2
         assert "page.md:1: missing script -> tools/no_such_tool.py" in findings[0]
+        assert "page.md:3: missing script -> benchmarks/bench_gone.py" in findings[1]
 
     def test_unknown_flag_detected(self, check_docs, tmp_path):
         page = tmp_path / "page.md"

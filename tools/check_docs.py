@@ -6,13 +6,14 @@ Documentation rots in two characteristic ways: a file gets renamed and
 every ``[link](docs/OLD.md)`` pointing at it dangles, or a CLI flag
 gets renamed and every quoted ``python -m repro ...`` invocation stops
 working while still looking authoritative. Both failure modes are
-mechanical, so CI checks them mechanically over ``README.md`` and
-``docs/*.md``:
+mechanical, so CI checks them mechanically over ``README.md``,
+``DESIGN.md``, ``EXPERIMENTS.md`` and ``docs/*.md``:
 
 * every relative Markdown link target (``[text](path)`` /
   ``![alt](path)``, anchors stripped) must exist on disk,
-* every ``tools/<name>.py`` and ``bench/<name>.py`` script path the
-  docs name must exist under the repository root,
+* every ``tools/<name>.py``, ``bench/<name>.py`` and
+  ``benchmarks/<name>.py`` script path the docs name must exist under
+  the repository root,
 * every inline code span that starts with a ``--name`` flag must name
   one that some ``add_argument`` call in ``src/``, ``bench/`` or
   ``tools/`` defines,
@@ -49,10 +50,11 @@ from contextlib import redirect_stderr, redirect_stdout
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "src"))
 
-#: Markdown files under the docs gate: the README plus everything in
-#: docs/. (PAPER.md / SNIPPETS.md hold retrieved third-party material
-#: and are not this repo's documentation surface.)
-DOC_GLOBS = ["README.md", "docs"]
+#: Markdown files under the docs gate: the README, the design notes,
+#: the published results plus everything in docs/. (PAPER.md /
+#: SNIPPETS.md hold retrieved third-party material and are not this
+#: repo's documentation surface.)
+DOC_GLOBS = ["README.md", "DESIGN.md", "EXPERIMENTS.md", "docs"]
 
 LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)\)")
 INLINE_CODE_RE = re.compile(r"`([^`]+)`")
@@ -66,7 +68,7 @@ FENCE_CMD_RE = re.compile(r"^(\$\s+)?([A-Za-z_]+=\S+\s+)*python -m repro(?![\w.]
 PLACEHOLDER_RE = re.compile(r"<[^<>\s]+>")
 #: A repository script named from the root (a relative link such as
 #: ``../tools/x.py`` is the link check's job).
-SCRIPT_RE = re.compile(r"(?<![\w./-])((?:tools|bench)/\w+\.py)\b")
+SCRIPT_RE = re.compile(r"(?<![\w./-])((?:tools|bench|benchmarks)/\w+\.py)\b")
 #: The trees whose argument parsers define the flags docs may quote.
 FLAG_SOURCES = ["src", "bench", "tools"]
 #: The option strings an ``add_argument(...)`` call starts with.
@@ -109,8 +111,9 @@ def check_links(path, text):
 
 
 def check_script_paths(path, text):
-    """Yield findings for ``tools/``/``bench/`` script paths that do not
-    exist: a deleted script must not stay in the docs."""
+    """Yield findings for ``tools/``, ``bench/`` or ``benchmarks/``
+    script paths that do not exist: a deleted script must not stay in
+    the docs."""
     for match in SCRIPT_RE.finditer(text):
         if not os.path.exists(os.path.join(REPO, match.group(1))):
             line = text.count("\n", 0, match.start()) + 1
