@@ -5,94 +5,61 @@ parallelizing software "can be less conservative on sequential programs"
 — it may cut any loop into tasks and let the hardware detect the
 iterations that truly conflict.
 
-Three loops with very different dependence structure run speculatively:
+Three loops from the trace-kernel library
+(:mod:`repro.workloads.traceprog`) with very different dependence
+structure run speculatively:
 
 * a histogram (data-dependent conflicts: unpredictable statically),
-* a 3-point stencil (independent iterations: zero squashes),
+* a word copy (independent iterations: zero violation squashes),
 * a pointer chase with node revisits (occasional true dependences).
 
-Each result is checked against plain sequential Python.
+Each kernel's first task stores the loop's input. The demo writes those
+stores straight into main memory, runs the loop's tasks speculatively,
+and checks the drained memory against a sequential execution of the
+whole kernel.
 
 Run:  python examples/speculative_parallel_loop.py
 """
 
-import random
-
 from repro.common.config import SVCConfig
 from repro.hier.driver import SpeculativeExecutionDriver
+from repro.oracle.sequential import SequentialOracle
 from repro.svc.designs import final_design
 from repro.svc.system import SVCSystem
-from repro.workloads.kernels import (
+from repro.workloads.traceprog import (
     histogram_kernel,
+    memcpy_kernel,
     pointer_chase_kernel,
-    reference_histogram,
-    stencil_kernel,
 )
 
 
-def run(tasks, image=None, seed=0):
+def run_loop(kernel, seed):
+    """Preload the kernel's input, run the loop on the final SVC, and
+    check the drained memory against the sequential execution."""
+    init, loop = kernel[0], kernel[1:]
     system = SVCSystem(final_design(SVCConfig.paper_32kb()))
-    if image:
-        system.memory.load_image(image.items())
-    report = SpeculativeExecutionDriver(system, tasks, seed=seed).run()
-    return system, report
-
-
-def histogram_demo() -> None:
-    rng = random.Random(42)
-    values = [rng.randrange(1000) for _ in range(200)]
-    n_bins = 16
-    tasks, image = histogram_kernel(values, n_bins)
-    system, report = run(tasks, image)
-    expected = reference_histogram(values, n_bins)
-    measured = [system.memory.read_int(0x20_0000 + 4 * b, 4) for b in range(n_bins)]
-    assert measured == expected, (measured, expected)
-    print(f"histogram    : {len(tasks):3d} tasks, "
-          f"{report.violation_squashes:3d} violation squashes, "
-          f"result matches sequential Python")
-
-
-def stencil_demo() -> None:
-    n = 128
-    tasks = stencil_kernel(n)
-    system = SVCSystem(final_design(SVCConfig.paper_32kb()))
-    for i in range(n):
-        system.memory.write_int(0x10_0000 + 4 * i, 4, i * i % 251)
-    report = SpeculativeExecutionDriver(system, tasks, seed=1).run()
-    for i in range(1, n - 1):
-        expected = (((i - 1) ** 2) + i * i + (i + 1) ** 2) % 251 \
-            if False else sum(j * j % 251 for j in (i - 1, i, i + 1))
-        assert system.memory.read_int(0x30_0000 + 4 * i, 4) == expected
-    print(f"stencil      : {len(tasks):3d} tasks, "
-          f"{report.violation_squashes:3d} violation squashes "
-          f"(independent iterations -> speculation always wins)")
-
-
-def pointer_chase_demo() -> None:
-    rng = random.Random(7)
-    chain = [rng.randrange(24) for _ in range(120)]
-    tasks, image = pointer_chase_kernel(chain)
-    system, report = run(tasks, image, seed=3)
-    visits = {}
-    for node in chain:
-        visits[node] = visits.get(node, 0) + 1
-    for node, count in visits.items():
-        addr = 0x40_0000 + 8 * node
-        initial = int.from_bytes(
-            bytes(image.get(addr + b, 0) for b in range(4)), "little"
-        )
-        assert system.memory.read_int(addr, 4) == initial + count
-    print(f"pointer chase: {len(tasks):3d} tasks, "
-          f"{report.violation_squashes:3d} violation squashes, "
-          f"all node counters correct")
+    for op in init.ops:
+        system.memory.write_int(op.addr, op.size, op.value)
+    report = SpeculativeExecutionDriver(system, loop, seed=seed).run()
+    expected = SequentialOracle().run(kernel).memory_image
+    assert system.memory.image() == expected, "differs from sequential run"
+    return len(loop), report.violation_squashes
 
 
 def main() -> None:
     print("Speculatively parallelized loops on the SVC "
           "(results verified against sequential execution):\n")
-    histogram_demo()
-    stencil_demo()
-    pointer_chase_demo()
+    tasks, squashes = run_loop(histogram_kernel(n_values=200, n_bins=16), 0)
+    print(f"histogram    : {tasks:3d} tasks, {squashes:3d} violation "
+          "squashes, result matches sequential execution")
+    tasks, squashes = run_loop(memcpy_kernel(n=128), 1)
+    print(f"memcpy       : {tasks:3d} tasks, {squashes:3d} violation "
+          "squashes (independent iterations -> speculation always wins)")
+    tasks, squashes = run_loop(
+        pointer_chase_kernel(chain_length=120, n_nodes=24), 3
+    )
+    print(f"pointer chase: {tasks:3d} tasks, {squashes:3d} violation "
+          "squashes, all node counters correct")
 
 
 if __name__ == "__main__":

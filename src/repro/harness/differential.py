@@ -57,7 +57,6 @@ def observe_run(
     tasks: List[TaskProgram],
     seed: int = 0,
     schedule: str = "random",
-    squash_probability: float = 0.0,
     fault_plan: Optional[FaultPlan] = None,
     telemetry=None,
 ) -> RunObservation:
@@ -76,7 +75,6 @@ def observe_run(
         tasks,
         seed=seed,
         schedule=schedule,
-        squash_probability=squash_probability,
         fault_plan=fault_plan,
     )
     report = driver.run()
@@ -135,7 +133,6 @@ def compare_telemetry_modes(
     tasks: List[TaskProgram],
     seed: int = 0,
     schedule: str = "random",
-    squash_probability: float = 0.0,
     fault_plan: Optional[FaultPlan] = None,
     base_config: Optional[SVCConfig] = None,
 ) -> List[str]:
@@ -150,12 +147,7 @@ def compare_telemetry_modes(
     from repro.telemetry import Telemetry
 
     config = design_config(tier, base_config or SVCConfig.paper_32kb())
-    kwargs = dict(
-        seed=seed,
-        schedule=schedule,
-        squash_probability=squash_probability,
-        fault_plan=fault_plan,
-    )
+    kwargs = dict(seed=seed, schedule=schedule, fault_plan=fault_plan)
     tel = Telemetry(label=f"differential/{tier}")
     on = observe_run(config, tasks, telemetry=tel, **kwargs)
     off = observe_run(config, tasks, telemetry=None, **kwargs)

@@ -9,8 +9,9 @@ steps, faithfully exercising the hierarchical execution model:
   per-PU load/store queue guarantee) while PUs interleave freely,
 * a store that triggers a memory-dependence violation squashes the
   offending task and everything younger; the driver re-dispatches them,
-* optional injected "misprediction" squashes exercise the recovery paths
-  at random points,
+* an optional :class:`~repro.faults.FaultPlan` injects "misprediction"
+  squashes (at random steps, ``squash_rate``, or at chosen ops,
+  ``squash_at``) to exercise the recovery paths,
 * tasks commit strictly in sequence order (head first).
 
 A run is a sequence of scheduler *actions*: ``("op", rank)`` executes
@@ -107,7 +108,6 @@ class SpeculativeExecutionDriver:
         system,
         tasks: List[TaskProgram],
         seed: int = 0,
-        squash_probability: float = 0.0,
         max_steps: Optional[int] = None,
         schedule: str = "random",
         fault_plan: Optional[FaultPlan] = None,
@@ -124,7 +124,6 @@ class SpeculativeExecutionDriver:
         self.seed = seed
         self.rng: Optional[random.Random] = None
         self.schedule = schedule
-        self.squash_probability = squash_probability
         self.max_steps = max_steps
         self.fault_injector = (
             FaultInjector(fault_plan) if fault_plan is not None else None
@@ -410,8 +409,6 @@ class SpeculativeExecutionDriver:
             else:
                 last_progress = self._progress
                 stalled_rounds = 0
-            if self.squash_probability and self.rng.random() < self.squash_probability:
-                self._inject_squash()
             if (
                 self.fault_injector is not None
                 and self.fault_injector.wants_random_squash()

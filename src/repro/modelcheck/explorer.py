@@ -215,5 +215,5 @@ def explore_case(
     """
     if case.fault_plan is not None and not case.fault_plan.is_noop:
         raise SimulationError("model checking does not compose with fault plans")
-    template = dataclasses.replace(case, script=None, squash_probability=0.0)
+    template = dataclasses.replace(case, script=None)
     return _Explorer(template, max_nodes, max_depth, max_counterexamples).run()

@@ -50,8 +50,9 @@ CAPTURE_FORMAT = 2
 CASE_DESIGNS = tuple(DESIGNS) + ("arb",)
 
 #: Case keys that older captures carry for a field since retired: they
-#: load and are ignored. Any other key no field reads is refused.
-RETIRED_CASE_KEYS = ("check_invariants",)
+#: load and are ignored (``squash_probability`` only at 0.0). Any other
+#: key no field reads is refused.
+RETIRED_CASE_KEYS = ("check_invariants", "squash_probability")
 
 
 # -- the case ----------------------------------------------------------------
@@ -67,7 +68,6 @@ class Case:
     tasks: Tuple[TaskProgram, ...] = ()
     geometry: CacheGeometry = field(default_factory=CacheGeometry)
     schedule: str = "random"
-    squash_probability: float = 0.0
     fault_plan: FaultPlan = field(default_factory=FaultPlan)
     checker: bool = True
     arb_rows: int = 32
@@ -110,11 +110,9 @@ class Case:
                     f"script action {list(action)!r} is not an "
                     "['op' or 'commit', rank] pair"
                 )
-        # A script fixes every action, so nothing would apply these.
-        if not self.fault_plan.is_noop or self.squash_probability:
-            raise ReproError(
-                "a scripted case takes no fault plan and no squash probability"
-            )
+        # A script fixes every action, so nothing would apply a plan.
+        if not self.fault_plan.is_noop:
+            raise ReproError("a scripted case takes no fault plan")
 
     def to_dict(self) -> Dict:
         data = {
@@ -128,7 +126,6 @@ class Case:
                 "versioning_block_size": self.geometry.versioning_block_size,
             },
             "schedule": self.schedule,
-            "squash_probability": self.squash_probability,
             "fault_plan": self.fault_plan.to_dict(),
             "checker": self.checker,
             "arb_rows": self.arb_rows,
@@ -148,6 +145,15 @@ class Case:
         unknown = sorted(set(data) - known - set(RETIRED_CASE_KEYS))
         if unknown:
             raise ConfigError(f"unknown case key(s): {', '.join(unknown)}")
+        retired_squashes = data.get("squash_probability", 0.0)
+        if retired_squashes:
+            # The retired knob drew from the driver's own random stream,
+            # so no fault plan replays the run it captured.
+            raise ConfigError(
+                f"retired case key squash_probability={retired_squashes}: "
+                "random squashes are now fault_plan.squash_rate, on "
+                "another random stream, so this capture cannot replay"
+            )
         tasks = []
         for rank, record in enumerate(data.get("tasks", [])):
             try:
@@ -160,7 +166,6 @@ class Case:
             tasks=tuple(tasks),
             geometry=CacheGeometry(**data.get("geometry", {})),
             schedule=data.get("schedule", "random"),
-            squash_probability=data.get("squash_probability", 0.0),
             fault_plan=FaultPlan.from_dict(data.get("fault_plan", {})),
             checker=data.get("checker", True),
             arb_rows=data.get("arb_rows", 32),
@@ -292,7 +297,6 @@ def run_case(case: Case) -> CaseResult:
                 system,
                 tasks,
                 seed=case.seed,
-                squash_probability=case.squash_probability,
                 schedule=case.schedule,
                 fault_plan=None if case.fault_plan.is_noop else case.fault_plan,
             )

@@ -10,8 +10,9 @@ equivalent pressure (DESIGN.md section 3 documents the substitution).
 
 :mod:`repro.workloads.generator` is the engine;
 :mod:`repro.workloads.spec95` holds the seven calibrated profiles;
-:mod:`repro.workloads.kernels` builds real algorithmic loop kernels for
-the thread-level-speculation examples.
+:mod:`repro.workloads.traceprog` builds the concrete loop kernels (the
+regression traces and the thread-level-speculation example), written
+in the trace format of :mod:`repro.workloads.traceio`.
 """
 
 from repro.workloads.generator import WorkloadSpec, generate_tasks

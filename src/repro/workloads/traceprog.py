@@ -11,7 +11,9 @@ module makes it a real workload source. Two halves:
   first task *stores* its input data and the rest compute over it. All
   generation is seeded — the same kernel name always lowers to the same
   ops, which is what lets ``examples/traces/`` be golden files
-  (regenerated byte-identically by ``tools/gen_traces.py``).
+  (regenerated byte-identically by ``tools/gen_traces.py``). The
+  builders take sizes too: ``examples/speculative_parallel_loop.py``
+  runs larger histogram, memcpy and pointer-chase loops.
 * **Workload resolution** — :func:`resolve_tasks` is the single entry
   point the experiment runners call: a plain name resolves through the
   SPEC95 profiles, a ``trace:<file>`` name loads the trace. For traces,

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import make_svc
 from repro.common.errors import SimulationError
+from repro.faults import FaultPlan
 from repro.hier.driver import SpeculativeExecutionDriver
 from repro.hier.task import MemOp, TaskProgram
 
@@ -40,7 +41,7 @@ def test_injected_squashes_preserve_semantics():
     system = make_svc("final")
     tasks = chain_tasks(8)
     report = SpeculativeExecutionDriver(
-        system, tasks, seed=5, squash_probability=0.3
+        system, tasks, seed=5, fault_plan=FaultPlan(seed=5, squash_rate=0.3)
     ).run()
     assert report.load_values == [[i] for i in range(8)]
     assert report.injected_squashes > 0

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.arb.system import ARBSystem
 from repro.common.config import ARBConfig, CacheGeometry
+from repro.faults import FaultPlan
 from repro.hier.driver import SpeculativeExecutionDriver
 from repro.hier.task import MemOp, TaskProgram
 from repro.oracle.sequential import SequentialOracle, verify_run
@@ -37,14 +38,15 @@ def task_programs(draw):
     return tasks
 
 
-def run_and_verify(tasks, seed, squash_probability, n_rows=32):
+def run_and_verify(tasks, seed, squash_rate, n_rows=32):
     config = ARBConfig(
         n_rows=n_rows,
         cache_geometry=CacheGeometry(size_bytes=256, associativity=1, line_size=16),
     )
     system = ARBSystem(config)
     driver = SpeculativeExecutionDriver(
-        system, tasks, seed=seed, squash_probability=squash_probability
+        system, tasks, seed=seed,
+        fault_plan=FaultPlan(seed=seed, squash_rate=squash_rate),
     )
     report = driver.run()
     oracle = SequentialOracle().run(tasks)
@@ -56,14 +58,14 @@ def run_and_verify(tasks, seed, squash_probability, n_rows=32):
           suppress_health_check=[HealthCheck.too_slow])
 @given(tasks=task_programs(), seed=st.integers(0, 2**16))
 def test_random_interleavings(tasks, seed):
-    run_and_verify(tasks, seed, squash_probability=0.0)
+    run_and_verify(tasks, seed, squash_rate=0.0)
 
 
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(tasks=task_programs(), seed=st.integers(0, 2**16))
 def test_with_injected_squashes(tasks, seed):
-    run_and_verify(tasks, seed, squash_probability=0.15)
+    run_and_verify(tasks, seed, squash_rate=0.15)
 
 
 @settings(max_examples=15, deadline=None,
@@ -71,4 +73,4 @@ def test_with_injected_squashes(tasks, seed):
 @given(tasks=task_programs(), seed=st.integers(0, 2**16))
 def test_tiny_buffer_with_reclaim(tasks, seed):
     """A 4-row ARB exercises full-buffer stalls and head reclaim."""
-    run_and_verify(tasks, seed, squash_probability=0.1, n_rows=4)
+    run_and_verify(tasks, seed, squash_rate=0.1, n_rows=4)

@@ -45,7 +45,7 @@ def fault_plans(draw, n_tasks, allow_squashes=True):
             (draw(st.integers(1, n_tasks - 1)), draw(st.integers(0, 6)))
             for _ in range(n_forced)
         )
-        squash_rate = draw(st.sampled_from([0.0, 0.1]))
+        squash_rate = draw(st.sampled_from([0.05, 0.15]))
     return FaultPlan(
         seed=draw(st.integers(0, 2**16)),
         squash_rate=squash_rate,
@@ -83,7 +83,6 @@ def test_run_matches_the_oracle(tier, data):
         tasks,
         seed=data.draw(st.integers(0, 2**16)),
         schedule=schedule,
-        squash_probability=0.05 if allow_squashes else 0.0,
         fault_plan=plan,
     ).run()
     problems = verify_run(report, SequentialOracle().run(tasks), memory)

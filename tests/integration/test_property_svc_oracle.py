@@ -23,6 +23,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.check import InvariantChecker
 from repro.common.config import CacheGeometry, SVCConfig
 from repro.common.events import EventLog
+from repro.faults import FaultPlan
 from repro.hier.driver import SpeculativeExecutionDriver
 from repro.hier.task import MemOp, TaskProgram
 from repro.oracle.sequential import SequentialOracle, verify_run
@@ -59,7 +60,7 @@ def task_programs(draw):
     return tasks
 
 
-def run_and_verify(design, tasks, seed, squash_probability):
+def run_and_verify(design, tasks, seed, squash_rate):
     config = design_config(
         design,
         SVCConfig(
@@ -74,7 +75,8 @@ def run_and_verify(design, tasks, seed, squash_probability):
 
     system.event_log.attach(audit_snapshots)
     driver = SpeculativeExecutionDriver(
-        system, tasks, seed=seed, squash_probability=squash_probability
+        system, tasks, seed=seed,
+        fault_plan=FaultPlan(seed=seed, squash_rate=squash_rate),
     )
     # run() ends with system.verify(), the structural audit of every
     # resident line, before it drains the caches.
@@ -89,12 +91,12 @@ class TestSequentialSemantics:
     @SETTINGS
     @given(tasks=task_programs(), seed=st.integers(0, 2**16))
     def test_random_interleavings(self, design, tasks, seed):
-        run_and_verify(design, tasks, seed, squash_probability=0.0)
+        run_and_verify(design, tasks, seed, squash_rate=0.0)
 
     @SETTINGS
     @given(tasks=task_programs(), seed=st.integers(0, 2**16))
     def test_with_injected_squashes(self, design, tasks, seed):
-        run_and_verify(design, tasks, seed, squash_probability=0.15)
+        run_and_verify(design, tasks, seed, squash_rate=0.15)
 
 
 @pytest.mark.parametrize("design", ["ec", "hr", "rl"])
@@ -107,7 +109,7 @@ class TestRemainingDesigns:
     def test_random_interleavings(self, design, tasks, seed):
         # The EC design assumes no squashes (section 3.4); others take them.
         squash = 0.0 if design == "ec" else 0.1
-        run_and_verify(design, tasks, seed, squash_probability=squash)
+        run_and_verify(design, tasks, seed, squash_rate=squash)
 
 
 @settings(max_examples=15, deadline=None,

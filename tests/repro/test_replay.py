@@ -47,8 +47,7 @@ class TestCase:
             seed=42,
             tasks=simple_tasks(),
             geometry=CacheGeometry(size_bytes=256, associativity=2, line_size=16),
-            squash_probability=0.1,
-            fault_plan=FaultPlan(seed=42, squash_at=((1, 0),)),
+            fault_plan=FaultPlan(seed=42, squash_rate=0.1, squash_at=((1, 0),)),
         )
         rebuilt = Case.from_dict(case.to_dict())
         assert rebuilt == case
@@ -245,6 +244,27 @@ def test_capture_with_a_retired_case_key_loads_and_replays(tmp_path, capsys):
     assert "reproduced: oracle mismatch" in capsys.readouterr().out
 
 
+def test_capture_with_the_retired_squash_probability_key(tmp_path, capsys):
+    """Captures written before random squashes moved onto the fault plan
+    carry ``squash_probability``. At 0.0 it asked for nothing, so the
+    capture loads as the case without it; any other value drew from
+    the driver's own random stream, which no fault plan replays."""
+    data = _valid_capture()
+    del data["case"]["script"]
+    case = FailureCapture.from_dict(data).case
+    data["case"]["squash_probability"] = 0.0
+    assert FailureCapture.from_dict(data).case == case
+    data["case"]["squash_probability"] = 0.1
+    with pytest.raises(ConfigError, match=r"fault_plan\.squash_rate"):
+        FailureCapture.from_dict(data)
+    path = tmp_path / "capture.json"
+    path.write_text(json.dumps(data))
+    assert replay_main([str(path)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("not a valid capture file")
+    assert "squash_probability=0.1" in lines[0]
+
+
 @pytest.mark.parametrize(
     "misspell, key",
     [
@@ -355,8 +375,6 @@ class TestScriptedCases:
     def test_rejects_faults_the_script_would_not_apply(self):
         with pytest.raises(ReproError, match="scripted case"):
             self._scripted([("op", 0)], fault_plan=FaultPlan(squash_rate=0.5))
-        with pytest.raises(ReproError, match="scripted case"):
-            self._scripted([("op", 0)], squash_probability=0.5)
         # A seeded plan that injects nothing is still a no-op.
         self._scripted([("op", 0)], fault_plan=FaultPlan(seed=3))
 

@@ -22,7 +22,7 @@ from conftest import make_svc
 from repro.bus.requests import BusRequestKind
 from repro.common.config import SVCConfig
 from repro.common.errors import ProtocolError
-from repro.faults import random_fault_plan
+from repro.faults import FaultPlan, random_fault_plan
 from repro.harness.differential import TIERS, differential_workload, observe_run
 from repro.hier.driver import SpeculativeExecutionDriver
 from repro.svc.designs import design_config
@@ -294,9 +294,8 @@ def _resident_lines(system):
 
 
 def _fault_plan(tier, seed, tasks):
-    allow_squashes = tier != "ec"
-    plan = random_fault_plan(seed, len(tasks), 10, allow_squashes=allow_squashes)
-    return plan, 0.05 if allow_squashes else 0.0
+    # The EC design assumes no squashes (paper section 3.4).
+    return random_fault_plan(seed, len(tasks), 10, allow_squashes=tier != "ec")
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
@@ -309,7 +308,7 @@ def test_snapshots_stay_fresh_through_a_driver_run(tier, workload):
     system = make_svc(tier)
     audits = _audit_snapshots_like_the_checker(system)
     tasks = WORKLOADS[workload](seed)
-    plan, squash_probability = _fault_plan(tier, seed, tasks)
+    plan = _fault_plan(tier, seed, tasks)
     resident = []
     verify = system.verify
 
@@ -318,13 +317,7 @@ def test_snapshots_stay_fresh_through_a_driver_run(tier, workload):
         verify()
 
     system.verify = record_then_verify
-    SpeculativeExecutionDriver(
-        system,
-        tasks,
-        seed=seed,
-        squash_probability=squash_probability,
-        fault_plan=plan,
-    ).run()
+    SpeculativeExecutionDriver(system, tasks, seed=seed, fault_plan=plan).run()
     assert audits.count("bus") > 20
     assert len(resident) == 1
     if tier != "base":
@@ -343,7 +336,7 @@ def test_snapshots_stay_fresh_through_a_timing_run(tier, workload):
     system = make_svc(tier)
     audits = _audit_snapshots_like_the_checker(system)
     tasks = WORKLOADS[workload](seed)
-    plan, _ = _fault_plan(tier, seed, tasks)
+    plan = _fault_plan(tier, seed, tasks)
     resident = []
     drain = system.drain
 
@@ -628,12 +621,12 @@ def test_stamp_mismatch_fallback_matches_reference_observables():
 # -- pinned anchors (fixed seeds, fault plans attached) ----------------------
 
 FAULT_DIGESTS = {
-    "base": "ab619068758fe24f",
+    "base": "36005ee758ba35e2",
     "ec": "f39b77638f38790a",
-    "ecs": "d5e5931b1871cd74",
-    "hr": "27b850ced6788de5",
-    "rl": "513287f9acba866e",
-    "final": "513287f9acba866e",
+    "ecs": "1ba4e62db76c0049",
+    "hr": "c5667810290da681",
+    "rl": "bee36f3462fa2a26",
+    "final": "bee36f3462fa2a26",
 }
 
 
@@ -641,15 +634,8 @@ FAULT_DIGESTS = {
 def test_fastpath_equals_reference_with_faults(tier):
     seed = 3
     tasks = differential_workload(seed, n_tasks=10, ops_per_task=8)
-    allow_squashes = tier != "ec"
-    plan = random_fault_plan(seed, len(tasks), 8, allow_squashes=allow_squashes)
-    observed = _observed_digest(
-        tier,
-        tasks,
-        seed=seed,
-        squash_probability=0.05 if allow_squashes else 0.0,
-        fault_plan=plan,
-    )
+    plan = random_fault_plan(seed, len(tasks), 8, allow_squashes=tier != "ec")
+    observed = _observed_digest(tier, tasks, seed=seed, fault_plan=plan)
     assert observed == FAULT_DIGESTS[tier]
 
 
@@ -744,6 +730,6 @@ def test_fastpath_equals_reference_adversarial_schedule():
         tasks,
         seed=11,
         schedule="youngest_first",
-        squash_probability=0.1,
+        fault_plan=FaultPlan(seed=11, squash_rate=0.1),
     )
-    assert observed == "c19084bad1d4a7b3"
+    assert observed == "06c7942f6ee514d5"

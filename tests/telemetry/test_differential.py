@@ -49,7 +49,6 @@ def test_telemetry_on_equals_off(tier):
             tasks,
             seed=seed,
             schedule="random",
-            squash_probability=0.05 if allow_squashes else 0.0,
             fault_plan=plan,
         )
         assert not mismatches, "\n".join(mismatches)

@@ -46,9 +46,11 @@ def test_dependence_violation_story():
 
 def test_speculative_parallel_loop_verifies_kernels():
     out = run_example("speculative_parallel_loop.py")
-    assert "result matches sequential Python" in out
-    assert "0 violation squashes" in out    # the stencil line
-    assert "all node counters correct" in out
+    lines = {line.split(":")[0].strip(): line for line in out.splitlines()}
+    assert "result matches sequential execution" in lines["histogram"]
+    # The independent loop's own count; "50 violation squashes" fails.
+    assert " 0 violation squashes" in lines["memcpy"]
+    assert "all node counters correct" in lines["pointer chase"]
 
 
 def test_spec95_campaign_smoke():

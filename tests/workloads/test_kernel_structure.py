@@ -1,59 +1,34 @@
-"""Kernel builders: dataflow wiring and initial images."""
+"""Kernel builders: the histogram's input stores and its oracle count."""
 
-from repro.hier.task import OpKind
 from repro.oracle.sequential import SequentialOracle
-from repro.workloads.kernels import (
-    histogram_kernel,
-    pointer_chase_kernel,
-    reference_histogram,
-    stencil_kernel,
-)
+from repro.workloads.traceprog import histogram_kernel
+
+INPUT_BASE = 0x1_0000
+HIST_BASE = 0x6_0000
 
 
-def test_histogram_store_depends_on_its_load():
-    tasks, _image = histogram_kernel([1, 2, 3], n_bins=4, iterations_per_task=1)
-    for task in tasks:
-        load_index = next(
-            i for i, op in enumerate(task.ops) if op.kind == OpKind.LOAD
-        )
-        store = next(op for op in task.ops if op.kind == OpKind.STORE)
-        assert store.value == 1
-        assert store.value_deps == (load_index,)
+def _word(image, addr):
+    return sum(image.get(addr + i, 0) << (8 * i) for i in range(4))
 
 
 def test_histogram_oracle_matches_reference():
-    values = [5, 1, 5, 9, 13, 1]
     n_bins = 4
-    tasks, image = histogram_kernel(values, n_bins)
-    oracle = SequentialOracle(initial_image=image)
-    result = oracle.run(tasks)
-    expected = reference_histogram(values, n_bins)
-    for b, count in enumerate(expected):
-        assert result.memory_image.get(0x20_0000 + 4 * b, 0) == count
+    kernel = histogram_kernel(n_values=20, n_bins=n_bins)
+    expected = [0] * n_bins
+    for op in kernel[0].ops:
+        expected[op.value % n_bins] += 1
+    image = SequentialOracle().run(kernel).memory_image
+    assert [_word(image, HIST_BASE + 4 * b) for b in range(n_bins)] == expected
 
 
 def test_histogram_image_holds_input_array():
-    values = [0x01020304]
-    _tasks, image = histogram_kernel(values, 2)
-    encoded = bytes(image.get(0x10_0000 + b, 0) for b in range(4))
-    assert int.from_bytes(encoded, "little") == 0x01020304
-
-
-def test_stencil_covers_interior_points():
-    n = 20
-    tasks = stencil_kernel(n, iterations_per_task=4)
-    stores = [op for t in tasks for op in t.ops if op.kind == OpKind.STORE]
-    written = {op.addr for op in stores}
-    assert written == {0x30_0000 + 4 * i for i in range(1, n - 1)}
-    # Each store sums exactly its three neighbour loads.
-    for op in stores:
-        assert len(op.value_deps) == 3
-        assert op.value == 0
-
-
-def test_pointer_chase_nodes_are_padded_apart():
-    tasks, image = pointer_chase_kernel([0, 1, 0], updates_per_task=1)
-    addrs = {op.addr for t in tasks for op in t.ops if op.kind != OpKind.COMPUTE}
-    assert addrs == {0x40_0000, 0x40_0008}
-    # Every node got a nonzero initial value.
-    assert any(image.get(0x40_0000 + b) for b in range(4))
+    """The first task stores the input words; the oracle's image holds
+    each one little-endian at its array slot."""
+    kernel = histogram_kernel(n_values=20, n_bins=4)
+    values = [op.value for op in kernel[0].ops]
+    assert [op.addr for op in kernel[0].ops] == [
+        INPUT_BASE + 4 * i for i in range(20)
+    ]
+    assert len(set(values)) > 1
+    image = SequentialOracle().run(kernel).memory_image
+    assert [_word(image, INPUT_BASE + 4 * i) for i in range(20)] == values

@@ -5,78 +5,25 @@ each kernel is a sequential loop cut into speculative tasks; the SVC
 must deliver exactly the sequential result whatever conflicts occur.
 """
 
-import random
-
 import pytest
 
 from conftest import make_svc
 from repro.hier.driver import SpeculativeExecutionDriver
-from repro.workloads.kernels import (
-    histogram_kernel,
-    pointer_chase_kernel,
-    reference_histogram,
-    stencil_kernel,
-)
+from repro.workloads.traceprog import histogram_kernel
 
-HIST_BASE = 0x20_0000
-
-
-def run_tasks(system, tasks, image=None, seed=0, squash_probability=0.0):
-    if image:
-        system.memory.load_image(image.items())
-    return SpeculativeExecutionDriver(
-        system, tasks, seed=seed, squash_probability=squash_probability
-    ).run()
+HIST_BASE = 0x6_0000
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_histogram_matches_reference(seed):
-    rng = random.Random(seed)
-    values = [rng.randrange(100) for _ in range(60)]
     n_bins = 8
-    tasks, image = histogram_kernel(values, n_bins)
+    kernel = histogram_kernel(n_values=60, n_bins=n_bins)
     system = make_svc("final")
-    run_tasks(system, tasks, image, seed=seed)
-    expected = reference_histogram(values, n_bins)
+    for op in kernel[0].ops:
+        system.memory.write_int(op.addr, op.size, op.value)
+    SpeculativeExecutionDriver(system, kernel[1:], seed=seed).run()
+    expected = [0] * n_bins
+    for op in kernel[0].ops:
+        expected[op.value % n_bins] += 1
     for b, count in enumerate(expected):
         assert system.memory.read_int(HIST_BASE + 4 * b, 4) == count
-
-
-def test_histogram_with_heavy_conflicts_squashes_and_recovers():
-    values = [3] * 40  # every iteration hits the same bin
-    tasks, image = histogram_kernel(values, 8)
-    system = make_svc("final")
-    report = run_tasks(system, tasks, image, seed=5)
-    assert system.memory.read_int(HIST_BASE + 4 * 3, 4) == 40
-    # Same-bin increments across adjacent tasks are true dependences:
-    # eager consumers must have misspeculated at least once.
-    assert report.violation_squashes > 0
-
-
-def test_stencil_is_violation_free():
-    n = 40
-    tasks = stencil_kernel(n)
-    system = make_svc("final")
-    for i in range(n):
-        system.memory.write_int(0x10_0000 + 4 * i, 4, i)
-    report = run_tasks(system, tasks, seed=2)
-    assert report.violation_squashes == 0
-    for i in range(1, n - 1):
-        assert system.memory.read_int(0x30_0000 + 4 * i, 4) == 3 * i
-
-
-def test_pointer_chase_updates_every_node():
-    rng = random.Random(9)
-    chain = [rng.randrange(10) for _ in range(30)]
-    tasks, image = pointer_chase_kernel(chain)
-    system = make_svc("final")
-    run_tasks(system, tasks, image, seed=1)
-    visits = {}
-    for node in chain:
-        visits[node] = visits.get(node, 0) + 1
-    for node, count in visits.items():
-        addr = 0x40_0000 + 8 * node
-        initial = int.from_bytes(
-            bytes(image.get(addr + b, 0) for b in range(4)), "little"
-        )
-        assert system.memory.read_int(addr, 4) == initial + count

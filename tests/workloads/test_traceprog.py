@@ -10,12 +10,16 @@ import pytest
 from conftest import make_svc
 from repro.common.errors import ConfigError
 from repro.hier.driver import SpeculativeExecutionDriver
+from repro.hier.task import OpKind
 from repro.oracle.sequential import SequentialOracle, verify_run
 from repro.workloads.traceio import dump_tasks, load_tasks
 from repro.workloads.traceprog import (
     TRACE_KERNELS,
     build_kernel,
+    histogram_kernel,
     is_trace_workload,
+    memcpy_kernel,
+    pointer_chase_kernel,
     resolve_tasks,
     trace_digest,
     trace_path,
@@ -29,6 +33,16 @@ TRACES = REPO / "examples" / "traces"
 
 def _word(image, addr):
     return sum(image.get(addr + i, 0) << (8 * i) for i in range(4))
+
+
+def _run_preloaded(kernel, seed):
+    """Write the kernel's first task, its input stores, straight into
+    memory, then run the loop's tasks speculatively on the final SVC."""
+    system = make_svc("final")
+    for op in kernel[0].ops:
+        system.memory.write_int(op.addr, op.size, op.value)
+    report = SpeculativeExecutionDriver(system, kernel[1:], seed=seed).run()
+    return system, report
 
 
 # -- kernel semantics ---------------------------------------------------------
@@ -52,10 +66,73 @@ def test_kernel_is_deterministic(name):
 @pytest.mark.parametrize("name", sorted(TRACE_KERNELS))
 def test_kernel_runs_speculatively_and_matches_oracle(name):
     tasks = build_kernel(name)
+    oracle = SequentialOracle().run(tasks)
+    for seed in (7, 0, 1, 2):
+        system = make_svc("final")
+        report = SpeculativeExecutionDriver(system, tasks, seed=seed).run()
+        assert verify_run(report, oracle, system.memory) == [], seed
+
+
+def test_conflict_kernel_squashes_and_still_matches_oracle():
+    """One bin: every iteration increments the same counter, a true
+    dependence between adjacent tasks that eager consumers violate."""
+    tasks = histogram_kernel(n_values=40, n_bins=1)
     system = make_svc("final")
-    report = SpeculativeExecutionDriver(system, tasks, seed=7).run()
+    report = SpeculativeExecutionDriver(system, tasks, seed=5).run()
     oracle = SequentialOracle().run(tasks)
     assert verify_run(report, oracle, system.memory) == []
+    assert system.memory.read_int(0x6_0000, 4) == 40
+    assert report.violation_squashes > 0
+
+
+@pytest.mark.parametrize("seed", [1, 11, 21])
+def test_memcpy_over_preloaded_input_never_squashes(seed):
+    """Independent iterations: with the input already in memory, no
+    copy reads what another task writes."""
+    kernel = memcpy_kernel(n=64)
+    system, report = _run_preloaded(kernel, seed)
+    assert report.violation_squashes == 0
+    assert system.memory.image() == SequentialOracle().run(kernel).memory_image
+
+
+@pytest.mark.parametrize(
+    "kernel", [histogram_kernel, pointer_chase_kernel], ids=lambda k: k.__name__
+)
+def test_increment_stores_depend_on_their_loads(kernel):
+    """Every read-modify-write stores 1 plus the value its load saw."""
+    for task in kernel()[1:]:
+        for index, op in enumerate(task.ops):
+            if op.kind != OpKind.STORE:
+                continue
+            (load_index,) = op.value_deps
+            load = task.ops[load_index]
+            assert (load.kind, load.addr, op.value) == (OpKind.LOAD, op.addr, 1)
+            assert op.depends_on == (index - 1,)
+
+
+def test_pointer_chase_nodes_are_padded_apart():
+    kernel = pointer_chase_kernel(chain_length=30, n_nodes=10)
+    initial = {op.addr: op.value for op in kernel[0].ops}
+    assert sorted(initial) == [0x4_0000 + 8 * node for node in range(10)]
+    assert all(initial.values())
+    touched = {
+        op.addr for t in kernel[1:] for op in t.ops if op.kind != OpKind.COMPUTE
+    }
+    assert touched <= set(initial)
+
+
+def test_pointer_chase_updates_every_node():
+    kernel = pointer_chase_kernel(chain_length=30, n_nodes=10)
+    initial = {op.addr: op.value for op in kernel[0].ops}
+    visits = dict.fromkeys(initial, 0)
+    for task in kernel[1:]:
+        for op in task.ops:
+            if op.kind == OpKind.STORE:
+                visits[op.addr] += 1
+    assert sum(visits.values()) == 30
+    system, _report = _run_preloaded(kernel, seed=1)
+    for addr, count in visits.items():
+        assert system.memory.read_int(addr, 4) == initial[addr] + count
 
 
 def test_memcpy_copies_every_word():

@@ -18,14 +18,13 @@ file is missing or stale, without writing anything.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.workloads.traceio import _encode_op  # noqa: E402
+from repro.workloads.traceio import encode_task  # noqa: E402
 from repro.workloads.traceprog import TRACE_KERNELS  # noqa: E402
 
 DEFAULT_OUT = os.path.join(
@@ -35,15 +34,9 @@ DEFAULT_OUT = os.path.join(
 
 def render_kernel(name: str) -> bytes:
     """The canonical trace-file bytes of one kernel."""
-    buffer = io.StringIO()
-    for task in TRACE_KERNELS[name]():
-        record = {
-            "name": task.name,
-            "mispredicted": task.mispredicted,
-            "ops": [_encode_op(op) for op in task.ops],
-        }
-        buffer.write(json.dumps(record) + "\n")
-    return buffer.getvalue().encode()
+    return "".join(
+        json.dumps(encode_task(task)) + "\n" for task in TRACE_KERNELS[name]()
+    ).encode()
 
 
 def main(argv=None) -> int:

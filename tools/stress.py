@@ -11,6 +11,7 @@ reproduces and minimizes. Usage::
 """
 
 import argparse
+import dataclasses
 import random
 import sys
 
@@ -40,6 +41,8 @@ def random_tasks(rng, n_tasks, max_ops, n_addrs, base=0x1000, sizes=(4,), stride
 
 
 def build_case(seed, design, squash_p, hard=False, faults=False):
+    """The sweep's case for one seed and design. ``squash_p`` raises the
+    plan's random-squash rate (capped at 1.0) for the squash pass."""
     rng = random.Random(seed)
     if hard:
         # Conflict-heavy: tiny 2-way cache, strided addresses mapping to
@@ -67,13 +70,16 @@ def build_case(seed, design, squash_p, hard=False, faults=False):
             seed, len(tasks), 8, allow_squashes=(design != "ec")
         )
     else:
-        plan = FaultPlan()
+        plan = FaultPlan(seed=seed)
+    if squash_p:
+        plan = dataclasses.replace(
+            plan, squash_rate=min(1.0, plan.squash_rate + squash_p)
+        )
     return Case(
         design=design,
         seed=seed,
         tasks=tuple(tasks),
         geometry=geometry,
-        squash_probability=squash_p,
         fault_plan=plan,
     )
 
