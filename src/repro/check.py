@@ -134,9 +134,9 @@ class InvariantChecker:
                 self.last_violation = violation
             telemetry = self._telemetry
             if telemetry is not None:
-                # Error-level instant + counter: the trace shows *where*
-                # in the span tree the invariant broke (filter on the
-                # "error" category in Perfetto).
+                # Error-level instant: the trace shows *where* in the
+                # span tree the invariant broke (filter on the "error"
+                # category in Perfetto).
                 telemetry.instant(
                     INVARIANT_VIOLATION,
                     f"invariant:{violation.invariant}",
@@ -145,7 +145,6 @@ class InvariantChecker:
                     subject=repr(violation.subject),
                     event_kind=event.kind,
                 )
-                telemetry.counter("check.violations").inc()
             raise
 
     # -- helpers ------------------------------------------------------------

@@ -351,20 +351,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     if quarantined:
         print(
             f"PARTIAL CAMPAIGN: {quarantined} point(s) quarantined after "
-            "exhausting retries; see the failure notes above",
+            "exhausting retries; each one's last failure note follows",
             file=sys.stderr,
         )
         for report in result.campaigns:
             for outcome in report.quarantined:
-                last = outcome.failures[-1] if outcome.failures else "?"
-                flight = (
-                    f" ({len(outcome.flight)} flight record(s) attached)"
-                    if outcome.flight
-                    else ""
-                )
                 print(
                     f"  quarantined {outcome.spec.benchmark}/"
-                    f"{outcome.spec.machine}: {last}{flight}",
+                    f"{outcome.spec.machine}: {outcome.failures[-1]}",
                     file=sys.stderr,
                 )
         return EXIT_RUN_FAILURE

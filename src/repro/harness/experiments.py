@@ -14,11 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.arb.system import ARBSystem
 from repro.common.config import ARBConfig, SVCConfig, UpdatePolicy
 from repro.harness.parallel import PointSpec, run_points
 from repro.svc.designs import design_config, final_design
-from repro.svc.system import SVCSystem
 from repro.telemetry import (
     PRODUCTION_SAMPLE_INTERVAL,
     PRODUCTION_TRACE_CAPACITY,
@@ -139,30 +137,19 @@ def _point_telemetry(
     )
 
 
-def _run_svc(
+def _run_point(
+    system_class,
     benchmark: str,
     machine: str,
-    config: SVCConfig,
+    config,
     scale: Optional[float],
     telemetry: bool = False,
 ) -> BenchmarkResult:
+    """Run ``benchmark`` on a fresh ``system_class(config)`` (the SVC or
+    the ARB) through the timing simulator."""
     tasks = resolve_tasks(benchmark, scale)
     tel = _point_telemetry(benchmark, machine, telemetry)
-    system = SVCSystem(config, telemetry=tel)
-    report = TimingSimulator(system, tasks).run()
-    return _to_result(benchmark, machine, report, tel)
-
-
-def _run_arb(
-    benchmark: str,
-    machine: str,
-    config: ARBConfig,
-    scale: Optional[float],
-    telemetry: bool = False,
-) -> BenchmarkResult:
-    tasks = resolve_tasks(benchmark, scale)
-    tel = _point_telemetry(benchmark, machine, telemetry)
-    system = ARBSystem(config, telemetry=tel)
+    system = system_class(config, telemetry=tel)
     report = TimingSimulator(system, tasks).run()
     return _to_result(benchmark, machine, report, tel)
 

@@ -62,17 +62,17 @@ def execute_point(spec: PointSpec):
     Top-level so it pickles; imports deferred so this module stays
     importable from :mod:`repro.harness.experiments` without a cycle.
     """
-    from repro.harness.experiments import _run_arb, _run_svc
+    from repro.arb.system import ARBSystem
+    from repro.harness.experiments import _run_point
+    from repro.svc.system import SVCSystem
 
-    if spec.kind == "svc":
-        return _run_svc(
-            spec.benchmark, spec.machine, spec.config, spec.scale, spec.telemetry
-        )
-    if spec.kind == "arb":
-        return _run_arb(
-            spec.benchmark, spec.machine, spec.config, spec.scale, spec.telemetry
-        )
-    raise ValueError(f"unknown machine kind {spec.kind!r}")
+    system_class = {"svc": SVCSystem, "arb": ARBSystem}.get(spec.kind)
+    if system_class is None:
+        raise ValueError(f"unknown machine kind {spec.kind!r}")
+    return _run_point(
+        system_class, spec.benchmark, spec.machine, spec.config, spec.scale,
+        spec.telemetry,
+    )
 
 
 def resolve_workers(workers: Optional[Union[int, str]] = None) -> int:

@@ -17,15 +17,10 @@ whose keys are missing — ``--resume`` on the CLI and ``resume=True`` on
 every experiment runner. The store is a plain directory of pickle files
 (``<root>/<key[:2]>/<key>.pkl``), written atomically via rename so a
 killed writer never leaves a truncated entry, and safe to share between
-concurrent campaigns (last-writer-wins on identical content).
-
-Quarantine records live in a **separate namespace**
-(``<root>/quarantine/<key[:2]>/<key>.json``): they describe *failures*
-(attempt history plus the flight-recorder post-mortem from
-:mod:`repro.telemetry.flight`) and must never be served as results by
-``get`` — a resumed campaign retries a previously-quarantined point
-from scratch. They are JSON, not pickle, because their audience is a
-human running ``jq`` over a store after a bad night, not the engine.
+concurrent campaigns (last-writer-wins on identical content). Only
+results are stored: a quarantined point leaves no entry, so a resumed
+campaign retries it from scratch, and its failure notes live in the
+campaign's report and event stream.
 
 The root resolves from the explicit argument, else the
 ``REPRO_RESULT_STORE`` environment variable, else ``.repro-results`` in
@@ -38,7 +33,7 @@ import hashlib
 import os
 import pickle
 import tempfile
-from typing import Dict, Optional
+from typing import Optional
 
 #: Environment variable overriding the default store location.
 STORE_ENV = "REPRO_RESULT_STORE"
@@ -120,17 +115,12 @@ def resolve_store_root(root: Optional[str] = None) -> str:
 class ResultStore:
     """Directory-backed content-addressed store of point results.
 
-    ``hits``/``misses``/``stores`` count this instance's traffic — the
-    supervisor surfaces them as the campaign's ``cache_hits`` and
-    ``recomputed`` counters, which is how the resume acceptance test
-    proves only missing points were recomputed.
+    A campaign counts the store's traffic itself: the supervisor's
+    ``cache_hits`` and ``recomputed`` counters.
     """
 
     def __init__(self, root: Optional[str] = None) -> None:
         self.root = resolve_store_root(root)
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
 
     def _path(self, key: str) -> str:
         return os.path.join(self.root, key[:2], f"{key}.pkl")
@@ -142,15 +132,11 @@ class ResultStore:
         the subsequent ``put`` to overwrite — the store is a cache, never
         a source of truth.
         """
-        path = self._path(key)
         try:
-            with open(path, "rb") as handle:
-                value = pickle.load(handle)
+            with open(self._path(key), "rb") as handle:
+                return pickle.load(handle)
         except (OSError, pickle.PickleError, EOFError, AttributeError):
-            self.misses += 1
             return None
-        self.hits += 1
-        return value
 
     def put(self, key: str, value) -> None:
         """Store ``value`` under ``key`` atomically (write temp, rename)."""
@@ -169,48 +155,9 @@ class ResultStore:
             except OSError:
                 pass
             raise
-        self.stores += 1
 
     def contains(self, key: str) -> bool:
         return os.path.exists(self._path(key))
-
-    # -- quarantine namespace (post-mortems, never served as results) --------
-
-    def _quarantine_path(self, key: str) -> str:
-        return os.path.join(self.root, "quarantine", key[:2], f"{key}.json")
-
-    def put_quarantine(self, key: str, record: Dict) -> str:
-        """Persist one quarantine post-mortem (JSON, atomic rename);
-        returns the path written."""
-        import json
-
-        path = self._quarantine_path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, temp = tempfile.mkstemp(
-            dir=os.path.dirname(path), prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(record, handle, sort_keys=True, indent=1)
-            os.replace(temp, path)
-        except BaseException:
-            try:
-                os.unlink(temp)
-            except OSError:
-                pass
-            raise
-        return path
-
-    def get_quarantine(self, key: str) -> Optional[Dict]:
-        """The quarantine record for ``key``, or ``None``."""
-        import json
-
-        try:
-            with open(self._quarantine_path(key)) as handle:
-                record = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            return None
-        return record if isinstance(record, dict) else None
 
     def discard(self, key: str) -> bool:
         """Drop one entry (used by tests to simulate a lost point)."""
@@ -219,9 +166,6 @@ class ResultStore:
             return True
         except OSError:
             return False
-
-    def counters(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses, "stores": self.stores}
 
 
 __all__ = [

@@ -25,10 +25,10 @@ point as a speculative task:
 * **observability** — the engine narrates the campaign as a
   schema-versioned NDJSON event stream
   (:class:`repro.telemetry.stream.CampaignStream`, CLI ``--stream`` /
-  ``--progress``), and each attempt writes flight-recorder breadcrumbs
-  (:mod:`repro.telemetry.flight`) so a quarantined point ships its own
-  post-mortem, attached to the :class:`PointOutcome` and to the result
-  store's quarantine namespace.
+  ``--progress``). Each failed attempt leaves one note, kept in
+  :attr:`PointOutcome.failures` and carried by the stream's
+  ``point_retry``/``point_quarantined`` events. A quarantined point
+  stores nothing, so a resumed campaign retries it from scratch.
 
 Because every point is a pure function of its spec, a retried point
 reproduces exactly the bytes the fault destroyed — the chaos suite
@@ -194,11 +194,7 @@ class SupervisorConfig:
     ``--progress`` and ``--report``, and closes it); the campaign's
     retry/timeout/crash/quarantine counts are always in
     :attr:`CampaignReport.counters` and its ``campaign_finished``
-    event. Per-attempt
-    flight-recorder dumps are on exactly when a post-mortem is
-    plausible — chaos, a point timeout or a stream — so the plain
-    no-fault fast path stays file-free; they go to a temp directory
-    purged at campaign end (quarantine dumps are collected first).
+    event.
     """
 
     workers: Optional[int] = None
@@ -236,9 +232,7 @@ def default_supervisor() -> SupervisorConfig:
 class PointOutcome:
     """Terminal state of one point: a result, a cache hit, or quarantine.
 
-    ``flight`` carries the flight-recorder post-mortem for quarantined
-    points (a list of per-attempt dump dicts, see
-    :mod:`repro.telemetry.flight`); ``None`` otherwise.
+    ``failures`` holds one note per failed attempt, oldest first.
     """
 
     index: int
@@ -247,7 +241,6 @@ class PointOutcome:
     result: object = None
     attempts: int = 0
     failures: List[str] = field(default_factory=list)
-    flight: Optional[List[Dict]] = None
 
 
 @dataclass
@@ -302,46 +295,16 @@ class _Work:
         self.not_before = 0.0
 
 
-def _run_attempt(index, attempt, spec, chaos, allow_kill, flight_root):
-    """One point attempt with flight recording: returns ``(result, wall)``.
+def _run_attempt(index, attempt, spec, chaos, allow_kill):
+    """One point attempt: returns ``(result, wall)``.
 
-    Shared by the serial loop and the worker wrapper. The
-    ``attempt_started`` breadcrumb is flushed *before* execution begins
-    — it is the only record that survives a wall-clock SIGKILL, and its
-    unmatched presence is the timeout post-mortem.
+    Shared by the serial loop and the worker wrapper.
     """
-    recorder = None
-    if flight_root is not None:
-        from repro.telemetry.flight import FlightRecorder
-
-        recorder = FlightRecorder(flight_root, index, attempt)
-        recorder.note(
-            "attempt_started",
-            benchmark=getattr(spec, "benchmark", "?"),
-            machine=getattr(spec, "machine", "?"),
-            spec_kind=getattr(spec, "kind", "?"),
-        )
-        recorder.flush()
     start = time.perf_counter()
-    try:
-        if chaos is not None:
-            chaos.apply(index, attempt, allow_kill=allow_kill)
-        result = execute_point(spec)
-    except BaseException as exc:
-        if recorder is not None:
-            recorder.note("exception", error=repr(exc))
-            recorder.flush()
-        raise
-    wall = time.perf_counter() - start
-    if recorder is not None:
-        recorder.note(
-            "attempt_finished",
-            wall_s=round(wall, 6),
-            events=getattr(result, "instructions", None),
-        )
-        recorder.note_span_tail(getattr(result, "telemetry", None))
-        recorder.flush()
-    return result, wall
+    if chaos is not None:
+        chaos.apply(index, attempt, allow_kill=allow_kill)
+    result = execute_point(spec)
+    return result, time.perf_counter() - start
 
 
 def _execute_supervised(payload):
@@ -351,11 +314,9 @@ def _execute_supervised(payload):
     so the supervisor can match completions to specs regardless of
     order and feed attempt walls into the campaign event stream.
     """
-    index, attempt, spec, chaos_data, flight_root = payload
+    index, attempt, spec, chaos_data = payload
     chaos = ChaosPlan.from_dict(chaos_data) if chaos_data is not None else None
-    result, wall = _run_attempt(
-        index, attempt, spec, chaos, allow_kill=True, flight_root=flight_root
-    )
+    result, wall = _run_attempt(index, attempt, spec, chaos, allow_kill=True)
     return index, result, wall
 
 
@@ -379,17 +340,6 @@ class _Engine:
             self.chaos = None
         self.store = ResultStore(config.store_root) if config.resume else None
         self.stream = config.stream
-        # Flight recording is on whenever a post-mortem is plausible;
-        # the plain fast path stays file-free.
-        self.flight_root: Optional[str] = None
-        if (
-            self.chaos is not None
-            or self.timeout is not None
-            or self.stream is not None
-        ):
-            import tempfile
-
-            self.flight_root = tempfile.mkdtemp(prefix="repro-flight-")
         self.outcomes: Dict[int, PointOutcome] = {}
         self.counters: Dict[str, int] = {
             key: 0
@@ -438,29 +388,11 @@ class _Engine:
                 metrics=metrics or None,
             )
 
-    def _quarantine_record(self, work: _Work, flight: List[Dict]) -> Dict:
-        """JSON post-mortem for the result store's quarantine namespace."""
-        return {
-            "schema": 1,
-            "point": work.index,
-            "benchmark": getattr(work.spec, "benchmark", "?"),
-            "machine": getattr(work.spec, "machine", "?"),
-            "kind": getattr(work.spec, "kind", "?"),
-            "attempts": work.attempts,
-            "failures": list(work.failures),
-            "flight": flight,
-        }
-
     def _fail(self, work: _Work, kind: str, note: str) -> bool:
         """Charge one failed attempt; True when the point should retry."""
         work.failures.append(note)
         self._count(kind)
         if work.attempts > self.retries:
-            flight: List[Dict] = []
-            if self.flight_root is not None:
-                from repro.telemetry.flight import load_point_records
-
-                flight = load_point_records(self.flight_root, work.index)
             self.outcomes[work.index] = PointOutcome(
                 index=work.index,
                 spec=work.spec,
@@ -468,19 +400,11 @@ class _Engine:
                 result=None,
                 attempts=work.attempts,
                 failures=work.failures,
-                flight=flight or None,
             )
             self._count("quarantined")
-            if self.store is not None and work.key is not None:
-                self.store.put_quarantine(
-                    work.key, self._quarantine_record(work, flight)
-                )
             if self.stream is not None:
                 self.stream.point_quarantined(
-                    point=work.index,
-                    attempts=work.attempts,
-                    note=work.failures[-1] if work.failures else "",
-                    flight_records=len(flight),
+                    point=work.index, attempts=work.attempts, note=note
                 )
             return False
         self._count("retries")
@@ -532,7 +456,7 @@ class _Engine:
                 try:
                     result, wall = _run_attempt(
                         work.index, attempt, work.spec, self.chaos,
-                        allow_kill=False, flight_root=self.flight_root,
+                        allow_kill=False,
                     )
                 except Exception as exc:
                     from repro.harness.chaos import WorkerKilled
@@ -578,7 +502,7 @@ class _Engine:
             work.attempts += 1
             future = pool.submit(
                 _execute_supervised,
-                (work.index, attempt, work.spec, chaos_data, self.flight_root),
+                (work.index, attempt, work.spec, chaos_data),
             )
             inflight[future] = work
             if self.timeout is not None:
@@ -720,10 +644,6 @@ class _Engine:
                 # stream consumers can rely on the event being present.
                 self.stream.heartbeat(force=True)
                 self.stream.campaign_finished(dict(self.counters))
-            if self.flight_root is not None:
-                from repro.telemetry.flight import purge
-
-                purge(self.flight_root)
         return self._report()
 
 

@@ -7,9 +7,9 @@ The observability substrate for the whole reproduction. One
   parent links around every protocol transaction (bus transactions,
   VCL snoop resolution, VOL walks and repairs, commit/squash waves,
   writeback drains), plus point-in-time instants, and
-* a :class:`~repro.telemetry.metrics.MetricsRegistry` — counters and
-  bucketed histograms (snoop fan-out, VOL length at access, MSHR
-  occupancy, bus wait cycles, ...).
+* a :class:`~repro.telemetry.metrics.MetricsRegistry` — bucketed
+  histograms (VOL length at access, MSHR occupancy, bus wait cycles,
+  ...).
 
 Exporters (:mod:`repro.telemetry.exporters`) turn snapshots into Chrome
 ``trace_event`` JSON (loadable in Perfetto / ``chrome://tracing``), a
@@ -50,7 +50,6 @@ from repro.telemetry.metrics import (
     CYCLE_EDGES,
     FANOUT_EDGES,
     OCCUPANCY_EDGES,
-    Counter,
     Histogram,
     MetricsRegistry,
 )
@@ -139,9 +138,6 @@ class Telemetry:
 
     # -- metrics passthroughs ------------------------------------------------
 
-    def counter(self, name: str, unit: str = "") -> Counter:
-        return self.metrics.counter(name, unit)
-
     def histogram(self, name: str, edges, unit: str = "") -> Histogram:
         return self.metrics.histogram(name, edges, unit)
 
@@ -179,7 +175,6 @@ __all__ = [
     "VOL_REPAIR",
     "VOL_WALK",
     "WB_DRAIN",
-    "Counter",
     "Histogram",
     "MetricsRegistry",
     "PRODUCTION_SAMPLE_INTERVAL",

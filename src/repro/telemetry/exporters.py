@@ -172,14 +172,13 @@ def metrics_document(
     payloads: Sequence[Dict], meta: Optional[Dict] = None
 ) -> Dict:
     """Metrics JSON: per-payload snapshots, a merged aggregate, and a
-    flat ``{"counters.<name>": value}`` view for simple consumers."""
+    flat ``{"histograms.<name>.count": value}`` view for simple
+    consumers."""
     merged = merge_metric_snapshots(
         [payload.get("metrics", {}) for payload in payloads]
     )
     dropped = sum(payload.get("dropped_spans", 0) for payload in payloads)
     flat: Dict[str, float] = {}
-    for name, data in merged["counters"].items():
-        flat[f"counters.{name}"] = data["value"]
     for name, data in merged["histograms"].items():
         flat[f"histograms.{name}.count"] = data["count"]
         flat[f"histograms.{name}.total"] = data["total"]
@@ -240,9 +239,6 @@ def render_summary(payloads: Sequence[Dict]) -> str:
         )
     if errors:
         lines.append(f"  ERROR-level spans: {errors}")
-    for name, data in sorted(merged["counters"].items()):
-        unit = f" {data['unit']}" if data.get("unit") else ""
-        lines.append(f"  {name}: {data['value']}{unit}")
     for name, data in sorted(merged["histograms"].items()):
         if not data["count"]:
             continue

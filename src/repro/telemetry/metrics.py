@@ -1,4 +1,4 @@
-"""Counters and bucketed histograms for protocol metrics.
+"""Bucketed histograms for protocol metrics.
 
 Deliberately separate from :class:`repro.common.stats.StatsRegistry`:
 the stats registry is part of the *observable protocol surface* (the
@@ -6,8 +6,8 @@ differential harnesses and conformance fixtures pin its exact
 contents), so telemetry must never write to it. These metrics live on
 the opt-in :class:`repro.telemetry.Telemetry` object and add
 distribution shape — histograms with fixed bucket edges — that flat
-counters cannot express (snoop fan-out, VOL length at access, MSHR
-occupancy, bus wait cycles).
+counters cannot express (VOL length at access, MSHR occupancy, bus
+wait cycles).
 
 A histogram counts each observation into its ``tally`` (value ->
 count), one dict increment. Hot layers bind the tally once at wiring
@@ -34,23 +34,6 @@ CYCLE_EDGES: Tuple[int, ...] = (0, 1, 2, 4, 8, 16, 32, 64)
 
 #: Default edges for queue/buffer occupancy (MSHRs).
 OCCUPANCY_EDGES: Tuple[int, ...] = (0, 1, 2, 4, 8, 16, 32)
-
-
-class Counter:
-    """Monotonic event count."""
-
-    __slots__ = ("name", "unit", "value")
-
-    def __init__(self, name: str, unit: str = "") -> None:
-        self.name = name
-        self.unit = unit
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        self.value += amount
-
-    def to_dict(self) -> Dict:
-        return {"unit": self.unit, "value": self.value}
 
 
 class Histogram:
@@ -102,36 +85,20 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Get-or-create registry keyed by metric name.
+    """Get-or-create registry of histograms keyed by name.
 
-    A name is permanently bound to one metric type (and, for
-    histograms, one edge tuple): a conflicting re-registration is a
-    programming error and raises rather than silently splitting data.
+    A name is permanently bound to one edge tuple: a conflicting
+    re-registration is a programming error and raises rather than
+    silently splitting data.
     """
 
     __slots__ = ("_metrics",)
 
     def __init__(self) -> None:
-        self._metrics: Dict[str, object] = {}
-
-    def _get(self, name: str, cls):
-        metric = self._metrics.get(name)
-        if metric is not None and not isinstance(metric, cls):
-            raise ReproError(
-                f"metric {name!r} is a {type(metric).__name__}, "
-                f"not a {cls.__name__}"
-            )
-        return metric
-
-    def counter(self, name: str, unit: str = "") -> Counter:
-        metric = self._get(name, Counter)
-        if metric is None:
-            metric = Counter(name, unit)
-            self._metrics[name] = metric
-        return metric
+        self._metrics: Dict[str, Histogram] = {}
 
     def histogram(self, name: str, edges: Sequence[int], unit: str = "") -> Histogram:
-        metric = self._get(name, Histogram)
+        metric = self._metrics.get(name)
         if metric is None:
             metric = Histogram(name, edges, unit)
             self._metrics[name] = metric
@@ -146,48 +113,24 @@ class MetricsRegistry:
         return len(self._metrics)
 
     def snapshot(self) -> Dict[str, Dict]:
-        """JSON-safe dump, grouped by metric type, names sorted."""
-        out: Dict[str, Dict] = {"counters": {}, "histograms": {}}
-        for name in sorted(self._metrics):
-            metric = self._metrics[name]
-            if isinstance(metric, Counter):
-                out["counters"][name] = metric.to_dict()
-            else:
-                out["histograms"][name] = metric.to_dict()
-        return out
+        """JSON-safe dump: ``{"histograms": {name: ...}}``, names sorted."""
+        return {
+            "histograms": {
+                name: self._metrics[name].to_dict()
+                for name in sorted(self._metrics)
+            }
+        }
 
 
 def merge_metric_snapshots(snapshots: List[Dict]) -> Dict:
     """Combine per-worker metric snapshots into one aggregate.
 
-    Counters and histogram counts/totals add; histogram min/max
-    envelopes widen; histogram edges must agree (they come from the
-    same wiring code, so a mismatch means incompatible payloads).
-    Likewise a metric *name* must be the same kind in every snapshot —
-    one worker's counter silently summing into another worker's
-    histogram would corrupt both, so kind conflicts raise.
+    Histogram counts and totals add and min/max envelopes widen; edges
+    must agree (they come from the same wiring code, so a mismatch
+    means incompatible payloads).
     """
-    merged: Dict[str, Dict] = {"counters": {}, "histograms": {}}
-    kinds: Dict[str, str] = {}
-
-    def claim(name: str, kind: str) -> None:
-        previous = kinds.setdefault(name, kind)
-        if previous != kind:
-            raise ReproError(
-                f"cannot merge metric {name!r}: registered as a "
-                f"{previous[:-1]} in one snapshot and a {kind[:-1]} "
-                "in another"
-            )
-
+    merged: Dict[str, Dict] = {"histograms": {}}
     for snap in snapshots:
-        for kind in ("counters", "histograms"):
-            for name in snap.get(kind, {}):
-                claim(name, kind)
-        for name, data in snap.get("counters", {}).items():
-            entry = merged["counters"].setdefault(
-                name, {"unit": data.get("unit", ""), "value": 0}
-            )
-            entry["value"] += data["value"]
         for name, data in snap.get("histograms", {}).items():
             entry = merged["histograms"].get(name)
             if entry is None:
@@ -225,7 +168,6 @@ __all__ = [
     "CYCLE_EDGES",
     "FANOUT_EDGES",
     "OCCUPANCY_EDGES",
-    "Counter",
     "Histogram",
     "MetricsRegistry",
     "merge_metric_snapshots",

@@ -12,11 +12,11 @@ per-tier wall times, and therefore events/sec, come from the stream
 * ``<experiment>.report.md``: campaign counters, per-tier throughput,
   paper side-by-side (Table 2 / Table 3 goldens when the experiment
   carries them), VOL-length and bus-occupancy histograms, and the
-  flight-recorder post-mortem of every quarantined point;
+  failure notes of every quarantined point;
 * ``<experiment>.trace.json``: the Chrome trace of the merged per-point
   telemetry payloads (open it in https://ui.perfetto.dev);
-* ``metrics.prom``: a Prometheus text exposition of the merged metrics
-  registry plus the campaign counters.
+* ``metrics.prom``: a Prometheus text exposition of the merged
+  histograms plus the campaign counters.
 
 A partial campaign (quarantined points) still gets its report before
 the command exits 1: that is when the report is needed most.
@@ -130,7 +130,6 @@ def collect_report(result, stream=None) -> Dict:
                     "machine": getattr(outcome.spec, "machine", "?"),
                     "attempts": outcome.attempts,
                     "failures": list(outcome.failures),
-                    "flight": outcome.flight or [],
                 }
             )
 
@@ -170,11 +169,6 @@ def prometheus_exposition(
     our buckets map directly onto cumulative ``le`` buckets.
     """
     lines: List[str] = []
-    for name, data in sorted(merged.get("counters", {}).items()):
-        metric = _prom_name(name)
-        lines.append(f"# HELP {metric} repro counter {name}")
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {data['value']}")
     for name, data in sorted(merged.get("histograms", {}).items()):
         metric = _prom_name(name)
         lines.append(f"# HELP {metric} repro histogram {name}")
@@ -323,23 +317,14 @@ def render_markdown(report: Dict) -> str:
             "the trace ring buffer."
         )
     if report["quarantined"]:
-        lines += ["", "## Quarantined points (flight recorder)", ""]
+        lines += ["", "## Quarantined points", ""]
         for item in report["quarantined"]:
             lines.append(
                 f"### point {item['point']}: {item['benchmark']}/"
-                f"{item['machine']} ({item['attempts']} attempts, "
-                f"{len(item['flight'])} flight record(s))"
+                f"{item['machine']} ({item['attempts']} attempts)"
             )
             for failure in item["failures"]:
                 lines.append(f"- {failure}")
-            for record in item["flight"]:
-                lines.append(
-                    f"- flight attempt {record.get('attempt')}: "
-                    + ", ".join(
-                        entry.get("kind", "?")
-                        for entry in record.get("entries", [])
-                    )
-                )
             lines.append("")
     return "\n".join(lines).rstrip() + "\n"
 

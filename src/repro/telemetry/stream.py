@@ -28,7 +28,7 @@ Event taxonomy (docs/OBSERVABILITY.md documents each field)::
     point_finished     point, attempt, benchmark, machine, status,
                        wall_s, events, events_per_sec [+ metrics]
     point_retry        point, attempt, kind, delay_s [+ note]
-    point_quarantined  point, attempts, note [+ flight_records]
+    point_quarantined  point, attempts, note
     heartbeat          done, running, waiting, quarantined, retries
                        [+ eta_s, tiers]
     campaign_finished  counters [+ tiers, elapsed_s]
@@ -57,8 +57,8 @@ SCHEMA_VERSION = 1
 ENVELOPE_FIELDS = ("v", "seq", "t", "event")
 
 #: Required payload fields per event type. Optional fields (``note``,
-#: ``metrics``, ``tiers``, ``eta_s``, ``flight_records``, ...) may ride
-#: along; unknown *event types* are rejected.
+#: ``metrics``, ``tiers``, ``eta_s``, ...) may ride along; unknown
+#: *event types* are rejected.
 EVENT_FIELDS: Dict[str, tuple] = {
     "campaign_started": ("points", "workers"),
     "point_started": ("point", "attempt", "benchmark", "machine"),
@@ -77,8 +77,7 @@ _NUMERIC_FIELDS = frozenset(
     (
         "points", "workers", "point", "attempt", "wall_s", "events",
         "events_per_sec", "delay_s", "attempts", "done", "running",
-        "waiting", "quarantined", "retries", "eta_s", "elapsed_s",
-        "flight_records", "t",
+        "waiting", "quarantined", "retries", "eta_s", "elapsed_s", "t",
     )
 )
 
@@ -423,15 +422,11 @@ class CampaignStream:
             delay_s=round(delay_s, 6), note=note,
         )
 
-    def point_quarantined(
-        self, point: int, attempts: int, note: str, flight_records: int = 0
-    ) -> None:
+    def point_quarantined(self, point: int, attempts: int, note: str) -> None:
         self.running.discard(point)
         self.quarantined += 1
         self._emit(
-            "point_quarantined",
-            point=point, attempts=attempts, note=note,
-            flight_records=flight_records,
+            "point_quarantined", point=point, attempts=attempts, note=note
         )
 
     def heartbeat(self, waiting: int = 0, force: bool = False) -> bool:

@@ -2,7 +2,8 @@
 
 The chaos-driven end-to-end suite lives in test_chaos.py; these tests
 pin the engine's own mechanics — knob validation, outcome accounting,
-serial/parallel equivalence and the default-config plumbing.
+where a failure is recorded, serial/parallel equivalence and the
+default-config plumbing.
 """
 
 import pickle
@@ -12,6 +13,7 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.harness.chaos import ChaosPlan
 from repro.harness.experiments import figure19_specs
+from repro.harness.resultstore import ResultStore, point_key
 from repro.harness.supervisor import (
     QUARANTINED,
     BackoffPolicy,
@@ -21,6 +23,12 @@ from repro.harness.supervisor import (
     resolve_retries,
     run_campaign,
     set_default_supervisor,
+)
+from repro.telemetry.stream import (
+    CampaignStream,
+    read_stream,
+    validate_stream_events,
+    validate_stream_file,
 )
 
 SCALE = 0.01
@@ -132,6 +140,81 @@ def test_serial_kill_degrades_to_simulated_crash():
     assert report.counters["crashes"] == 1
 
 
+# -- failure records ---------------------------------------------------------
+
+
+def test_chaos_quarantine_records_each_failure_once(tmp_path):
+    """A quarantined point's notes live on its outcome and in the
+    campaign stream; the result store holds results only, so resume
+    retries the point from scratch."""
+    stream_path = tmp_path / "campaign.ndjson"
+    stream = CampaignStream(path=str(stream_path))
+    store_root = tmp_path / "store"
+    plan = ChaosPlan(raises=((0, 0), (0, 1)))
+    report = run_campaign(
+        specs(),
+        SupervisorConfig(
+            workers=1,
+            chaos=plan,
+            retries=1,
+            backoff=FAST,
+            resume=True,
+            store_root=str(store_root),
+            stream=stream,
+        ),
+    )
+    stream.close()
+
+    assert not report.ok
+    outcome = report.outcomes[0]
+    assert outcome.status == QUARANTINED
+    assert outcome.failures == [
+        "attempt 0: ChaosError('chaos: injected failure at point 0 attempt 0')",
+        "attempt 1: ChaosError('chaos: injected failure at point 0 attempt 1')",
+    ]
+    assert ResultStore(str(store_root)).get(point_key(specs()[0])) is None
+    assert not (store_root / "quarantine").exists()
+
+    assert validate_stream_file(str(stream_path)) == []
+    events = read_stream(str(stream_path))
+    point0 = [event for event in events if event.get("point") == 0]
+    assert [event["event"] for event in point0] == [
+        "point_started", "point_retry", "point_started", "point_quarantined",
+    ]
+    assert point0[1]["kind"] == "failures"
+    assert point0[1]["note"] == outcome.failures[0]
+    assert point0[3]["note"] == outcome.failures[1]
+    assert events[-1]["counters"]["quarantined"] == 1
+    # The other four points still delivered.
+    finished = [event for event in events if event["event"] == "point_finished"]
+    assert len(finished) == 4
+
+
+def test_chaos_stream_campaign_makes_no_temp_directory(monkeypatch):
+    """A campaign writes only what it was handed (a stream, a store):
+    with chaos and a stream it still runs where no temp directory can
+    be made."""
+    import tempfile
+
+    def refuse(*args, **kwargs):
+        raise OSError("no temp directory")
+
+    monkeypatch.setattr(tempfile, "mkdtemp", refuse)
+    events = []
+    stream = CampaignStream(listeners=[events.append])
+    plan = ChaosPlan(raises=((1, 0),))
+    report = run_campaign(
+        specs(),
+        SupervisorConfig(
+            workers=1, chaos=plan, retries=1, backoff=FAST, stream=stream
+        ),
+    )
+    stream.close()
+    assert report.ok
+    assert report.counters["retries"] == 1
+    assert validate_stream_events(events) == []
+
+
 # -- parallel engine --------------------------------------------------------
 
 
@@ -152,6 +235,22 @@ def test_parallel_quarantine_is_partial():
     serial = run_campaign(specs(), SupervisorConfig(workers=1))
     for outcome, reference in zip(report.outcomes[:4], serial.results()[:4]):
         assert pickle.dumps(vars(outcome.result)) == pickle.dumps(vars(reference))
+
+
+def test_parallel_timeout_quarantine_notes_the_wall_clock():
+    """A timed-out attempt dies by SIGKILL; the parent's note is its
+    record."""
+    plan = ChaosPlan(stalls=((1, 0, 30.0),))
+    report = run_campaign(
+        specs(),
+        SupervisorConfig(
+            workers=2, chaos=plan, retries=0, backoff=FAST, point_timeout=2.0
+        ),
+    )
+    assert not report.ok
+    outcome = report.outcomes[1]
+    assert outcome.status == QUARANTINED
+    assert outcome.failures == ["attempt 0: exceeded 2.0s wall clock"]
 
 
 class _InterruptingStream:

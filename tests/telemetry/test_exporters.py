@@ -20,8 +20,8 @@ FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "example_trace.jso
 
 def example_payloads():
     """A small deterministic run: one bus transaction with a nested
-    snoop and walk, an error instant, and a couple of metrics. This is
-    the exact payload behind ``fixtures/example_trace.json``."""
+    snoop and walk, an error instant, and a histogram. This is the
+    exact payload behind ``fixtures/example_trace.json``."""
     tel = Telemetry(label="compress/svc_1c")
     run = tel.begin("run", "timing run", pus=1)
     txn = tel.begin("bus_txn", "read 0x100", requestor=0)
@@ -33,7 +33,6 @@ def example_payloads():
     tel.end(txn, from_memory=True, end_cycle=12)
     tel.instant("invariant_violation", "invariant:vol_order", level="error")
     tel.end(run, cycles=12)
-    tel.counter("check.violations").inc()
     tel.histogram("svc.vol_length", (0, 1, 2, 3), unit="versions").observe(2)
     return [tel.snapshot()]
 
@@ -113,9 +112,11 @@ def test_unfinished_span_exports_as_zero_duration():
 
 def test_metrics_document_flat_keys():
     document = metrics_document(example_payloads(), meta={"experiment": "x"})
-    assert document["flat"]["counters.check.violations"] == 1
-    assert document["flat"]["histograms.svc.vol_length.count"] == 1
-    assert document["flat"]["histograms.svc.vol_length.total"] == 2
+    assert document["flat"] == {
+        "histograms.svc.vol_length.count": 1,
+        "histograms.svc.vol_length.total": 2,
+        "telemetry.dropped_spans": 0,
+    }
     assert document["meta"] == {"experiment": "x"}
     assert "compress/svc_1c" in document["per_point"]
 
@@ -125,7 +126,6 @@ def test_render_summary_digest():
     assert "1 point(s)" in text
     assert "bus_txn=1" in text
     assert "ERROR-level spans: 1" in text
-    assert "check.violations: 1" in text
     assert "svc.vol_length: n=1" in text
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.common.errors import ReproError
 from repro.telemetry.metrics import (
-    Counter,
     Histogram,
     MetricsRegistry,
     merge_metric_snapshots,
@@ -82,15 +81,9 @@ def test_to_dict_buckets_the_tally_like_a_bisect_loop(edges, values, by_tally):
 class TestRegistry:
     def test_get_or_create_returns_same_object(self):
         registry = MetricsRegistry()
-        assert registry.counter("a") is registry.counter("a")
         assert registry.histogram("h", (1, 2)) is registry.histogram("h", (1, 2))
+        assert registry.histogram("g", (1,)) is not registry.histogram("h", (1, 2))
         assert len(registry) == 2
-
-    def test_type_conflict_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("x")
-        with pytest.raises(ReproError):
-            registry.histogram("x", (1, 2))
 
     def test_histogram_edge_mismatch_raises(self):
         registry = MetricsRegistry()
@@ -100,25 +93,21 @@ class TestRegistry:
 
     def test_snapshot_groups_by_type(self):
         registry = MetricsRegistry()
-        registry.counter("c", unit="events").inc(3)
         registry.histogram("h", (1, 2)).observe(2)
         snap = registry.snapshot()
-        assert set(snap) == {"counters", "histograms"}
-        assert snap["counters"]["c"] == {"unit": "events", "value": 3}
+        assert set(snap) == {"histograms"}
         assert snap["histograms"]["h"]["counts"] == [0, 1, 0]
 
 
-def test_merge_adds_counters_and_histograms_and_widens_envelopes():
-    def snap(counter, observations):
+def test_merge_adds_histograms_and_widens_envelopes():
+    def snap(observations):
         registry = MetricsRegistry()
-        registry.counter("c").inc(counter)
         hist = registry.histogram("h", (1, 2), unit="x")
         for value in observations:
             hist.observe(value)
         return registry.snapshot()
 
-    merged = merge_metric_snapshots([snap(2, [1, 5]), snap(3, [2])])
-    assert merged["counters"]["c"]["value"] == 5
+    merged = merge_metric_snapshots([snap([1, 5]), snap([2])])
     hist = merged["histograms"]["h"]
     assert hist["counts"] == [1, 1, 1]
     assert hist["count"] == 3
@@ -133,48 +122,22 @@ def test_merge_rejects_mismatched_edges():
         merge_metric_snapshots([a, b])
 
 
-def test_counter_inc_amount():
-    counter = Counter("c")
-    counter.inc()
-    counter.inc(4)
-    assert counter.value == 5
-
-
 class TestMergeEdgeCases:
     """Satellite coverage: degenerate and conflicting snapshot lists."""
 
     def test_empty_list_merges_to_empty_groups(self):
         merged = merge_metric_snapshots([])
-        assert merged == {"counters": {}, "histograms": {}}
+        assert merged == {"histograms": {}}
 
     def test_empty_snapshots_merge_to_empty_groups(self):
-        merged = merge_metric_snapshots([{}, {"counters": {}}])
-        assert merged == {"counters": {}, "histograms": {}}
+        merged = merge_metric_snapshots([{}, {"histograms": {}}])
+        assert merged == {"histograms": {}}
 
     def test_single_snapshot_round_trips(self):
         registry = MetricsRegistry()
-        registry.counter("c").inc(7)
         registry.histogram("h", (1, 2)).observe(1)
         snap = registry.snapshot()
-        merged = merge_metric_snapshots([snap])
-        assert merged["counters"]["c"]["value"] == 7
-        assert merged["histograms"]["h"]["count"] == 1
-
-    def test_cross_kind_name_conflict_raises(self):
-        counter_snap = {"counters": {"m": {"unit": "", "value": 1}}}
-        histogram_snap = {"histograms": {"m": Histogram("m", (1,)).to_dict()}}
-        with pytest.raises(ReproError) as excinfo:
-            merge_metric_snapshots([counter_snap, histogram_snap])
-        message = str(excinfo.value)
-        assert "'m'" in message and "counter" in message and "histogram" in message
-
-    def test_cross_kind_conflict_within_one_snapshot_raises(self):
-        snap = {
-            "counters": {"m": {"unit": "", "value": 1}},
-            "histograms": {"m": Histogram("m", (1,)).to_dict()},
-        }
-        with pytest.raises(ReproError):
-            merge_metric_snapshots([snap])
+        assert merge_metric_snapshots([snap]) == snap
 
     def test_edge_mismatch_error_names_both_edge_sets(self):
         a = {"histograms": {"h": Histogram("h", (1, 2)).to_dict()}}

@@ -16,7 +16,7 @@ from repro.telemetry.report import (
 def synthetic_report(**overrides):
     """A hand-built report structure exercising every renderer section:
     counters, tiers, paper rows, histograms, dropped spans, a
-    quarantined point with flight records."""
+    quarantined point with its failure notes."""
     report = {
         "meta": {
             "experiment": "fig19",
@@ -57,7 +57,6 @@ def synthetic_report(**overrides):
             }
         ],
         "metrics": {
-            "counters": {"check.violations": {"unit": "", "value": 3}},
             "histograms": {
                 "svc.vol_length": {
                     "unit": "versions",
@@ -77,16 +76,7 @@ def synthetic_report(**overrides):
                 "benchmark": "compress",
                 "machine": "arb_2c",
                 "attempts": 2,
-                "failures": ["chaos raise", "chaos raise"],
-                "flight": [
-                    {
-                        "attempt": 0,
-                        "entries": [
-                            {"kind": "attempt_started"},
-                            {"kind": "exception"},
-                        ],
-                    }
-                ],
+                "failures": ["attempt 0: chaos raise", "attempt 1: chaos raise"],
             }
         ],
     }
@@ -108,7 +98,8 @@ def test_markdown_covers_every_section():
     assert "<= 0" in text and "> 2" in text  # buckets incl. overflow
     assert "4 span(s) dropped" in text
     assert "## Quarantined points" in text
-    assert "attempt_started, exception" in text
+    assert "### point 2: compress/arb_2c (2 attempts)" in text
+    assert "- attempt 0: chaos raise\n- attempt 1: chaos raise" in text
 
 
 def test_markdown_histogram_bars_scale_to_peak():
@@ -123,7 +114,7 @@ def test_empty_campaign_renders_without_sections():
         counters={},
         tiers=[],
         paper=[],
-        metrics={"counters": {}, "histograms": {}},
+        metrics={"histograms": {}},
         dropped_spans=0,
         quarantined=[],
     )
@@ -149,25 +140,22 @@ def test_prometheus_histogram_buckets_are_cumulative():
 
 
 def test_prometheus_counters_and_campaign_counters():
+    """The campaign counters are the exposition's only counters."""
     text = prometheus_exposition(
         synthetic_report()["metrics"], campaign_counters={"retries": 2}
     )
     lines = text.splitlines()
-    assert "# TYPE repro_check_violations counter" in lines
-    assert "repro_check_violations 3" in lines
-    assert "# TYPE repro_campaign_retries counter" in lines
+    assert [line for line in lines if line.endswith(" counter")] == [
+        "# TYPE repro_campaign_retries counter"
+    ]
     assert "repro_campaign_retries 2" in lines
     assert text.endswith("\n")
 
 
 def test_prometheus_names_are_sanitized():
-    text = prometheus_exposition(
-        {
-            "counters": {"bus/weird-name.x": {"unit": "", "value": 1}},
-            "histograms": {},
-        }
-    )
-    assert "repro_bus_weird_name_x 1" in text
+    histogram = synthetic_report()["metrics"]["histograms"]["svc.vol_length"]
+    text = prometheus_exposition({"histograms": {"bus/weird-name.x": histogram}})
+    assert "repro_bus_weird_name_x_count 10" in text
 
 
 # -- file bundle -------------------------------------------------------------

@@ -2,11 +2,14 @@
 
 import io
 import json
+import os
+import re
 
 import pytest
 
 from repro.common.errors import ReproError
 from repro.telemetry.stream import (
+    EVENT_FIELDS,
     SCHEMA_VERSION,
     CampaignStream,
     ProgressRenderer,
@@ -33,8 +36,7 @@ def drive_minimal(stream):
     )
     stream.point_started(2, 1, "compress", "arb_2c")
     stream.point_retry(2, 1, kind="crash", delay_s=0.0, note="boom")
-    stream.point_quarantined(2, attempts=2, note="budget spent",
-                             flight_records=2)
+    stream.point_quarantined(2, attempts=2, note="budget spent")
     stream.heartbeat(waiting=0, force=True)
     stream.campaign_finished({"points": 3, "ok": 1, "quarantined": 1})
 
@@ -294,3 +296,21 @@ def test_stream_file_is_sorted_key_ndjson(tmp_path):
     for line in path.read_text().splitlines():
         event = json.loads(line)
         assert list(event) == sorted(event)
+
+
+def test_observability_table_lists_the_required_fields():
+    """docs/OBSERVABILITY.md's event table names, row for row, exactly
+    the required fields the validator enforces."""
+    path = os.path.join(
+        os.path.dirname(__file__), "..", "..", "docs", "OBSERVABILITY.md"
+    )
+    with open(path) as handle:
+        lines = handle.read().splitlines()
+    start = lines.index("| event | required fields | meaning |")
+    rows = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        event, required = line.split("|")[1:3]
+        rows[event.strip().strip("`")] = tuple(re.findall(r"`(\w+)`", required))
+    assert rows == EVENT_FIELDS

@@ -230,13 +230,19 @@ def test_progress_flag_renders_campaign_line(capsys):
     assert "done" in err
 
 
-def test_quarantine_mentions_flight_records(capsys):
+def test_quarantine_line_ends_with_the_failure_note(capsys):
     code = main([
         "table2", "--benchmarks", "gcc", "--scale", "0.02",
         "--retries", "0", "--chaos", "7",
     ])
     assert code == 1
-    assert "flight record(s) attached" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("  quarantined ")] == [
+        "  quarantined gcc/arb_32k: attempt 0: "
+        "ChaosError('chaos: injected failure at point 0 attempt 0')",
+        "  quarantined gcc/svc_4x8k: attempt 0: "
+        "ChaosError('chaos: injected failure at point 1 attempt 0')",
+    ]
 
 
 # -- run reports -------------------------------------------------------------
